@@ -10,9 +10,13 @@ boundary, is solved as the minimization of the regularized convex energy
 
     E_eps(u) = sum_T area_T gamma_T (|grad u|_T^2 + eps^2)^(p/2)
 
-by damped Newton with backtracking line search, warm-started along a
-geometric continuation eps_0 > eps_1 > ... > eps_final.  Complex data is
-handled as a coupled two-component real field with density
+by damped Newton with a backtracking (Armijo, sufficient-decrease constant
+1/4) line search, run directly at eps_final from the initial iterate.  Only
+if that attempt fails does the solve restart along the geometric
+continuation eps_0 > eps_1 > ... > eps_final.  Each step factors the
+free-dof Newton matrix by LU with a symmetric minimum-degree ordering and
+diagonal pivots; its sparsity pattern is built once per solve.  Complex
+data is handled as a coupled two-component real field with density
 (|grad u_re|^2 + |grad u_im|^2 + eps^2)^(p/2); stationarity in each
 component reproduces the complex weak form.  The Newton weight
 
@@ -40,6 +44,7 @@ __all__ = [
     "PField",
     "SolverSettings",
     "SolveResult",
+    "SolveStage",
     "SolverConvergenceError",
     "energy",
     "solve_dirichlet",
@@ -98,10 +103,6 @@ class DomainGrid:
         return np.flatnonzero(self.boundary)
 
     @property
-    def interior_idx(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary)
-
-    @property
     def h(self) -> float:
         """Grid spacing (cells per unit resolution)."""
         return 1.0 / self.resolution
@@ -125,9 +126,6 @@ class DomainGrid:
             self._delta = _distance_to_boundary(self)
             self._delta[self.boundary] = 0.0
         return self._delta
-
-    def interpolate(self, fn) -> np.ndarray:
-        return np.asarray(fn(self.pts))
 
 
 def _distance_to_boundary(grid: DomainGrid) -> np.ndarray:
@@ -405,9 +403,15 @@ class SolverSettings:
 
     eps values are relative to the RMS gradient of the initial extension
     when eps_relative is set, which makes the solve exactly equivariant
-    under scaling of the datum.  outer_tol is the relative energy-decrease
-    stopping threshold per continuation stage; residual_tol bounds the
-    regularized dual residual accepted at the final stage.
+    under scaling of the datum.  The solve first runs Newton directly at
+    the last eps of the geometric schedule eps_start ... eps_final
+    (eps_stages values); only if that attempt fails does it restart from
+    the initial iterate and run the whole schedule.  outer_tol is the
+    relative energy-decrease stopping threshold per stage; residual_tol
+    bounds the regularized dual residual accepted at the final stage;
+    max_iter bounds the Newton steps a stage may take to pass its stopping
+    test (the final stage then takes one more).  Step lengths halve until
+    the energy falls by at least 1/4 of the step's Newton decrement.
     """
 
     eps_start: float = 1e-1
@@ -440,6 +444,18 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
+@dataclass(frozen=True)
+class SolveStage:
+    """One Newton run at fixed eps (deterministic: no timings)."""
+
+    eps: float                # absolute regularization
+    steps: int                # accepted Newton steps
+    decrement: float          # Newton decrement of the last step (nan if none)
+    residual: float | None    # regularized dual residual where the stage ended
+    fallback: bool            # part of the geometric-schedule restart
+    converged: bool
+
+
 @dataclass
 class SolveResult:
     field: PField
@@ -450,30 +466,140 @@ class SolveResult:
     regularized_residual: float   # dual residual at eps_final
     eps_final_abs: float
     converged: bool
+    stages: list                  # SolveStage per eps stage run
 
 
-def _assemble_hessian(grid, coef_w, coef_rank1, q, ncomp):
-    """Sparse Newton matrix for the regularized energy (all dofs)."""
-    nel = grid.tri.shape[0]
-    bb = np.einsum("eiv,ejv->eij", grid.grad, grid.grad)          # (nel, 3, 3)
-    iq = np.einsum("eiv,evc->eic", grid.grad, q)                  # (nel, 3, ncomp)
-    ndof_el = 3 * ncomp
-    Hloc = np.zeros((nel, ndof_el, ndof_el))
-    for c in range(ncomp):
-        for d in range(ncomp):
-            block = coef_rank1[:, None, None] * iq[:, :, c][:, :, None] * iq[:, :, d][:, None, :]
-            if c == d:
-                block = block + coef_w[:, None, None] * bb
-            Hloc[:, c::ncomp, d::ncomp] = block
-    dof = (grid.tri[:, :, None] * ncomp + np.arange(ncomp)[None, None, :]).reshape(nel, ndof_el)
-    rows = np.repeat(dof, ndof_el, axis=1).ravel()
-    cols = np.tile(dof, (1, ndof_el)).ravel()
-    n = grid.npt * ncomp
-    return sp.coo_matrix((Hloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+# Armijo sufficient-decrease constant.  Below 1/2, so unit steps are accepted
+# near the solution; large enough to reject the sign-flipping full steps that
+# |q|^p produces for p < 2 far from it (q -> (p-2)/(p-1) q, i.e. -q at 1.5).
+SUFFICIENT_DECREASE = 0.25
+
+
+def _factor(H):
+    """LU of the SPD free-dof Newton matrix: symmetric minimum-degree
+    ordering and diagonal pivots, about half the fill of COLAMD."""
+    return splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+class _FreeDofNewton:
+    """Gradient and Newton matrix of E_eps restricted to the free dofs.
+
+    The CSC pattern of the free-dof block and the slot of every element
+    entry in its `.data` are built once; each linearization is then one
+    bincount for the gradient and one for the matrix.  Entries touching a
+    fixed dof go to a discarded extra slot.
+    """
+
+    def __init__(self, grid, gamma_c, p, ncomp):
+        self.grid, self.gamma_c, self.p = grid, gamma_c, p
+        nel, nloc = grid.tri.shape[0], 3 * ncomp
+        self.free = np.repeat(~grid.boundary, ncomp)
+        nfree = int(self.free.sum())
+        number = np.where(self.free, np.cumsum(self.free) - 1, nfree)
+        fdof = number[grid.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(nel, nloc)
+        self.nfree = nfree
+        self.vec_slot = fdof.ravel()
+
+        rows = np.repeat(fdof, nloc, axis=1).ravel().astype(np.int64)
+        cols = np.tile(fdof, (1, nloc)).ravel().astype(np.int64)
+        key = np.where((rows < nfree) & (cols < nfree), cols * nfree + rows,
+                       nfree * nfree)
+        ukey, self.mat_slot = np.unique(key, return_inverse=True)
+        ukey = ukey[:-1] if ukey[-1] == nfree * nfree else ukey
+        self.nnz = ukey.size
+        self.indices = (ukey % nfree).astype(np.int32)
+        self.indptr = np.searchsorted(ukey // nfree, np.arange(nfree + 1)).astype(np.int32)
+        self.bb = np.einsum("eiv,ejv->eij", grid.grad, grid.grad)
+
+    def energy(self, U, eps):
+        q2 = (_element_gradients(self.grid, U)**2).sum(axis=(1, 2))
+        return _energy_from_q2(self.grid, self.gamma_c, self.p, q2, eps)
+
+    def residual(self, U, eps):
+        return _dual_residual(self.grid, self.gamma_c, self.p, U, eps)
+
+    def linearize(self, U, eps):
+        """(E_eps(U), free gradient, free Newton matrix in CSC)."""
+        grid, p = self.grid, self.p
+        nel = grid.tri.shape[0]
+        q = _element_gradients(grid, U)
+        q2 = (q**2).sum(axis=(1, 2))
+        E = _energy_from_q2(grid, self.gamma_c, p, q2, eps)
+        w = (q2 + eps * eps) ** ((p - 2.0) / 2.0)
+        coef = grid.area * self.gamma_c * p * w
+        coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
+        ncomp = U.shape[1]
+        iq = np.einsum("eiv,evc->eic", grid.grad, q).reshape(nel, 3 * ncomp)
+        g = np.bincount(self.vec_slot, weights=(iq * coef[:, None]).ravel(),
+                        minlength=self.nfree + 1)[:self.nfree]
+        # the rank-one product is formed before scaling so each element
+        # block, and hence the assembled matrix, is exactly symmetric
+        Hloc = coef_rank1[:, None, None] * (iq[:, :, None] * iq[:, None, :])
+        for c in range(ncomp):
+            Hloc[:, c::ncomp, c::ncomp] += coef[:, None, None] * self.bb
+        data = np.bincount(self.mat_slot, weights=Hloc.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+        H = sp.csc_matrix((data, self.indices, self.indptr),
+                          shape=(self.nfree, self.nfree))
+        return E, g, H
 
 
 def _energy_from_q2(grid, gamma_c, p, q2, eps):
     return float((grid.area * gamma_c * (q2 + eps * eps) ** (p / 2.0)).sum())
+
+
+def _newton_stage(newton, U, eps, settings, final, fallback, history, stages):
+    """Damped Newton at fixed eps from U; returns the last iterate.
+
+    A non-final stage stops at the first step whose relative energy
+    decrease is at most outer_tol.  The final stage must also meet
+    residual_tol (or reach float resolution), and then takes one more
+    step, which brings the iterate to round-off.  Every accepted step goes
+    to `history` and the stage, converged or not, to `stages`.
+    """
+    eps = float(eps)
+    steps, decrement, polish = 0, math.nan, False
+
+    def failure(message, residual):
+        stages.append(SolveStage(eps, steps, decrement, residual, fallback, False))
+        return SolverConvergenceError(message, residual=residual)
+
+    while True:
+        E, g, H = newton.linearize(U, eps)
+        d = _factor(H).solve(-g)
+        decrement = float(-g @ d)
+        if decrement < 0.0:
+            raise failure("Newton direction is not a descent direction", None)
+
+        D = np.zeros_like(U)
+        D.ravel()[newton.free] = d
+        t = 1.0
+        for _ in range(settings.max_backtracks):
+            U_try = U + t * D
+            E_try = newton.energy(U_try, eps)
+            if E_try <= E - SUFFICIENT_DECREASE * t * decrement + 1e-15 * abs(E):
+                break
+            t *= 0.5
+        else:
+            raise failure(f"line search failed at eps = {eps:.3e}",
+                          newton.residual(U, eps))
+        U = U_try
+        steps += 1
+        history.append((eps, E_try, decrement))
+        if polish:
+            break
+        if (E - E_try) / max(abs(E_try), 1e-300) <= settings.outer_tol:
+            if not final:
+                break
+            polish = (newton.residual(U, eps) <= settings.residual_tol
+                      or decrement <= 1e-28 * max(abs(E_try), 1e-300))
+        if not polish and steps >= settings.max_iter:
+            raise failure(f"no convergence within {settings.max_iter} iterations "
+                          f"at eps = {eps:.3e}", newton.residual(U, eps))
+    stages.append(SolveStage(eps, steps, decrement, newton.residual(U, eps),
+                             fallback, True))
+    return U
 
 
 def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
@@ -483,6 +609,9 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
 
     The datum is a full field; its boundary values are the Dirichlet data
     and (with init = "datum") its interior values are the warm start.
+    Newton runs directly at the final eps; if that fails, the solve
+    restarts from the initial iterate along the geometric eps schedule.
+    `iterations`, `energy_history` and `stages` count both attempts.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
@@ -493,22 +622,21 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
 
     mode = datum.mode
     ncomp = datum.ncomp
-    U = None
     if initial is not None:
         if initial.mode != mode:
             raise ValueError("initial field mode must match the datum mode")
-        U = initial.components().copy()
+        U0 = initial.components().copy()
     elif settings.init == "datum":
-        U = datum.components().copy()
+        U0 = datum.components().copy()
     elif settings.init == "zero":
-        U = np.zeros((grid.npt, ncomp))
+        U0 = np.zeros((grid.npt, ncomp))
     elif settings.init == "random":
         rng = np.random.default_rng(settings.seed)
         scale = float(np.max(np.abs(datum.values))) or 1.0
-        U = rng.standard_normal((grid.npt, ncomp)) * scale
+        U0 = rng.standard_normal((grid.npt, ncomp)) * scale
     else:
         raise ValueError(f"unknown init {settings.init!r}")
-    U[grid.boundary] = datum.components()[grid.boundary]
+    U0[grid.boundary] = datum.components()[grid.boundary]
 
     # Regularization scale: RMS gradient of the datum extension (the probe
     # or boundary-data extension), so eps tracks the datum amplitude.
@@ -521,70 +649,23 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     if p == 2.0:
         eps_list = eps_list[-1:]  # the weight is eps-independent at p = 2
 
-    interior = ~grid.boundary
-    free = (interior[:, None] * np.ones(ncomp, dtype=bool)[None, :]).ravel()
-
-    history = []
-    total_iters = 0
-    for stage, eps in enumerate(eps_list):
-        is_final = stage == len(eps_list) - 1
-        for it in range(settings.max_iter):
-            q = _element_gradients(grid, U)
-            q2 = (q**2).sum(axis=(1, 2))
-            E = _energy_from_q2(grid, gamma_c, p, q2, eps)
-            w = (q2 + eps * eps) ** ((p - 2.0) / 2.0)
-            coef = grid.area * gamma_c * p * w
-            g_el = np.einsum("eiv,evc->eic", grid.grad, q) * coef[:, None, None]
-            g = np.zeros((grid.npt, ncomp))
-            np.add.at(g, grid.tri.ravel(), g_el.reshape(-1, ncomp))
-            gflat = g.ravel()[free]
-
-            coef_rank1 = grid.area * gamma_c * p * (p - 2.0) * w / (q2 + eps * eps)
-            H = _assemble_hessian(grid, coef, coef_rank1, q, ncomp)
-            Hff = H[free][:, free]
-            d = splu(Hff.tocsc()).solve(-gflat)
-            decrement = float(-gflat @ d)
-            if decrement < 0.0:
-                raise SolverConvergenceError(
-                    "Newton direction is not a descent direction", residual=None)
-
-            D = np.zeros((grid.npt, ncomp))
-            D.ravel()[free] = d
-            t = 1.0
-            for _ in range(settings.max_backtracks):
-                U_try = U + t * D
-                q2_try = (_element_gradients(grid, U_try)**2).sum(axis=(1, 2))
-                E_try = _energy_from_q2(grid, gamma_c, p, q2_try, eps)
-                if E_try <= E - 1e-4 * t * decrement + 1e-15 * abs(E):
-                    break
-                t *= 0.5
-            else:
-                raise SolverConvergenceError(
-                    f"line search failed at eps = {eps:.3e}",
-                    residual=_dual_residual(grid, gamma_c, p, U, eps))
-            U = U_try
-            total_iters += 1
-            history.append((float(eps), E_try, decrement))
-            rel_decrease = (E - E_try) / max(abs(E_try), 1e-300)
-            if rel_decrease <= settings.outer_tol:
-                if not is_final:
-                    break
-                # final stage also has to meet the dual-residual target
-                if _dual_residual(grid, gamma_c, p, U, eps) <= settings.residual_tol:
-                    break
-                if decrement <= 1e-28 * max(abs(E_try), 1e-300):
-                    break  # at float resolution; the post-loop check decides
-        else:
-            raise SolverConvergenceError(
-                f"no convergence within {settings.max_iter} iterations "
-                f"at eps = {eps:.3e}",
-                residual=_dual_residual(grid, gamma_c, p, U, eps))
+    newton = _FreeDofNewton(grid, gamma_c, p, ncomp)
+    history, stages = [], []
+    try:
+        U = _newton_stage(newton, U0, eps_list[-1], settings, True, False,
+                          history, stages)
+    except SolverConvergenceError:
+        if len(eps_list) == 1:
+            raise
+        U = U0
+        for k, eps in enumerate(eps_list):
+            U = _newton_stage(newton, U, eps, settings, k == len(eps_list) - 1,
+                              True, history, stages)
 
     eps_final_abs = float(eps_list[-1])
-    res_reg = _dual_residual(grid, gamma_c, p, U, eps_final_abs)
+    res_reg = stages[-1].residual
     res0 = _dual_residual(grid, gamma_c, p, U, 0.0)
-    q2 = (_element_gradients(grid, U)**2).sum(axis=(1, 2))
-    E_final = _energy_from_q2(grid, gamma_c, p, q2, eps_final_abs)
+    E_final = newton.energy(U, eps_final_abs)
     converged = res_reg <= settings.residual_tol
     if not converged:
         raise SolverConvergenceError(
@@ -592,7 +673,8 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
             f"residual_tol {settings.residual_tol:.3e}", residual=res_reg)
 
     field = PField(values=_values_from_components(U, mode), mode=mode)
-    return SolveResult(field=field, energy=E_final, iterations=total_iters,
+    return SolveResult(field=field, energy=E_final, iterations=len(history),
                        energy_history=history, weak_residual=res0,
                        regularized_residual=res_reg,
-                       eps_final_abs=eps_final_abs, converged=converged)
+                       eps_final_abs=eps_final_abs, converged=converged,
+                       stages=stages)

@@ -324,10 +324,6 @@ class WolffProfile:
     def aprime_at(self, tau):
         return self._spline_ap(np.mod(tau, self.lam))
 
-    def envelope_at(self, tau):
-        """sqrt(a^2 + a'^2); strictly positive along the whole period."""
-        return np.hypot(self.a_at(tau), self.aprime_at(tau))
-
     def ode_residual_max(self) -> float:
         """max_t |a'' + V(a, a') a| / scale over the stored samples.
 

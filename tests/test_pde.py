@@ -265,6 +265,87 @@ def test_solver_rejects_bad_p(nonlinear_setup):
         pde.solve_dirichlet(g, gam, 1.0, f)
 
 
+def test_random_start_converges_below_p2(nonlinear_setup):
+    # full Newton steps on |q|^1.5 map q -> -q; a weak sufficient-decrease
+    # rule accepted them and this start ran out of iterations
+    g, gam, f = nonlinear_setup
+    s1 = pde.solve_dirichlet(g, gam, 1.5, f, pde.SolverSettings(init="zero"))
+    s2 = pde.solve_dirichlet(g, gam, 1.5, f, pde.SolverSettings(init="random", seed=1))
+    assert s2.converged
+    assert abs(s1.energy - s2.energy) / s1.energy <= 1e-8
+    assert np.max(np.abs(s1.field.values - s2.field.values)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Newton layer
+# ---------------------------------------------------------------------------
+
+
+def _newton_at_probe(g, mode, p):
+    gam = pde.ConductivityField(lambda x: 1.0 + x[:, 1] / 2.0)
+    tilt = 1.0 + 0.5j if mode == "complex" else 1.0
+    u = pde.PField.from_function(g, lambda x: tilt * probe_like(x), mode)
+    return pde._FreeDofNewton(g, gam(g.centroid), p, u.ncomp), u.components()
+
+
+@pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
+def test_newton_matrix_symmetric_and_factored_accurately(nonlinear_setup, mode, p):
+    g = nonlinear_setup[0]
+    newton, U = _newton_at_probe(g, mode, p)
+    _, grad, H = newton.linearize(U, 1e-6)
+    assert H.shape == (int((~g.boundary).sum()) * U.shape[1],) * 2
+    assert (H != H.T).nnz == 0
+    # diagonal pivots without threshold are safe because H is SPD
+    x = pde._factor(H).solve(grad)
+    assert np.linalg.norm(H @ x - grad) <= 1e-10 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
+def test_newton_matrix_is_derivative_of_gradient(nonlinear_setup, mode, p):
+    g = nonlinear_setup[0]
+    newton, U = _newton_at_probe(g, mode, p)
+    eps = 0.1
+    _, grad, H = newton.linearize(U, eps)
+    v = np.random.default_rng(0).standard_normal(newton.nfree)
+    V = np.zeros_like(U)
+    V.ravel()[newton.free] = v
+    h = 1e-7  # central differences: error O(h^2 |grad v|^2), ~3e-9 here
+    dg = (newton.linearize(U + h * V, eps)[1]
+          - newton.linearize(U - h * V, eps)[1]) / (2.0 * h)
+    assert np.linalg.norm(H @ v - dg) <= 1e-7 * np.linalg.norm(dg)
+
+
+def test_warm_started_solve_runs_single_final_stage():
+    from plprobe import recovery
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+    grid = recovery.probe_window_grid(spec)
+    probe = recovery.build_probe(spec, grid)
+    gam = pde.ConductivityField(lambda x: 1.0 + x[:, 1] / 2.0)
+    sol = pde.solve_dirichlet(grid, gam, 3.0, probe.field, initial=probe.field)
+    (stage,) = sol.stages
+    assert stage.eps == sol.eps_final_abs
+    assert stage.converged and not stage.fallback
+    assert stage.steps == sol.iterations == len(sol.energy_history)
+    assert stage.residual == sol.regularized_residual
+    assert all(eps == sol.eps_final_abs for eps, _, _ in sol.energy_history)
+
+
+def test_direct_failure_falls_back_to_schedule(nonlinear_setup):
+    g, gam, f = nonlinear_setup
+    default = pde.solve_dirichlet(g, gam, 3.0, f)
+    assert len(default.stages) == 1 and default.stages[0].steps > 6
+    # six steps are too few for the direct attempt, enough for each stage
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(max_iter=6))
+    direct, *schedule = sol.stages
+    assert (direct.steps, direct.fallback, direct.converged) == (6, False, False)
+    eps = [s.eps for s in schedule]
+    assert direct.eps == eps[-1] == sol.eps_final_abs
+    assert len(eps) == 6 and eps == sorted(eps, reverse=True)
+    assert all(s.fallback and s.converged for s in schedule)
+    assert sol.iterations == len(sol.energy_history) == sum(s.steps for s in sol.stages)
+    assert np.max(np.abs(sol.field.values - default.field.values)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Hardy ratio
 # ---------------------------------------------------------------------------
