@@ -152,19 +152,17 @@ def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _recovery_ingredients(cfg: ExperimentConfig, get_profile):
-    mode = cfg.probe.mode
-    p = cfg.physics.p
-    gamma = _gamma_field(cfg.physics.gamma)
-    rho = _rho_from_config(cfg)
-    cutoff = special.CutoffProfile(cfg.probe.cutoff)
-    profile = get_profile(p) if mode == "real" else None
-    return mode, p, gamma, rho, cutoff, profile
+def _recovery_ingredients(cfg: ExperimentConfig, get_profile, mode, p, gamma_text):
+    """(gamma, rho, cutoff, profile) of one probe family of the config."""
+    return (_gamma_field(gamma_text), _rho_from_config(cfg),
+            special.CutoffProfile(cfg.probe.cutoff),
+            get_profile(p) if mode == "real" else None)
 
 
 def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
-    get_profile = _profile_cache()
-    mode, p, gamma, rho, cutoff, profile = _recovery_ingredients(cfg, get_profile)
+    mode, p = cfg.probe.mode, cfg.physics.p
+    gamma, rho, cutoff, profile = _recovery_ingredients(
+        cfg, special.solve_wolff_profile, mode, p, cfg.physics.gamma)
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
     rows = []
     errs = []
@@ -174,8 +172,7 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
         est = recovery.quadrature_limit(gamma, spec)
         errs.append(abs(est - gamma0))
         rows.append((M, spec.N, est, abs(est - gamma0)))
-    violations = sum(1 for a, b in zip(errs[:-1], errs[1:]) if b > a * (1 + 1e-9))
-    ok = violations <= 1
+    ok = recovery.monotone_errors(errs)
     write_csv(out / "probe_check.csv", ("M", "N", "estimate", "abs_error"), rows,
               {"config-sha256": cfg.sha256(), "mode": mode, "p": p,
                "gamma0-target": gamma0, "contract": "pass" if ok else "fail"})
@@ -185,8 +182,9 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
-    get_profile = _profile_cache()
-    mode, p, gamma, rho, cutoff, profile = _recovery_ingredients(cfg, get_profile)
+    mode, p = cfg.probe.mode, cfg.physics.p
+    gamma, rho, cutoff, profile = _recovery_ingredients(
+        cfg, special.solve_wolff_profile, mode, p, cfg.physics.gamma)
     settings = _solver_settings(cfg)
     factory = _grid_factory(cfg)
 
@@ -203,15 +201,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         if d.shape == "half_disc":
             shape = pde.HalfDisc(radius=d.radius)
         else:
-            bottom = bderiv = None
-            if rho is not None:
-                def bottom(x1, _r=rho):
-                    x1 = np.asarray(x1, dtype=float)
-                    return -_r.value(np.stack([x1, np.zeros_like(x1)], axis=-1))
-
-                def bderiv(x1, _r=rho):
-                    x1 = np.asarray(x1, dtype=float)
-                    return -_r.gradient(np.stack([x1, np.zeros_like(x1)], axis=-1))[..., 0]
+            bottom, bderiv = rho.bottom_curve() if rho is not None else (None, None)
             shape = pde.Rectangle(half_width=d.half_width, height=d.height,
                                   bottom=bottom, bottom_deriv=bderiv)
         grid = pde.build_grid(shape, d.resolution)
@@ -235,10 +225,8 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
-    gamma = _gamma_field(gamma_text)
-    rho = _rho_from_config(cfg)
-    cutoff = special.CutoffProfile(cfg.probe.cutoff)
-    profile = get_profile(p) if mode == "real" else None
+    gamma, rho, cutoff, profile = _recovery_ingredients(cfg, get_profile, mode,
+                                                        p, gamma_text)
     return recovery.recover_boundary_value(
         gamma, p, mode, list(cfg.probe.m_list), s=cfg.probe.s,
         settings=_solver_settings(cfg), grid_factory=_grid_factory(cfg),

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .pde import (ConductivityField, DomainGrid, PField, SolverSettings,
-                  _element_gradients, solve_dirichlet)
+                  _element_gradients, _p_energy, solve_dirichlet)
+from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "flux_pairing",
@@ -47,9 +48,7 @@ def flux_pairing(grid: DomainGrid, gamma, p: float, u: PField, g: PField) -> com
     gamma_c = _as_gamma(gamma)(grid.centroid)
     qu = _complex_gradients(grid, u)
     qg = _complex_gradients(grid, g)
-    mag2 = (qu.real**2 + qu.imag**2).sum(axis=1)
-    safe = np.where(mag2 > 0.0, mag2, 1.0)
-    w = np.where(mag2 > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
+    w = _pow_or_zero(_norm_sq(qu), (p - 2.0) / 2.0)
     return complex((grid.area * gamma_c * w * (qu * np.conj(qg)).sum(axis=1)).sum())
 
 
@@ -113,17 +112,12 @@ def self_pairing_slope(grid, gamma, p, f: PField, t_values,
     logs = []
     for t in t_values:
         ft = PField(f.values * t, f.mode)
-        val = dn_pairing(grid, gamma, p, ft, settings=settings)
-        logs.append(math_log_abs(val))
+        val = abs(dn_pairing(grid, gamma, p, ft, settings=settings))
+        if val == 0.0:
+            raise ValueError("pairing vanished; slope undefined")
+        logs.append(float(np.log(val)))
     slope = np.polyfit(np.log(t_values), np.array(logs), 1)[0]
     return float(slope)
-
-
-def math_log_abs(v: complex) -> float:
-    a = abs(v)
-    if a == 0.0:
-        raise ValueError("pairing vanished; slope undefined")
-    return float(np.log(a))
 
 
 def pairing_bound_margin(grid, gamma, p, f: PField,
@@ -136,10 +130,8 @@ def pairing_bound_margin(grid, gamma, p, f: PField,
         g = f
     sol = solve_dirichlet(grid, gamma_f, p, f, settings)
     val = flux_pairing(grid, gamma_f, p, sol.field, g)
-    qu = _complex_gradients(grid, sol.field)
-    qg = _complex_gradients(grid, g)
-    nu = float((grid.area * (np.abs(qu) ** 2).sum(axis=1) ** (p / 2.0)).sum()) ** (1 / p)
-    ng = float((grid.area * (np.abs(qg) ** 2).sum(axis=1) ** (p / 2.0)).sum()) ** (1 / p)
+    nu = _p_energy(grid, _norm_sq(_complex_gradients(grid, sol.field)), p) ** (1 / p)
+    ng = _p_energy(grid, _norm_sq(_complex_gradients(grid, g)), p) ** (1 / p)
     return abs(val) / (gamma_max * nu ** (p - 1.0) * ng)
 
 

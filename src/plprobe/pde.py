@@ -20,10 +20,12 @@ data is handled as a coupled two-component real field with density
 (|grad u_re|^2 + |grad u_im|^2 + eps^2)^(p/2); stationarity in each
 component reproduces the complex weak form.  The Newton weight
 
-    w (I + (p-2) q x q / (|q|^2 + eps^2)),   w = (|q|^2 + eps^2)^((p-2)/2)
+    w (I + (p-2) q x q / (|q|^2 + eps^2)),
+    w = vecp._pow_or_zero(|q|^2 + eps^2, (p-2)/2)
 
 is symmetric positive definite for every p > 1, so the damped iteration is
-globally convergent on the strictly convex regularized energy.
+globally convergent on the strictly convex regularized energy.  At
+eps = 0 the same kernel is the flux weight of every weak form and pairing.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "Rectangle",
@@ -114,9 +118,16 @@ class DomainGrid:
 
     @property
     def node_area(self) -> np.ndarray:
-        w = np.zeros(self.npt)
-        np.add.at(w, self.tri.ravel(), np.repeat(self.area / 3.0, 3))
-        return w
+        return self.scatter(np.broadcast_to((self.area / 3.0)[:, None], self.tri.shape))
+
+    def scatter(self, el_values: np.ndarray) -> np.ndarray:
+        """Sum per-element vertex values, shape (nel, 3, ...), onto the
+        nodes: shape (npt, ...)."""
+        idx = self.tri.ravel()
+        cols = el_values.reshape(idx.size, -1).T
+        out = np.stack([np.bincount(idx, weights=c, minlength=self.npt)
+                        for c in cols], axis=1)
+        return out.reshape((self.npt,) + el_values.shape[2:])
 
     @property
     def delta(self) -> np.ndarray:
@@ -294,7 +305,7 @@ class PField:
         return u[:, : self.ncomp]
 
 
-def _values_from_components(U: np.ndarray, mode: str) -> np.ndarray:
+def _values_from_components(U: np.ndarray) -> np.ndarray:
     if U.shape[1] == 1:
         return U[:, 0].astype(np.complex128)
     return U[:, 0] + 1j * U[:, 1]
@@ -310,6 +321,18 @@ def _element_gradients(grid: DomainGrid, U: np.ndarray) -> np.ndarray:
     return np.einsum("eiv,eic->evc", grid.grad, U[grid.tri])
 
 
+def _grad_sq(q: np.ndarray) -> np.ndarray:
+    """|grad u|_T^2 per element from element gradients (nel, 2, ncomp)."""
+    return (q**2).sum(axis=(1, 2))
+
+
+def _p_energy(grid: DomainGrid, q2: np.ndarray, p: float, gamma_c=1.0,
+              eps: float = 0.0) -> float:
+    """sum_T area_T gamma_T (q2_T + eps^2)^(p/2); with the defaults, the
+    p-th power of the p-norm of the gradient."""
+    return float((grid.area * gamma_c * (q2 + eps * eps) ** (p / 2.0)).sum())
+
+
 def energy(grid: DomainGrid, u, gamma, p: float, eps: float = 0.0) -> float:
     """E_eps(u) = sum_T area gamma(centroid) (|grad u|^2 + eps^2)^(p/2)."""
     if not p > 1:
@@ -317,10 +340,8 @@ def energy(grid: DomainGrid, u, gamma, p: float, eps: float = 0.0) -> float:
     U = u.components() if isinstance(u, PField) else np.asarray(u, dtype=float)
     if U.ndim == 1:
         U = U[:, None]
-    q = _element_gradients(grid, U)
-    q2 = (q**2).sum(axis=(1, 2))
     gamma_c = gamma(grid.centroid) if callable(gamma) else np.asarray(gamma)
-    return float((grid.area * gamma_c * (q2 + eps * eps) ** (p / 2.0)).sum())
+    return _p_energy(grid, _grad_sq(_element_gradients(grid, U)), p, gamma_c, eps)
 
 
 def _dual_residual(grid, gamma_c, p, U, eps):
@@ -328,24 +349,15 @@ def _dual_residual(grid, gamma_c, p, U, eps):
     over interior hats; w = (|q|^2 + eps^2)^((p-2)/2) (eps = 0 gives the
     unregularized weak form, with the flux extended by 0 where grad u = 0)."""
     q = _element_gradients(grid, U)
-    q2 = (q**2).sum(axis=(1, 2))
-    if eps > 0.0:
-        w = (q2 + eps * eps) ** ((p - 2.0) / 2.0)
-    else:
-        safe = np.where(q2 > 0.0, q2, 1.0)
-        w = np.where(q2 > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
-    coef = grid.area * gamma_c * w
-    r_el = np.einsum("eiv,evc->eic", grid.grad, q) * coef[:, None, None]
-    r = np.zeros((grid.npt, U.shape[1]))
-    np.add.at(r, grid.tri.ravel(), r_el.reshape(-1, U.shape[1]))
+    q2 = _grad_sq(q)
+    coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
+    r = grid.scatter(np.einsum("eiv,evc->eic", grid.grad, q) * coef[:, None, None])
 
-    unorm = float((grid.area * q2 ** (p / 2.0)).sum()) ** (1.0 / p)
+    unorm = _p_energy(grid, q2, p) ** (1.0 / p)
     if unorm == 0.0:
         return 0.0
-    gphi_p = np.zeros(grid.npt)
-    contrib = grid.area[:, None] * (grid.grad**2).sum(axis=2) ** (p / 2.0)
-    np.add.at(gphi_p, grid.tri.ravel(), contrib.ravel())
-    phinorm = gphi_p ** (1.0 / p)
+    phinorm = grid.scatter(grid.area[:, None]
+                           * (grid.grad**2).sum(axis=2) ** (p / 2.0)) ** (1.0 / p)
 
     rnorm = np.sqrt((r**2).sum(axis=1))
     interior = ~grid.boundary
@@ -366,10 +378,8 @@ def hardy_ratio(grid: DomainGrid, v: PField, p: float) -> float:
     vals = v.values
     if np.max(np.abs(vals[grid.boundary])) > 1e-14 * max(1.0, np.max(np.abs(vals))):
         raise ValueError("hardy_ratio requires a field vanishing on the boundary")
-    U = v.components()
-    q = _element_gradients(grid, U)
-    q2 = (q**2).sum(axis=(1, 2))
-    den = float((grid.area * q2 ** (p / 2.0)).sum()) ** (1.0 / p)
+    den = _p_energy(grid, _grad_sq(_element_gradients(grid, v.components())),
+                    p) ** (1.0 / p)
     if den == 0.0:
         raise ValueError("hardy_ratio undefined for a constant field")
     interior = ~grid.boundary
@@ -387,9 +397,8 @@ def h1_relative_error(grid: DomainGrid, u, grad_exact) -> float:
     q = _element_gradients(grid, U)
     qc = q[:, :, 0] + (1j * q[:, :, 1] if U.shape[1] == 2 else 0.0)
     gex = np.asarray(grad_exact(grid.centroid), dtype=np.complex128)
-    err2 = (np.abs(qc - gex) ** 2).sum(axis=1)
-    ref2 = (np.abs(gex) ** 2).sum(axis=1)
-    return float(math.sqrt((grid.area * err2).sum() / (grid.area * ref2).sum()))
+    return float(math.sqrt((grid.area * _norm_sq(qc - gex)).sum()
+                           / (grid.area * _norm_sq(gex)).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +522,7 @@ class _FreeDofNewton:
         self.bb = np.einsum("eiv,ejv->eij", grid.grad, grid.grad)
 
     def energy(self, U, eps):
-        q2 = (_element_gradients(self.grid, U)**2).sum(axis=(1, 2))
-        return _energy_from_q2(self.grid, self.gamma_c, self.p, q2, eps)
+        return energy(self.grid, U, self.gamma_c, self.p, eps)
 
     def residual(self, U, eps):
         return _dual_residual(self.grid, self.gamma_c, self.p, U, eps)
@@ -524,10 +532,10 @@ class _FreeDofNewton:
         grid, p = self.grid, self.p
         nel = grid.tri.shape[0]
         q = _element_gradients(grid, U)
-        q2 = (q**2).sum(axis=(1, 2))
-        E = _energy_from_q2(grid, self.gamma_c, p, q2, eps)
-        w = (q2 + eps * eps) ** ((p - 2.0) / 2.0)
-        coef = grid.area * self.gamma_c * p * w
+        q2 = _grad_sq(q)
+        E = _p_energy(grid, q2, p, self.gamma_c, eps)
+        coef = grid.area * self.gamma_c * p * _pow_or_zero(q2 + eps * eps,
+                                                          (p - 2.0) / 2.0)
         coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
         ncomp = U.shape[1]
         iq = np.einsum("eiv,evc->eic", grid.grad, q).reshape(nel, 3 * ncomp)
@@ -543,10 +551,6 @@ class _FreeDofNewton:
         H = sp.csc_matrix((data, self.indices, self.indptr),
                           shape=(self.nfree, self.nfree))
         return E, g, H
-
-
-def _energy_from_q2(grid, gamma_c, p, q2, eps):
-    return float((grid.area * gamma_c * (q2 + eps * eps) ** (p / 2.0)).sum())
 
 
 def _newton_stage(newton, U, eps, settings, final, fallback, history, stages):
@@ -641,7 +645,7 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     # Regularization scale: RMS gradient of the datum extension (the probe
     # or boundary-data extension), so eps tracks the datum amplitude.
     q0 = _element_gradients(grid, datum.components())
-    grad_rms = math.sqrt(float(((q0**2).sum(axis=(1, 2)) * grid.area).sum())
+    grad_rms = math.sqrt(float((_grad_sq(q0) * grid.area).sum())
                          / float(grid.area.sum()))
     scale = grad_rms if grad_rms > 0.0 else 1.0
 
@@ -672,7 +676,7 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
             f"final regularized residual {res_reg:.3e} exceeds "
             f"residual_tol {settings.residual_tol:.3e}", residual=res_reg)
 
-    field = PField(values=_values_from_components(U, mode), mode=mode)
+    field = PField(values=_values_from_components(U), mode=mode)
     return SolveResult(field=field, energy=E_final, iterations=len(history),
                        energy_history=history, weak_residual=res0,
                        regularized_residual=res_reg,

@@ -34,9 +34,10 @@ import numpy as np
 
 from . import special
 from .pde import (ConductivityField, DomainGrid, PField, Rectangle,
-                  SolverSettings, SolverConvergenceError, build_grid,
+                  SolverSettings, SolverConvergenceError, _p_energy, build_grid,
                   solve_dirichlet)
 from .dnmap import flux_pairing, _complex_gradients
+from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "ProbeSpec",
@@ -50,8 +51,8 @@ __all__ = [
     "fixed_domain_grid",
     "RecoveryRow",
     "RecoveryReport",
+    "monotone_errors",
     "recover_boundary_value",
-    "correction_decay",
     "remainder_split",
 ]
 
@@ -229,34 +230,33 @@ def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
     return _subdivide(base, width)
 
 
-def _quad_integrand(spec: ProbeSpec, gamma_fn, y_perp: np.ndarray,
-                    y_layer: np.ndarray) -> np.ndarray:
-    """Scaled integrand on the (y', y_n) tensor grid; returns (n_perp, n_layer).
+def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
+                   y_layer: np.ndarray) -> np.ndarray:
+    """Points x of the (y', y_n) tensor grid, flattened to (n_perp n_layer, n).
 
-    y' = M x' spans the cutoff support, y_n = N rho(x) the boundary layer:
-    integrand = gamma(x) e^(-p y_n) |G(x)/N|^p with
-    G/N = (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale field gradient).
+    y' = M x' spans the cutoff support and y_n = N rho(x) the boundary layer.
     """
-    M, N, p, n = spec.M, spec.N, spec.p, spec.n
-    npts = y_perp.shape[0] * y_layer.size
+    M, N, n = spec.M, spec.N, spec.n
     x = np.empty((y_perp.shape[0], y_layer.size, n))
     x[..., 0] = y_perp[:, 0][:, None] / M
     if n == 3:
         x[..., 1] = y_perp[:, 1][:, None] / M
     rho_val = (y_layer / N)[None, :]
-    if spec.rho is not None and not spec.rho.flat:
-        # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
-        # the (x_1, rho) substitution is volume-preserving (unit jacobian)
-        x1 = x[..., 0]
-        gx1 = -spec.rho.value(np.stack([x1, np.zeros_like(x1)], axis=-1))
-        x[..., n - 1] = rho_val + gx1
-    else:
-        x[..., n - 1] = rho_val
+    # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
+    # the (x_1, rho) substitution is volume-preserving (unit jacobian)
+    bottom, _ = spec.boundary_fn.bottom_curve()
+    x[..., n - 1] = rho_val if bottom is None else rho_val + bottom(x[..., 0])
+    return x.reshape(-1, n)
 
-    flat_x = x.reshape(npts, n)
+
+def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
+    """gamma(x) |G(x)/N|^p at scaled points x, without the e^(-p y_n) layer
+    factor, where G/N = (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale
+    field gradient)."""
+    M, N, p, n = spec.M, spec.N, spec.p, spec.n
     eta_field = special.CutoffField(M=M, profile=spec.cutoff)
-    eta = eta_field.value(flat_x)
-    geta = eta_field.gradient(flat_x) / M  # grad eta evaluated at Mx
+    eta = eta_field.value(x)
+    geta = eta_field.gradient(x) / M  # grad eta evaluated at Mx
 
     if spec.mode == "complex":
         # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_n|^2 + eta^2 |beta|^2
@@ -264,24 +264,25 @@ def _quad_integrand(spec: ProbeSpec, gamma_fn, y_perp: np.ndarray,
         vec[:, n - 1] -= eta
         mag2 = (vec**2).sum(axis=1) + eta**2 * (p - 1.0)
     else:
-        tau = N * flat_x[:, 0]
+        tau = N * x[:, 0]
         a = spec.profile.a_at(tau)
         ap = spec.profile.aprime_at(tau)
-        grad_rho = spec.boundary_fn.gradient(flat_x)
+        grad_rho = spec.boundary_fn.gradient(x)
         vec = (M / N) * geta * a[:, None] - eta[:, None] * a[:, None] * grad_rho
         vec[:, 0] += eta * ap
         mag2 = (vec**2).sum(axis=1)
 
-    gam = np.asarray(gamma_fn(flat_x), dtype=float)
+    gam = np.asarray(gamma_fn(x), dtype=float)
     if gam.ndim == 0:
-        gam = np.full(npts, float(gam))
-    vals = gam * mag2 ** (p / 2.0)
-    out = vals.reshape(y_perp.shape[0], y_layer.size)
-    return out * np.exp(-p * y_layer)[None, :]
+        gam = np.full(x.shape[0], float(gam))
+    return gam * mag2 ** (p / 2.0)
 
 
-def _tensor_quad(spec: ProbeSpec, gamma_fn, level: int, order: int = 10,
+def _tensor_quad(spec: ProbeSpec, integrand, level: int, order: int = 10,
                  chunk: int = 4096) -> float:
+    """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
+    support and boundary layer, by Gauss panels refined `level` times;
+    `integrand` maps points (m, n) to values (m,)."""
     layer_nodes, layer_w = _gauss_panels(
         _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level), order)
     perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level), order)
@@ -294,11 +295,28 @@ def _tensor_quad(spec: ProbeSpec, gamma_fn, level: int, order: int = 10,
         Y1, Y2 = np.meshgrid(perp1_nodes, t_nodes, indexing="ij")
         y_perp = np.column_stack([Y1.ravel(), Y2.ravel()])
         w_perp = (perp1_w[:, None] * t_w[None, :]).ravel()
+    decay = np.exp(-spec.p * layer_nodes)[None, :]
     total = 0.0
     for k in range(0, y_perp.shape[0], chunk):  # bound the tensor-grid memory
-        vals = _quad_integrand(spec, gamma_fn, y_perp[k:k + chunk], layer_nodes)
+        x = _scaled_points(spec, y_perp[k:k + chunk], layer_nodes)
+        vals = integrand(x).reshape(-1, layer_nodes.size) * decay
         total += float(w_perp[k:k + chunk] @ vals @ layer_w)
     return total
+
+
+def _refined_quad(spec: ProbeSpec, integrand, tol: float, max_level: int) -> float:
+    """_tensor_quad at levels 0, 1, ... until two successive levels agree
+    to `tol` relative; raises QuadratureError after `max_level`."""
+    prev = _tensor_quad(spec, integrand, 0)
+    for level in range(1, max_level + 1):
+        cur = _tensor_quad(spec, integrand, level)
+        change = abs(cur - prev)
+        if change <= tol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureError(
+        f"panel refinement did not converge to {tol:g} within {max_level} levels "
+        f"(last change {change:.3e})")
 
 
 def quadrature_limit(gamma_fn, spec: ProbeSpec, tol: float = 1e-7,
@@ -309,15 +327,8 @@ def quadrature_limit(gamma_fn, spec: ProbeSpec, tol: float = 1e-7,
     fail to agree to `tol` relative.
     """
     gamma_fn = gamma_fn.fn if isinstance(gamma_fn, ConductivityField) else gamma_fn
-    prev = _tensor_quad(spec, gamma_fn, 0)
-    for level in range(1, max_level + 1):
-        cur = _tensor_quad(spec, gamma_fn, level)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur / spec.c_p()
-        prev = cur
-    raise QuadratureError(
-        f"panel refinement did not converge to {tol:g} within {max_level} levels "
-        f"(last change {abs(cur - prev):.3e})")
+    return _refined_quad(spec, lambda x: _energy_density(spec, gamma_fn, x),
+                         tol, max_level) / spec.c_p()
 
 
 def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
@@ -331,47 +342,32 @@ def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
     """
     if spec.mode != "real":
         raise ValueError("oscillatory average check applies to real-mode probes")
+    eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
 
-    M, N, p = spec.M, spec.N, spec.p
-    eta_field = special.CutoffField(M=M, profile=spec.cutoff)
+    def integrand(x):
+        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[:, 0]) ** 2
 
-    def integrand(y_perp, y_layer):
-        x = np.empty((y_perp.shape[0], y_layer.size, spec.n))
-        x[..., 0] = y_perp[:, 0][:, None] / M
-        if spec.n == 3:
-            x[..., 1] = y_perp[:, 1][:, None] / M
-        x[..., spec.n - 1] = (y_layer / N)[None, :]
-        flat = x.reshape(-1, spec.n)
-        zeta = eta_field.value(flat) ** 2
-        g = spec.profile.a_at(N * flat[:, 0]) ** 2
-        vals = (zeta * g).reshape(y_perp.shape[0], y_layer.size)
-        return vals * np.exp(-p * y_layer)[None, :]
-
-    def run(level):
-        order = 10
-        layer_nodes, layer_w = _gauss_panels(
-            _subdivide(_layer_breaks(p), (4.0 / p) / 2**level), order)
-        perp_nodes, perp_w = _gauss_panels(_perp_breaks(spec, level), order)
-        vals = integrand(perp_nodes[:, None], layer_nodes)
-        return float(perp_w @ vals @ layer_w)
-
-    prev = run(0)
-    for level in range(1, max_level + 1):
-        cur = run(level)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            break
-        prev = cur
-    else:
-        raise QuadratureError("oscillatory-average quadrature did not converge")
-
+    lhs = _refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
-    rhs = (c / p) * spec.cutoff.slice_integral(2.0, spec.n)
-    return {"lhs": cur, "rhs": rhs, "rel_diff": abs(cur - rhs) / abs(rhs)}
+    rhs = (c / spec.p) * spec.cutoff.slice_integral(2.0, spec.n)
+    return {"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(rhs)}
 
 
 # ---------------------------------------------------------------------------
 # Per-M grids
 # ---------------------------------------------------------------------------
+
+
+def _probe_resolved_grid(spec: ProbeSpec, shape: Rectangle,
+                         nodes_per_wavelength: float, max_nodes: int) -> DomainGrid:
+    """Mesh `shape` with `nodes_per_wavelength` cells per probe oscillation
+    and at least 8 across the probe support, within `max_nodes`."""
+    res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
+    approx_nodes = (2 * shape.half_width * res + 1) * (shape.height * res + 1)
+    if approx_nodes > max_nodes:
+        raise ValueError(
+            f"grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
+    return build_grid(shape, res)
 
 
 def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
@@ -385,41 +381,21 @@ def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
     """
     if margin < 1.0:
         raise ValueError("window margin must be at least 1 (probe support 1/M)")
-    res = nodes_per_wavelength / spec.wavelength
-    res = max(res, 8.0 * spec.M, 8.0)
     half = margin / spec.M
-    approx_nodes = (2 * half * res + 1) * (half * res + 1)
-    if approx_nodes > max_nodes:
-        raise ValueError(
-            f"window grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
-    bottom = None
-    bottom_deriv = None
-    if spec.rho is not None and not spec.rho.flat:
-        spec.rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
-
-        def bottom(x1, _r=spec.rho):
-            x1 = np.asarray(x1, dtype=float)
-            return -_r.value(np.stack([x1, np.zeros_like(x1)], axis=-1))
-
-        def bottom_deriv(x1, _r=spec.rho):
-            x1 = np.asarray(x1, dtype=float)
-            return -_r.gradient(np.stack([x1, np.zeros_like(x1)], axis=-1))[..., 0]
-
+    rho = spec.boundary_fn
+    rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
+    bottom, bottom_deriv = rho.bottom_curve()
     shape = Rectangle(half_width=half, height=half, bottom=bottom,
                       bottom_deriv=bottom_deriv)
-    return build_grid(shape, res)
+    return _probe_resolved_grid(spec, shape, nodes_per_wavelength, max_nodes)
 
 
 def fixed_domain_grid(spec: ProbeSpec, half_width: float = 1.0,
                       height: float = 1.0, nodes_per_wavelength: float = 16.0,
                       max_nodes: int = 1_500_000) -> DomainGrid:
     """Fixed rectangle with resolution scaled to the probe oscillation."""
-    res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
-    approx_nodes = (2 * half_width * res + 1) * (height * res + 1)
-    if approx_nodes > max_nodes:
-        raise ValueError(
-            f"fixed grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
-    return build_grid(Rectangle(half_width=half_width, height=height), res)
+    return _probe_resolved_grid(spec, Rectangle(half_width=half_width, height=height),
+                                nodes_per_wavelength, max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +419,20 @@ class RecoveryRow:
     message: str = ""
 
 
+# The monotone-error contract allows this many rises of |estimate - gamma0|
+# along M (one row at the discretization floor); a rise within the relative
+# slack is rounding and does not count.
+PLATEAU_ALLOWED = 1
+MONOTONE_SLACK = 1e-9
+
+
+def monotone_errors(errors) -> bool:
+    """Errors non-increasing along M, up to PLATEAU_ALLOWED rises."""
+    rises = sum(1 for a, b in zip(errors[:-1], errors[1:])
+                if b > a * (1.0 + MONOTONE_SLACK))
+    return rises <= PLATEAU_ALLOWED
+
+
 @dataclass
 class RecoveryReport:
     mode: str
@@ -459,16 +449,10 @@ class RecoveryReport:
     def errors(self):
         return [abs(r.estimate - self.gamma0) for r in self.rows if r.ok]
 
-    def monotone_contract(self, plateau_allowed: int = 1,
-                          slack: float = 1e-9) -> bool:
-        """Errors non-increasing along M, allowing `plateau_allowed` rows at
-        the discretization floor; any failed row breaks the contract."""
-        if not self.rows or any(not r.ok for r in self.rows):
-            return False
-        errs = self.errors()
-        violations = sum(1 for a, b in zip(errs[:-1], errs[1:])
-                         if b > a * (1.0 + slack))
-        return violations <= plateau_allowed
+    def monotone_contract(self) -> bool:
+        """`monotone_errors` over the rows; any failed row breaks the contract."""
+        return (bool(self.rows) and all(r.ok for r in self.rows)
+                and monotone_errors(self.errors()))
 
     def final_relative_error(self) -> float:
         errs = self.errors()
@@ -488,16 +472,11 @@ def remainder_split(grid: DomainGrid, gamma, p: float, probe: PField,
     gamma_c = gamma_f(grid.centroid)
     qv = _complex_gradients(grid, probe)
     qu = _complex_gradients(grid, u)
-
-    def flux(q):
-        mag2 = (q.real**2 + q.imag**2).sum(axis=1)
-        safe = np.where(mag2 > 0.0, mag2, 1.0)
-        w = np.where(mag2 > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
-        return w[:, None] * q
-
-    leading = float((grid.area * gamma_c
-                     * (np.abs(qv) ** 2).sum(axis=1) ** (p / 2.0)).sum())
-    diff = flux(qu) - flux(qv)
+    qv2 = _norm_sq(qv)
+    expo = (p - 2.0) / 2.0
+    leading = _p_energy(grid, qv2, p, gamma_c)
+    diff = (_pow_or_zero(_norm_sq(qu), expo)[:, None] * qu
+            - _pow_or_zero(qv2, expo)[:, None] * qv)
     remainder = complex((grid.area * gamma_c
                          * (diff * np.conj(qv)).sum(axis=1)).sum())
     return leading, remainder
@@ -508,8 +487,7 @@ def _correction_indicator(grid, spec: ProbeSpec, probe: ProbeFields,
     """M^(n-1) N^(1-p) ||grad(u - u_0)||_p^p for the unnormalized probe
     (= c_p times the plain p-energy of the normalized correction)."""
     qd = _complex_gradients(grid, PField(u.values - probe.field.values, u.mode))
-    en = float((grid.area * (np.abs(qd) ** 2).sum(axis=1) ** (spec.p / 2.0)).sum())
-    return spec.c_p() * en
+    return spec.c_p() * _p_energy(grid, _norm_sq(qd), spec.p)
 
 
 def recover_boundary_value(gamma, p: float, mode: str, M_list,
@@ -579,8 +557,3 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
         report.extrapolated = good[0].estimate
     return report
 
-
-def correction_decay(gamma, p: float, mode: str, M_list, **kwargs) -> list:
-    """Per-M correction indicators (runs the full recovery pipeline)."""
-    report = recover_boundary_value(gamma, p, mode, M_list, **kwargs)
-    return [r.correction for r in report.rows]

@@ -25,6 +25,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
+from .vecp import _norm_sq, _pow_or_zero
+
 __all__ = [
     "CutoffProfile",
     "CutoffField",
@@ -237,6 +239,19 @@ class BoundaryDefiningFunction:
             raise ValueError(
                 f"point outside the defining-function neighborhood "
                 f"(|x| up to {float(np.max(r)):.3g} > radius {self.radius:.3g})")
+
+    def bottom_curve(self):
+        """(g, g') with g(x_1) = -rho(x_1, 0): the graph bottom that
+        `pde.Rectangle` takes, or (None, None) for a flat boundary."""
+        if self.flat:
+            return None, None
+
+        def on_axis(x1):
+            x1 = np.asarray(x1, dtype=float)
+            return np.stack([x1, np.zeros_like(x1)], axis=-1)
+
+        return (lambda x1: -self.value(on_axis(x1)),
+                lambda x1: -self.gradient(on_axis(x1))[..., 0])
 
 
 def flat_boundary(n: int = 2) -> BoundaryDefiningFunction:
@@ -492,14 +507,12 @@ def p_laplace_residual(gradient_fn, point, p: float, step: float,
         stencil[2 * j, j] += step
         stencil[2 * j + 1, j] -= step
     g = np.asarray(grad(stencil), dtype=np.complex128)
-    mag2 = (g.real**2 + g.imag**2).sum(axis=-1)
-    w = np.where(mag2 > 0.0, np.where(mag2 > 0.0, mag2, 1.0) ** ((p - 2.0) / 2.0), 0.0)
-    flux = w[:, None] * g
+    flux = _pow_or_zero(_norm_sq(g), (p - 2.0) / 2.0)[:, None] * g
 
     div = 0.0 + 0.0j
     for j in range(n):
         div += (flux[2 * j, j] - flux[2 * j + 1, j]) / (2.0 * step)
-    flux_scale = float(np.sqrt((flux.real**2 + flux.imag**2).sum(axis=-1)).max())
+    flux_scale = float(np.sqrt(_norm_sq(flux)).max())
     if flux_scale == 0.0:
         return 0.0
     return abs(div) / (wavenumber * flux_scale)

@@ -74,9 +74,13 @@ def as_vectors(z) -> np.ndarray:
     return z
 
 
+def _norm_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 = |Re z|^2 + |Im z|^2 over the trailing axis (no validation)."""
+    return (z.real**2 + z.imag**2).sum(axis=-1)
+
+
 def vec_norm(z) -> np.ndarray:
-    z = as_vectors(z)
-    return np.sqrt((z.real**2 + z.imag**2).sum(axis=-1))
+    return np.sqrt(_norm_sq(as_vectors(z)))
 
 
 def vec_dot(z, w) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the golden-output comparator.
+"""Shared fixtures: the golden-output comparator and one run of the
+recovery demo.
 
 Golden files pin text and structure exactly and floats to a tolerance.
 Output bytes are deterministic within one machine and library stack, but
@@ -13,6 +14,10 @@ import re
 from pathlib import Path
 
 import pytest
+
+from plprobe import cli
+
+RECOVER_DEMO = Path(__file__).resolve().parent.parent / "configs" / "recover_demo.cfg"
 
 FLOAT_REL_TOL = 1e-14
 # `abs_error` and `final_relative_error` are |estimate - gamma0| with
@@ -67,3 +72,11 @@ def _golden_mismatches(out_path: Path, gold_path: Path) -> list[str]:
 def golden_mismatches():
     """`golden_mismatches(out_path, gold_path)`: see `_golden_mismatches`."""
     return _golden_mismatches
+
+
+@pytest.fixture(scope="session")
+def recover_demo_run(tmp_path_factory):
+    """(exit code, output directory) of one `plprobe recover` run of
+    configs/recover_demo.cfg, shared by the session; tests only read it."""
+    out = tmp_path_factory.mktemp("recover_demo")
+    return cli.main(["recover", "--config", str(RECOVER_DEMO), "--out", str(out)]), out

@@ -214,12 +214,14 @@ def test_criterion_8_headline_recovery():
             time.time() - t0, 900.0)
 
 
-def test_criterion_9_determinism_and_cli(tmp_path, golden_mismatches):
+def test_criterion_9_determinism_and_cli(tmp_path, golden_mismatches,
+                                        recover_demo_run):
     t0 = time.time()
     demo = REPO / "configs" / "recover_demo.cfg"
     probe_demo = REPO / "configs" / "probe_check_demo.cfg"
-    a, b = tmp_path / "a", tmp_path / "b"
-    ok = cli.main(["recover", "--config", str(demo), "--out", str(a)]) == 0
+    code, a = recover_demo_run
+    b = tmp_path / "b"
+    ok = code == 0
     ok &= cli.main(["recover", "--config", str(demo), "--out", str(b)]) == 0
     identical = all((a / n).read_bytes() == (b / n).read_bytes()
                     for n in ("report.csv", "config_echo.cfg", "summary.txt"))

@@ -82,18 +82,20 @@ def test_probe_check_exit_code_contract(tmp_path):
     assert "# contract: pass" in text
 
 
-def test_recover_byte_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["recover", "--config", RECOVER_DEMO, "--out", a]) == 0
+def test_recover_byte_determinism(tmp_path, recover_demo_run):
+    code, a = recover_demo_run
+    b = tmp_path / "b"
+    assert code == 0
     assert run(["recover", "--config", RECOVER_DEMO, "--out", b]) == 0
     for name in ("report.csv", "summary.txt", "config_echo.cfg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_recover_matches_golden(tmp_path, golden_mismatches):
-    assert run(["recover", "--config", RECOVER_DEMO, "--out", tmp_path]) == 0
+def test_recover_matches_golden(recover_demo_run, golden_mismatches):
+    code, out = recover_demo_run
+    assert code == 0
     for name in ("report.csv", "summary.txt", "config_echo.cfg"):
-        assert golden_mismatches(tmp_path / name,
+        assert golden_mismatches(out / name,
                                  GOLDEN / "recover_demo" / name) == []
 
 
@@ -160,12 +162,13 @@ def test_golden_comparator_accepts_measured_drift(tmp_path, golden_mismatches):
     assert golden_mismatches(copy, gold) == []
 
 
-def test_config_echo_round_trip(tmp_path):
-    assert run(["recover", "--config", RECOVER_DEMO, "--out", tmp_path]) == 0
-    echo_text = (tmp_path / "config_echo.cfg").read_text()
+def test_config_echo_round_trip(recover_demo_run):
+    code, out = recover_demo_run
+    assert code == 0
+    echo_text = (out / "config_echo.cfg").read_text()
     cfg = parse_config(RECOVER_DEMO.read_text())
     assert parse_config(echo_text) == cfg
-    assert f"# config-sha256: {cfg.sha256()}" in (tmp_path / "report.csv").read_text()
+    assert f"# config-sha256: {cfg.sha256()}" in (out / "report.csv").read_text()
 
 
 def test_output_env_override(tmp_path, monkeypatch):

@@ -42,6 +42,17 @@ def test_grid_delta_values():
     assert np.all(g.delta >= 0.0)
 
 
+@pytest.mark.parametrize("trailing", [(), (2,)])
+def test_scatter_equals_sequential_add(trailing):
+    # the element-to-node sum is exactly the in-order accumulation
+    g = pde.build_grid(pde.HalfDisc(radius=1.0), 12)
+    vals = np.random.default_rng(3).standard_normal(g.tri.shape + trailing)
+    ref = np.zeros((g.npt,) + trailing)
+    np.add.at(ref, g.tri.ravel(), vals.reshape((-1,) + trailing))
+    assert np.array_equal(g.scatter(vals), ref)
+    assert g.node_area.sum() == pytest.approx(g.area.sum(), rel=1e-13)
+
+
 def test_grid_origin_is_node():
     g = pde.build_grid(pde.Rectangle(half_width=1.0, height=1.0), 9)
     d = ((g.pts - [0.0, 0.0]) ** 2).sum(axis=1)

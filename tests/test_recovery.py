@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plprobe import dnmap, pde, recovery, special
+from plprobe import cli, dnmap, pde, recovery, special
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,13 @@ def test_oscillatory_average_cross_check(wolff15, wolff3):
         assert res["rel_diff"] <= 5e-3
 
 
+def test_oscillatory_average_check_n3(wolff3):
+    # the tensor rule runs over a 2-D perpendicular grid in n = 3
+    spec = recovery.ProbeSpec(mode="real", p=3.0, M=16.0, n=3, profile=wolff3)
+    res = recovery.oscillatory_average_check(spec, tol=1e-3)
+    assert res["rel_diff"] <= 5e-3
+
+
 def test_curved_boundary_quadrature_limit(wolff3):
     rho = special.graph_boundary(lambda x: -0.1 * np.asarray(x) ** 2,
                                  lambda x: -0.2 * np.asarray(x), radius=1.0)
@@ -289,10 +296,51 @@ def test_extrapolation_one_geometric_step():
     assert rep.extrapolated == pytest.approx(2.0 * e_last - e_prev, rel=1e-12)
 
 
-def test_correction_decay_wrapper():
-    vals = recovery.correction_decay(GAMMA_ONE, 3.0, "complex", [4, 8])
-    assert len(vals) == 2
-    assert vals[1] < vals[0]
+# error lists along M: strictly falling, one rise, two rises, and a rise
+# of 1e-10 relative, inside the 1e-9 rounding slack, or of 1e-8, outside it
+MONOTONE_CASES = [
+    ([0.1, 0.05, 0.02], True),
+    ([0.1, 0.05, 0.06, 0.01], True),
+    ([0.1, 0.12, 0.05, 0.06], False),
+    ([0.1, 0.1 * (1 + 1e-10), 0.12, 0.05], True),
+    ([0.1, 0.1 * (1 + 1e-8), 0.12, 0.05], False),
+]
+
+
+def _report_with_errors(errors, gamma0=1.0):
+    rows = [recovery.RecoveryRow(M=4.0 * 2**k, N=16.0 * 4**k, ok=True,
+                                 estimate=gamma0 + e)
+            for k, e in enumerate(errors)]
+    return recovery.RecoveryReport(mode="complex", p=3.0, s=2.0,
+                                   gamma0=gamma0, rows=rows)
+
+
+@pytest.mark.parametrize("errors,verdict", MONOTONE_CASES)
+def test_monotone_contract_counts_rises(errors, verdict):
+    assert recovery.monotone_errors(errors) is verdict
+    assert _report_with_errors(errors).monotone_contract() is verdict
+
+
+@pytest.mark.parametrize("errors", [errors for errors, _ in MONOTONE_CASES])
+def test_probe_check_contract_matches_report(tmp_path, monkeypatch, errors):
+    estimates = iter(1.0 + e for e in errors)
+    monkeypatch.setattr(recovery, "quadrature_limit",
+                        lambda gamma, spec: next(estimates))
+    cfg = tmp_path / "pc.cfg"
+    cfg.write_text("[physics]\ngamma = 1\n[probe]\nmode = complex\nm_list = "
+                   + ", ".join(str(4 * 2**k) for k in range(len(errors))) + "\n")
+    code = cli.main(["probe-check", "--config", str(cfg), "--out", str(tmp_path)])
+    text = (tmp_path / "probe_check.csv").read_text()
+    report_verdict = _report_with_errors(errors).monotone_contract()
+    assert f"# contract: {'pass' if report_verdict else 'fail'}" in text
+    assert code == (0 if report_verdict else 2)
+
+
+def test_monotone_contract_fails_on_failed_or_no_rows():
+    rep = _report_with_errors([0.1, 0.05])
+    rep.rows[1].ok = False
+    assert not rep.monotone_contract()
+    assert not _report_with_errors([]).monotone_contract()
 
 
 def test_probe_scaling_invariance_of_indicator(wolff3):
