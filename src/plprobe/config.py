@@ -294,9 +294,7 @@ class ProbeConfig:
 
 @dataclass
 class SolverConfig:
-    eps_start: float = 1e-1
     eps_final: float = 1e-6
-    eps_stages: float = 6.0
     outer_tol: float = 1e-11
     residual_tol: float = 1e-7
     max_iter: float = 60.0
@@ -457,10 +455,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if pr.cutoff not in ("c1", "c2", "c3"):
         raise ConfigError(f"probe.cutoff: unknown smoothness {pr.cutoff!r}")
 
-    if not (so.eps_start >= so.eps_final > 0):
-        raise ConfigError("solver.eps_start/eps_final: must decrease to a positive value")
-    if so.eps_stages < 1 or so.outer_tol <= 0 or so.residual_tol <= 0 or so.max_iter < 1:
-        raise ConfigError("solver: stages/tolerances/max_iter must be positive")
+    if not so.eps_final > 0:
+        raise ConfigError("solver.eps_final: must be positive")
+    if so.outer_tol <= 0 or so.residual_tol <= 0 or so.max_iter < 1:
+        raise ConfigError("solver: tolerances/max_iter must be positive")
     if so.init not in ("datum", "zero", "random"):
         raise ConfigError(f"solver.init: unknown initialization {so.init!r}")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pde import (ConductivityField, DomainGrid, PField, SolverSettings,
+from .pde import (DomainGrid, PField, SolverSettings, _as_gamma,
                   _element_gradients, _p_energy, solve_dirichlet)
 from .vecp import _norm_sq, _pow_or_zero
 
@@ -30,10 +30,6 @@ __all__ = [
     "pairing_bound_margin",
     "extension_invariance_check",
 ]
-
-
-def _as_gamma(gamma):
-    return gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
 
 
 def _complex_gradients(grid: DomainGrid, field: PField) -> np.ndarray:

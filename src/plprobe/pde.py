@@ -11,9 +11,8 @@ boundary, is solved as the minimization of the regularized convex energy
     E_eps(u) = sum_T area_T gamma_T (|grad u|_T^2 + eps^2)^(p/2)
 
 by damped Newton with a backtracking (Armijo, sufficient-decrease constant
-1/4) line search, run directly at eps_final from the initial iterate.  Only
-if that attempt fails does the solve restart along the geometric
-continuation eps_0 > eps_1 > ... > eps_final.  Each step factors the
+1/4) line search, run from the initial iterate at the single eps =
+eps_final times the RMS gradient of the datum.  Each step factors the
 free-dof Newton matrix by LU with a symmetric minimum-degree ordering and
 diagonal pivots; its sparsity pattern is built once per solve.  Complex
 data is handled as a coupled two-component real field with density
@@ -48,7 +47,6 @@ __all__ = [
     "PField",
     "SolverSettings",
     "SolveResult",
-    "SolveStage",
     "SolverConvergenceError",
     "energy",
     "solve_dirichlet",
@@ -408,43 +406,29 @@ def h1_relative_error(grid: DomainGrid, u, grad_exact) -> float:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Continuation/Newton controls.
+    """Newton controls.
 
-    eps values are relative to the RMS gradient of the initial extension
-    when eps_relative is set, which makes the solve exactly equivariant
-    under scaling of the datum.  The solve first runs Newton directly at
-    the last eps of the geometric schedule eps_start ... eps_final
-    (eps_stages values); only if that attempt fails does it restart from
-    the initial iterate and run the whole schedule.  outer_tol is the
-    relative energy-decrease stopping threshold per stage; residual_tol
-    bounds the regularized dual residual accepted at the final stage;
-    max_iter bounds the Newton steps a stage may take to pass its stopping
-    test (the final stage then takes one more).  Step lengths halve until
-    the energy falls by at least 1/4 of the step's Newton decrement.
+    The solve runs damped Newton at eps = eps_final times the RMS gradient
+    of the datum, which makes it exactly equivariant under scaling of the
+    datum.  Once a step's relative energy decrease is at most outer_tol and
+    the regularized dual residual is at most residual_tol, it takes one
+    more step, which brings the iterate to round-off, and stops; max_iter
+    bounds the steps taken before that test passes.  Step lengths halve
+    until the energy falls by at least 1/4 of the step's Newton decrement.
     """
 
-    eps_start: float = 1e-1
     eps_final: float = 1e-6
-    eps_stages: int = 6
-    eps_relative: bool = True
     outer_tol: float = 1e-11
     residual_tol: float = 1e-7
     max_iter: int = 60
-    max_backtracks: int = 40
     init: str = "datum"   # datum | zero | random
     seed: int = 12345
 
     def __post_init__(self):
-        if not (self.eps_start >= self.eps_final > 0.0):
-            raise ValueError("eps schedule must decrease to a positive eps_final")
-        if self.eps_stages < 1:
-            raise ValueError("eps_stages must be at least 1")
+        if not self.eps_final > 0.0:
+            raise ValueError("eps_final must be positive")
         if self.outer_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-    def schedule(self, scale: float) -> np.ndarray:
-        base = np.geomspace(self.eps_start, self.eps_final, self.eps_stages)
-        return base * (scale if self.eps_relative else 1.0)
 
 
 class SolverConvergenceError(RuntimeError):
@@ -453,35 +437,22 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class SolveStage:
-    """One Newton run at fixed eps (deterministic: no timings)."""
-
-    eps: float                # absolute regularization
-    steps: int                # accepted Newton steps
-    decrement: float          # Newton decrement of the last step (nan if none)
-    residual: float | None    # regularized dual residual where the stage ended
-    fallback: bool            # part of the geometric-schedule restart
-    converged: bool
-
-
 @dataclass
 class SolveResult:
     field: PField
     energy: float
     iterations: int
-    energy_history: list
+    energy_history: list          # (eps, E, decrement) per accepted step
     weak_residual: float          # eps = 0 diagnostic
-    regularized_residual: float   # dual residual at eps_final
+    regularized_residual: float   # dual residual at eps_final_abs
     eps_final_abs: float
-    converged: bool
-    stages: list                  # SolveStage per eps stage run
 
 
 # Armijo sufficient-decrease constant.  Below 1/2, so unit steps are accepted
 # near the solution; large enough to reject the sign-flipping full steps that
 # |q|^p produces for p < 2 far from it (q -> (p-2)/(p-1) q, i.e. -q at 1.5).
 SUFFICIENT_DECREASE = 0.25
+MAX_BACKTRACKS = 40  # step halvings before the line search gives up
 
 
 def _factor(H):
@@ -553,57 +524,60 @@ class _FreeDofNewton:
         return E, g, H
 
 
-def _newton_stage(newton, U, eps, settings, final, fallback, history, stages):
-    """Damped Newton at fixed eps from U; returns the last iterate.
+def _damped_newton(newton, U, eps, settings):
+    """Damped Newton at fixed eps from U; returns (last iterate, history).
 
-    A non-final stage stops at the first step whose relative energy
-    decrease is at most outer_tol.  The final stage must also meet
-    residual_tol (or reach float resolution), and then takes one more
-    step, which brings the iterate to round-off.  Every accepted step goes
-    to `history` and the stage, converged or not, to `stages`.
+    Once a step's relative energy decrease is at most outer_tol and the
+    residual meets residual_tol (or the decrement reaches float
+    resolution), one more step is taken, which brings the iterate to
+    round-off.  Every accepted step appends (eps, E, decrement) to the
+    history.
     """
-    eps = float(eps)
-    steps, decrement, polish = 0, math.nan, False
-
-    def failure(message, residual):
-        stages.append(SolveStage(eps, steps, decrement, residual, fallback, False))
-        return SolverConvergenceError(message, residual=residual)
-
+    history, polish = [], False
     while True:
         E, g, H = newton.linearize(U, eps)
         d = _factor(H).solve(-g)
         decrement = float(-g @ d)
         if decrement < 0.0:
-            raise failure("Newton direction is not a descent direction", None)
+            raise SolverConvergenceError("Newton direction is not a descent direction")
 
         D = np.zeros_like(U)
         D.ravel()[newton.free] = d
         t = 1.0
-        for _ in range(settings.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             U_try = U + t * D
             E_try = newton.energy(U_try, eps)
             if E_try <= E - SUFFICIENT_DECREASE * t * decrement + 1e-15 * abs(E):
                 break
             t *= 0.5
         else:
-            raise failure(f"line search failed at eps = {eps:.3e}",
-                          newton.residual(U, eps))
+            raise SolverConvergenceError(f"line search failed at eps = {eps:.3e}",
+                                         residual=newton.residual(U, eps))
         U = U_try
-        steps += 1
         history.append((eps, E_try, decrement))
         if polish:
-            break
+            return U, history
         if (E - E_try) / max(abs(E_try), 1e-300) <= settings.outer_tol:
-            if not final:
-                break
             polish = (newton.residual(U, eps) <= settings.residual_tol
                       or decrement <= 1e-28 * max(abs(E_try), 1e-300))
-        if not polish and steps >= settings.max_iter:
-            raise failure(f"no convergence within {settings.max_iter} iterations "
-                          f"at eps = {eps:.3e}", newton.residual(U, eps))
-    stages.append(SolveStage(eps, steps, decrement, newton.residual(U, eps),
-                             fallback, True))
-    return U
+        if not polish and len(history) >= settings.max_iter:
+            raise SolverConvergenceError(
+                f"no convergence within {settings.max_iter} iterations "
+                f"at eps = {eps:.3e}", residual=newton.residual(U, eps))
+
+
+def _as_gamma(gamma) -> ConductivityField:
+    """The conductivity as a ConductivityField (a plain callable is wrapped)."""
+    return gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
+
+
+def _require_finite(name: str, grid: DomainGrid, f: PField) -> None:
+    bad = np.flatnonzero(~np.isfinite(f.values))
+    if bad.size:
+        k = int(bad[0])
+        x, y = grid.pts[k]
+        raise ValueError(f"{name} is not finite at node {k}: "
+                         f"{name}({x:.6g}, {y:.6g}) = {f.values[k]}")
 
 
 def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
@@ -613,14 +587,14 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
 
     The datum is a full field; its boundary values are the Dirichlet data
     and (with init = "datum") its interior values are the warm start.
-    Newton runs directly at the final eps; if that fails, the solve
-    restarts from the initial iterate along the geometric eps schedule.
-    `iterations`, `energy_history` and `stages` count both attempts.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
+    _require_finite("datum", grid, datum)
+    if initial is not None:
+        _require_finite("initial", grid, initial)
     settings = settings or SolverSettings()
-    gamma_field = gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
+    gamma_field = _as_gamma(gamma)
     gamma_field.validate_on(grid)
     gamma_c = gamma_field(grid.centroid)
 
@@ -647,38 +621,19 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     q0 = _element_gradients(grid, datum.components())
     grad_rms = math.sqrt(float((_grad_sq(q0) * grid.area).sum())
                          / float(grid.area.sum()))
-    scale = grad_rms if grad_rms > 0.0 else 1.0
-
-    eps_list = settings.schedule(scale)
-    if p == 2.0:
-        eps_list = eps_list[-1:]  # the weight is eps-independent at p = 2
+    eps = settings.eps_final * (grad_rms if grad_rms > 0.0 else 1.0)
 
     newton = _FreeDofNewton(grid, gamma_c, p, ncomp)
-    history, stages = [], []
-    try:
-        U = _newton_stage(newton, U0, eps_list[-1], settings, True, False,
-                          history, stages)
-    except SolverConvergenceError:
-        if len(eps_list) == 1:
-            raise
-        U = U0
-        for k, eps in enumerate(eps_list):
-            U = _newton_stage(newton, U, eps, settings, k == len(eps_list) - 1,
-                              True, history, stages)
+    U, history = _damped_newton(newton, U0, eps, settings)
 
-    eps_final_abs = float(eps_list[-1])
-    res_reg = stages[-1].residual
-    res0 = _dual_residual(grid, gamma_c, p, U, 0.0)
-    E_final = newton.energy(U, eps_final_abs)
-    converged = res_reg <= settings.residual_tol
-    if not converged:
+    res_reg = newton.residual(U, eps)
+    if res_reg > settings.residual_tol:
         raise SolverConvergenceError(
             f"final regularized residual {res_reg:.3e} exceeds "
             f"residual_tol {settings.residual_tol:.3e}", residual=res_reg)
 
     field = PField(values=_values_from_components(U), mode=mode)
-    return SolveResult(field=field, energy=E_final, iterations=len(history),
-                       energy_history=history, weak_residual=res0,
-                       regularized_residual=res_reg,
-                       eps_final_abs=eps_final_abs, converged=converged,
-                       stages=stages)
+    return SolveResult(field=field, energy=newton.energy(U, eps),
+                       iterations=len(history), energy_history=history,
+                       weak_residual=_dual_residual(grid, gamma_c, p, U, 0.0),
+                       regularized_residual=res_reg, eps_final_abs=eps)

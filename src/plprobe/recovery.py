@@ -34,8 +34,8 @@ import numpy as np
 
 from . import special
 from .pde import (ConductivityField, DomainGrid, PField, Rectangle,
-                  SolverSettings, SolverConvergenceError, _p_energy, build_grid,
-                  solve_dirichlet)
+                  SolverSettings, SolverConvergenceError, _as_gamma, _p_energy,
+                  build_grid, solve_dirichlet)
 from .dnmap import flux_pairing, _complex_gradients
 from .vecp import _norm_sq, _pow_or_zero
 
@@ -468,8 +468,7 @@ def remainder_split(grid: DomainGrid, gamma, p: float, probe: PField,
     <L(f), f> = int gamma |grad u_0|^p
                 + int gamma (flux(grad u) - flux(grad u_0)) . grad conj(u_0).
     """
-    gamma_f = gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
-    gamma_c = gamma_f(grid.centroid)
+    gamma_c = _as_gamma(gamma)(grid.centroid)
     qv = _complex_gradients(grid, probe)
     qu = _complex_gradients(grid, u)
     qv2 = _norm_sq(qv)
@@ -506,7 +505,7 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     extrapolated value adds one geometric step to the last two estimates
     (error model ~ 1/M with doubling M).
     """
-    gamma_f = gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
+    gamma_f = _as_gamma(gamma)
     gamma0 = float(gamma_f(np.zeros((1, 2)))[0])
     cutoff = cutoff or special.CutoffProfile()
     if mode == "real" and profile is None:

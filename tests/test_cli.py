@@ -75,6 +75,16 @@ def test_solve_command_writes_solution_and_log(tmp_path):
     assert "iteration,eps,energy,decrement" in conv
 
 
+def test_solve_rejects_non_finite_datum(tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("[physics]\np = 3\nboundary_data = 1/x2\n"
+                   "[probe]\nmode = real\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"datum is not finite at node \d+: datum\(.*\) = \(inf", err)
+    assert "singular" not in err
+
+
 def test_probe_check_exit_code_contract(tmp_path):
     assert run(["probe-check", "--config", PROBE_CHECK_DEMO,
                 "--out", tmp_path]) == 0
@@ -188,3 +198,16 @@ def test_sweep_summary(tmp_path):
     body = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(body) == 3  # header + 2 combos
     assert all(",pass," in l for l in body[1:])
+
+
+def test_sweep_programming_error_exits_1(tmp_path, monkeypatch):
+    # per-M failures are recorded in the report; anything else escaping a
+    # combo is an execution error, not a violated contract
+    def broken(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(cli, "_recover_one", broken)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[probe]\nm_list = 4, 8\n[sweep]\np_list = 3\n")
+    assert run(["sweep", "--config", cfg, "--out", tmp_path]) == 1
+    assert not (tmp_path / "sweep_summary.csv").exists()

@@ -106,6 +106,10 @@ def test_solver_validation():
         parse_config("[solver]\neps_final = 0\n")
     with pytest.raises(ConfigError, match="init"):
         parse_config("[solver]\ninit = magic\n")
+    # eps_final is the solver's only eps key
+    for key in ("eps_start", "eps_stages"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"[solver]\n{key} = 3\n")
 
 
 def test_comments_and_blanks_ignored():
