@@ -305,9 +305,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         ok = rep.monotone_contract()
         any_contract_fail = any_contract_fail or not ok
         est = rep.rows[-1].estimate if rep.rows else math.nan
+        message = "; ".join(f"M={r.M:g}: {r.message}" for r in rep.rows if not r.ok)
         rows.append((p, mode, gtxt, all(r.ok for r in rep.rows), est,
                      rep.gamma0, rep.final_relative_error(),
-                     "pass" if ok else "fail", ""))
+                     "pass" if ok else "fail", message))
     write_csv(out / "sweep_summary.csv",
               ("p", "mode", "gamma", "all_rows_ok", "final_estimate",
                "gamma0_target", "final_relative_error", "contract", "message"),

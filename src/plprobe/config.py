@@ -98,7 +98,10 @@ class Expression:
         pts = np.asarray(pts, dtype=float)
         x1 = pts[..., 0]
         x2 = pts[..., 1] if pts.shape[-1] > 1 else np.zeros_like(x1)
-        val = _eval(self._node, x1, x2)
+        # a value like 1/0 becomes inf or nan without a numpy warning; the
+        # checks on gamma and on the Dirichlet datum report it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = _eval(self._node, x1, x2)
         return np.broadcast_to(val, x1.shape).astype(float)
 
     def derivative(self, var: str) -> "Expression":

@@ -314,9 +314,30 @@ def _values_from_components(U: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The two gradient kernels below add their terms to a zero start in index
+# order, as einsum does, so they equal their einsum forms bit for bit
+# (the zero start turns a -0 first term into +0).
+
+
 def _element_gradients(grid: DomainGrid, U: np.ndarray) -> np.ndarray:
-    """Constant per-element gradients, shape (nel, 2, ncomp)."""
-    return np.einsum("eiv,eic->evc", grid.grad, U[grid.tri])
+    """Constant per-element gradients, shape (nel, 2, ncomp):
+    einsum("eiv,eic->evc", grid.grad, U[grid.tri])."""
+    G, Ut = grid.grad, U[grid.tri]
+    q = G[:, 0, :, None] * Ut[:, 0, None, :]
+    q += 0.0
+    q += G[:, 1, :, None] * Ut[:, 1, None, :]
+    q += G[:, 2, :, None] * Ut[:, 2, None, :]
+    return q
+
+
+def _hat_dots(grid: DomainGrid, q: np.ndarray) -> np.ndarray:
+    """grad phi_i . q for the three hats i of each element, shape
+    (nel, 3, ncomp): einsum("eiv,evc->eic", grid.grad, q)."""
+    G = grid.grad
+    t = G[:, :, 0, None] * q[:, None, 0, :]
+    t += 0.0
+    t += G[:, :, 1, None] * q[:, None, 1, :]
+    return t
 
 
 def _grad_sq(q: np.ndarray) -> np.ndarray:
@@ -349,7 +370,7 @@ def _dual_residual(grid, gamma_c, p, U, eps):
     q = _element_gradients(grid, U)
     q2 = _grad_sq(q)
     coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
-    r = grid.scatter(np.einsum("eiv,evc->eic", grid.grad, q) * coef[:, None, None])
+    r = grid.scatter(_hat_dots(grid, q) * coef[:, None, None])
 
     unorm = _p_energy(grid, q2, p) ** (1.0 / p)
     if unorm == 0.0:
@@ -509,7 +530,7 @@ class _FreeDofNewton:
                                                           (p - 2.0) / 2.0)
         coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
         ncomp = U.shape[1]
-        iq = np.einsum("eiv,evc->eic", grid.grad, q).reshape(nel, 3 * ncomp)
+        iq = _hat_dots(grid, q).reshape(nel, 3 * ncomp)
         g = np.bincount(self.vec_slot, weights=(iq * coef[:, None]).ravel(),
                         minlength=self.nfree + 1)[:self.nfree]
         # the rank-one product is formed before scaling so each element

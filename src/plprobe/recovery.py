@@ -232,7 +232,7 @@ def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
 
 def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
                    y_layer: np.ndarray) -> np.ndarray:
-    """Points x of the (y', y_n) tensor grid, flattened to (n_perp n_layer, n).
+    """Points x of the (y', y_n) tensor grid as a (n_perp, n_layer, n) block.
 
     y' = M x' spans the cutoff support and y_n = N rho(x) the boundary layer.
     """
@@ -245,14 +245,20 @@ def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
     # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
     # the (x_1, rho) substitution is volume-preserving (unit jacobian)
     bottom, _ = spec.boundary_fn.bottom_curve()
-    x[..., n - 1] = rho_val if bottom is None else rho_val + bottom(x[..., 0])
-    return x.reshape(-1, n)
+    x[..., n - 1] = (rho_val if bottom is None
+                     else rho_val + bottom(x[:, 0, 0])[:, None])
+    return x
 
 
 def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
-    """gamma(x) |G(x)/N|^p at scaled points x, without the e^(-p y_n) layer
-    factor, where G/N = (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale
-    field gradient)."""
+    """gamma(x) |G(x)/N|^p on a (n_perp, n_layer, n) block of scaled points,
+    without the e^(-p y_n) layer factor, where G/N = (M/N) grad eta (Mx) * osc
+    + eta (Mx) * (unit-scale field gradient); returns (n_perp, n_layer).
+
+    Factors of x' alone are evaluated once per perpendicular node, on the
+    block's first layer: a(N x_1), a'(N x_1) and grad rho, which depends on
+    x' only for the graph boundaries `_scaled_points` substitutes.
+    """
     M, N, p, n = spec.M, spec.N, spec.p, spec.n
     eta_field = special.CutoffField(M=M, profile=spec.cutoff)
     eta = eta_field.value(x)
@@ -261,28 +267,34 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
     if spec.mode == "complex":
         # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_n|^2 + eta^2 |beta|^2
         vec = (M / N) * geta
-        vec[:, n - 1] -= eta
-        mag2 = (vec**2).sum(axis=1) + eta**2 * (p - 1.0)
+        vec[..., n - 1] -= eta
+        mag2 = _norm_sq(vec) + eta**2 * (p - 1.0)
     else:
-        tau = N * x[:, 0]
+        tau = N * x[:, :1, 0]
         a = spec.profile.a_at(tau)
         ap = spec.profile.aprime_at(tau)
-        grad_rho = spec.boundary_fn.gradient(x)
-        vec = (M / N) * geta * a[:, None] - eta[:, None] * a[:, None] * grad_rho
-        vec[:, 0] += eta * ap
-        mag2 = (vec**2).sum(axis=1)
+        grad_rho = spec.boundary_fn.gradient(x[:, :1])
+        vec = (M / N) * geta * a[..., None] - eta[..., None] * a[..., None] * grad_rho
+        vec[..., 0] += eta * ap
+        mag2 = _norm_sq(vec)
 
-    gam = np.asarray(gamma_fn(x), dtype=float)
-    if gam.ndim == 0:
-        gam = np.full(x.shape[0], float(gam))
+    gam = np.asarray(gamma_fn(x.reshape(-1, n)), dtype=float)
+    if gam.ndim:  # a constant gamma_fn may return a scalar
+        gam = gam.reshape(x.shape[:2])
     return gam * mag2 ** (p / 2.0)
 
 
 def _tensor_quad(spec: ProbeSpec, integrand, level: int, order: int = 10,
                  chunk: int = 4096) -> float:
     """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
-    support and boundary layer, by Gauss panels refined `level` times;
-    `integrand` maps points (m, n) to values (m,)."""
+    support and boundary layer, by Gauss panels refined `level` times.
+
+    `integrand` maps a (n_perp, n_layer, n) block of points, one row of
+    layer nodes per perpendicular node, to values (n_perp, n_layer); it may
+    evaluate factors of x' alone on x[:, :1] and broadcast them.  The
+    perpendicular nodes go in chunks of `chunk`, which fixes the order of
+    the sums.
+    """
     layer_nodes, layer_w = _gauss_panels(
         _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level), order)
     perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level), order)
@@ -299,7 +311,7 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int, order: int = 10,
     total = 0.0
     for k in range(0, y_perp.shape[0], chunk):  # bound the tensor-grid memory
         x = _scaled_points(spec, y_perp[k:k + chunk], layer_nodes)
-        vals = integrand(x).reshape(-1, layer_nodes.size) * decay
+        vals = integrand(x) * decay
         total += float(w_perp[k:k + chunk] @ vals @ layer_w)
     return total
 
@@ -345,7 +357,7 @@ def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
     eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
 
     def integrand(x):
-        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[:, 0]) ** 2
+        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[:, :1, 0]) ** 2
 
     lhs = _refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
@@ -502,8 +514,8 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     """Run the probe sequence and report per-M DN self-pairings.
 
     Per-M failures are recorded in their rows and the run continues.  The
-    extrapolated value adds one geometric step to the last two estimates
-    (error model ~ 1/M with doubling M).
+    extrapolated value adds the last step between the two final estimates
+    once more.
     """
     gamma_f = _as_gamma(gamma)
     gamma0 = float(gamma_f(np.zeros((1, 2)))[0])

@@ -79,16 +79,23 @@ class CutoffProfile:
         dc = c[1:] * np.arange(1, len(c))
         return np.polynomial.polynomial.polyval(s, dc)
 
+    # The smoothstep is evaluated on the shoulder 1/2 < r < 1 only; elsewhere
+    # the values are exactly 1 or 0.  A scalar r gives a scalar.
+
     def value_radial(self, r):
         r = np.asarray(r, dtype=float)
-        s = np.clip(2.0 * r - 1.0, 0.0, 1.0)
-        return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, 1.0 - self._step(s)))
+        plateau = r <= 0.5
+        out = np.where(plateau, 1.0, 0.0)
+        shoulder = ~(plateau | (r >= 1.0))  # a NaN r stays NaN
+        out[shoulder] = 1.0 - self._step(2.0 * r[shoulder] - 1.0)
+        return out[()]
 
     def deriv_radial(self, r):
         r = np.asarray(r, dtype=float)
-        s = np.clip(2.0 * r - 1.0, 0.0, 1.0)
-        inside = (r > 0.5) & (r < 1.0)
-        return np.where(inside, -2.0 * self._step_deriv(s), 0.0)
+        out = np.zeros_like(r)
+        shoulder = (r > 0.5) & (r < 1.0)
+        out[shoulder] = -2.0 * self._step_deriv(2.0 * r[shoulder] - 1.0)
+        return out[()]
 
     def slice_integral(self, p: float, n: int = 2) -> float:
         """Integral of eta(x', 0)^p over the (n-1)-dimensional slice.
@@ -131,12 +138,12 @@ class CutoffField:
 
     def value(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt((pts**2).sum(axis=-1))
+        r = np.sqrt(_norm_sq(pts))
         return self.profile.value_radial(self.M * r)
 
     def gradient(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt((pts**2).sum(axis=-1))
+        r = np.sqrt(_norm_sq(pts))
         d = self.M * self.profile.deriv_radial(self.M * r)
         safe_r = np.where(r > 0, r, 1.0)
         return d[..., None] * pts / safe_r[..., None]

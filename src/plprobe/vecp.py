@@ -75,8 +75,17 @@ def as_vectors(z) -> np.ndarray:
 
 
 def _norm_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2 = |Re z|^2 + |Im z|^2 over the trailing axis (no validation)."""
-    return (z.real**2 + z.imag**2).sum(axis=-1)
+    """|z|^2 = |Re z|^2 + |Im z|^2 over the trailing axis (no validation).
+
+    The components are added in index order, which is numpy's own
+    reduction order over axes this short, so the result equals
+    `.sum(axis=-1)` bit for bit; real input skips the zero imaginary part.
+    """
+    sq = z.real**2 + z.imag**2 if np.iscomplexobj(z) else z**2
+    out = sq[..., 0]
+    for j in range(1, sq.shape[-1]):
+        out = out + sq[..., j]
+    return out
 
 
 def vec_norm(z) -> np.ndarray:

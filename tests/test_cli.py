@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,10 @@ def test_solve_rejects_non_finite_datum(tmp_path, capsys):
     cfg = tmp_path / "solve.cfg"
     cfg.write_text("[physics]\np = 3\nboundary_data = 1/x2\n"
                    "[probe]\nmode = real\n")
-    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert re.search(r"datum is not finite at node \d+: datum\(.*\) = \(inf", err)
     assert "singular" not in err
@@ -198,6 +202,20 @@ def test_sweep_summary(tmp_path):
     body = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(body) == 3  # header + 2 combos
     assert all(",pass," in l for l in body[1:])
+
+
+def test_sweep_reports_failed_row_messages(tmp_path):
+    # M = 4 needs ~1,800 nodes and M = 8 ~6,900: only the M = 8 row fails
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[domain]\nmax_nodes = 3000\n"
+                   "[probe]\nm_list = 4, 8\n[sweep]\np_list = 3\n")
+    assert run(["sweep", "--config", cfg, "--out", tmp_path]) == 2
+    rows = [l for l in (tmp_path / "sweep_summary.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert len(rows) == 2
+    message = rows[1].split(",", 8)[8]
+    assert message.startswith("M=8: ValueError: grid would need ~")
+    assert "M=4" not in message
 
 
 def test_sweep_programming_error_exits_1(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plprobe import pde
+from plprobe import pde, recovery
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,25 @@ def test_scatter_equals_sequential_add(trailing):
     np.add.at(ref, g.tri.ravel(), vals.reshape((-1,) + trailing))
     assert np.array_equal(g.scatter(vals), ref)
     assert g.node_area.sum() == pytest.approx(g.area.sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("ncomp", (1, 2))
+@pytest.mark.parametrize("shape", ("window", "half disc"))
+def test_gradient_kernels_equal_einsum(shape, ncomp):
+    # the explicit vertex/component sums match einsum to the bit, signed
+    # zeros included (a zero field gives only zero terms)
+    if shape == "window":
+        spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+        g = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
+    else:
+        g = pde.build_grid(pde.HalfDisc(radius=1.0), 12)
+    rng = np.random.default_rng(7)
+    for U in (rng.standard_normal((g.npt, ncomp)), np.zeros((g.npt, ncomp))):
+        q = pde._element_gradients(g, U)
+        ref = np.einsum("eiv,eic->evc", g.grad, U[g.tri])
+        assert q.tobytes() == ref.tobytes()
+        ref = np.einsum("eiv,evc->eic", g.grad, q)
+        assert pde._hat_dots(g, q).tobytes() == ref.tobytes()
 
 
 def test_grid_origin_is_node():

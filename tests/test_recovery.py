@@ -170,6 +170,54 @@ def test_curved_boundary_quadrature_limit(wolff3):
     assert est == pytest.approx(1.0, abs=2e-2)
 
 
+def _flat_energy_density(spec, gamma_fn, x):
+    """Reference: every factor evaluated at every point of a flat (m, n)
+    array, with numpy's own sum for the squared norm."""
+    M, N, p, n = spec.M, spec.N, spec.p, spec.n
+    eta_field = special.CutoffField(M=M, profile=spec.cutoff)
+    eta = eta_field.value(x)
+    geta = eta_field.gradient(x) / M
+    if spec.mode == "complex":
+        vec = (M / N) * geta
+        vec[:, n - 1] -= eta
+        mag2 = (vec**2).sum(axis=1) + eta**2 * (p - 1.0)
+    else:
+        tau = N * x[:, 0]
+        a = spec.profile.a_at(tau)
+        ap = spec.profile.aprime_at(tau)
+        grad_rho = spec.boundary_fn.gradient(x)
+        vec = (M / N) * geta * a[:, None] - eta[:, None] * a[:, None] * grad_rho
+        vec[:, 0] += eta * ap
+        mag2 = (vec**2).sum(axis=1)
+    return np.asarray(gamma_fn(x), dtype=float) * mag2 ** (p / 2.0)
+
+
+@pytest.mark.parametrize("mode, p, n, curved", [
+    ("complex", 3.0, 2, False), ("real", 1.5, 2, False),
+    ("real", 3.0, 2, True), ("real", 3.0, 3, False)])
+def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
+    # x'-only factors evaluated once per perpendicular node change no bit
+    rho = None
+    if curved:
+        rho = special.graph_boundary(lambda x: -np.asarray(x) ** 2 / 10.0,
+                                     lambda x: -np.asarray(x) / 5.0, radius=1.0)
+    profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=16.0, n=n, rho=rho,
+                              profile=profile)
+    rng = np.random.default_rng(5)
+    y_perp = rng.uniform(-1.1, 1.1, (40, n - 1))
+    y_layer = np.sort(rng.uniform(0.0, 44.0 / spec.p, 30))
+    x = recovery._scaled_points(spec, y_perp, y_layer)
+    assert x.shape == (40, 30, n)
+
+    def gamma_fn(pts):
+        return 1.0 + pts[:, -1] / 2.0 + pts[:, 0] ** 2
+
+    block = recovery._energy_density(spec, gamma_fn, x)
+    flat = _flat_energy_density(spec, gamma_fn, x.reshape(-1, n)).reshape(40, 30)
+    assert block.tobytes() == flat.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Remainder split and correction
 # ---------------------------------------------------------------------------

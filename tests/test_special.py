@@ -62,6 +62,29 @@ def test_cutoff_monotone_on_shoulder():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
+def test_cutoff_radial_equals_polynomial_formula(smoothness):
+    # the smoothstep runs on the shoulder only; values elsewhere are exact
+    prof = special.CutoffProfile(smoothness)
+    c = special._SMOOTHSTEP_COEFFS[smoothness]
+    dc = c[1:] * np.arange(1, len(c))
+    polyval = np.polynomial.polynomial.polyval
+    rs = [0.0, 0.5, np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0), 1.0, 2.0]
+    for r in rs:
+        on = 0.5 < r < 1.0
+        value = 1.0 - polyval(2.0 * r - 1.0, c) if on else float(r <= 0.5)
+        deriv = -2.0 * polyval(2.0 * r - 1.0, dc) if on else 0.0
+        assert isinstance(prof.value_radial(r), float)
+        assert isinstance(prof.deriv_radial(r), float)
+        assert prof.value_radial(r) == value
+        assert prof.deriv_radial(r) == deriv
+    arr = np.array(rs)
+    assert np.array_equal(prof.value_radial(arr),
+                          [prof.value_radial(r) for r in rs])
+    assert np.array_equal(prof.deriv_radial(arr.reshape(7, 1)).ravel(),
+                          [prof.deriv_radial(r) for r in rs])
+
+
 def test_cutoff_gradient_bound():
     M = 8.0
     eta = special.make_cutoff(M)

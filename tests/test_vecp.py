@@ -35,6 +35,19 @@ def test_vectors_must_be_dim_2_or_3():
         vecp.p_flux([1.0, 0.0, 0.0, 0.0], 2.0)
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_norm_sq_equals_numpy_sum(dim, dtype):
+    rng = np.random.default_rng(11)
+    shape = (500, 7, dim)
+    z = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    if dtype is complex:
+        z = z + 1j * rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    ref = (z.real**2 + z.imag**2).sum(-1)
+    assert vecp._norm_sq(z).tobytes() == ref.tobytes()
+    assert vecp._norm_sq(z[:, 0]).tobytes() == ref[:, 0].tobytes()
+
+
 def test_convexity_gap_equality_case():
     z = np.array([0.3 + 1j, -2.0 + 0.5j])
     assert vecp.convexity_gap(z, z, 3.0) == pytest.approx(0.0, abs=1e-14)
