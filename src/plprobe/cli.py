@@ -101,23 +101,6 @@ def _profile_cache():
     return get
 
 
-def _grid_factory(cfg: ExperimentConfig):
-    d = cfg.domain
-    if d.rule == "probe_window":
-        def factory(spec):
-            return recovery.probe_window_grid(
-                spec, margin=d.window_margin,
-                nodes_per_wavelength=d.nodes_per_wavelength,
-                max_nodes=int(d.max_nodes))
-    else:
-        def factory(spec):
-            return recovery.fixed_domain_grid(
-                spec, half_width=d.half_width, height=d.height,
-                nodes_per_wavelength=d.nodes_per_wavelength,
-                max_nodes=int(d.max_nodes))
-    return factory
-
-
 def _solver_settings(cfg: ExperimentConfig) -> pde.SolverSettings:
     s = cfg.solver
     return pde.SolverSettings(eps_final=s.eps_final, outer_tol=s.outer_tol,
@@ -185,18 +168,20 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     gamma, rho, cutoff, profile = _recovery_ingredients(
         cfg, special.solve_wolff_profile, mode, p, cfg.physics.gamma)
     settings = _solver_settings(cfg)
-    factory = _grid_factory(cfg)
+    d = cfg.domain
 
     if cfg.physics.boundary_data == "probe":
         M = float(cfg.probe.m_list[0])
         spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=cfg.probe.s,
                                   cutoff=cutoff, profile=profile, rho=rho)
-        grid = factory(spec)
+        grid = recovery.probe_window_grid(
+            spec, margin=d.window_margin,
+            nodes_per_wavelength=d.nodes_per_wavelength,
+            max_nodes=int(d.max_nodes))
         probe = recovery.build_probe(spec, grid)
         datum = probe.field
     else:
         expr = parse_expression(cfg.physics.boundary_data)
-        d = cfg.domain
         if d.shape == "half_disc":
             shape = pde.HalfDisc(radius=d.radius)
         else:
@@ -209,8 +194,9 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
                            mode)
 
     sol = pde.solve_dirichlet(grid, gamma, p, datum, settings)
+    steps = len(sol.energy_history)
     meta = {"config-sha256": cfg.sha256(), "mode": mode, "p": p,
-            "energy": sol.energy, "iterations": sol.iterations,
+            "energy": sol.energy, "iterations": steps,
             "weak_residual": sol.weak_residual,
             "regularized_residual": sol.regularized_residual}
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(grid.pts, sol.field.values)]
@@ -218,7 +204,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     conv = [(k, eps, E, dec) for k, (eps, E, dec) in enumerate(sol.energy_history)]
     write_csv(out / "convergence.csv", ("iteration", "eps", "energy", "decrement"),
               conv, {"config-sha256": cfg.sha256()})
-    print(f"solve: {grid.npt} nodes, {sol.iterations} Newton steps, "
+    print(f"solve: {grid.npt} nodes, {steps} Newton steps, "
           f"energy {sol.energy:.9g}, residual {sol.weak_residual:.2e}")
     return EXIT_OK
 
@@ -226,10 +212,12 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
     gamma, rho, cutoff, profile = _recovery_ingredients(cfg, get_profile, mode,
                                                         p, gamma_text)
+    d = cfg.domain
     return recovery.recover_boundary_value(
         gamma, p, mode, list(cfg.probe.m_list), s=cfg.probe.s,
-        settings=_solver_settings(cfg), grid_factory=_grid_factory(cfg),
-        cutoff=cutoff, rho=rho, profile=profile)
+        settings=_solver_settings(cfg), cutoff=cutoff, rho=rho, profile=profile,
+        nodes_per_wavelength=d.nodes_per_wavelength,
+        window_margin=d.window_margin, max_nodes=int(d.max_nodes))
 
 
 def _report_rows(report: recovery.RecoveryReport):
@@ -380,16 +368,14 @@ def _special_suite():
     return checks
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path, include_dn: bool,
-               suite: str) -> int:
-    # default (no --suite): the fast algebra + special-solution suites;
-    # --dn appends the PDE-backed structure suite
+def cmd_verify(cfg: ExperimentConfig, out: Path, suite: str) -> int:
+    # default (no --suite): the fast algebra + special-solution suites
     checks = []
     if suite in ("default", "all", "vecp"):
         checks.extend(vecp.all_suites())
     if suite in ("default", "all", "special"):
         checks.extend(_special_suite())
-    if include_dn or suite in ("all", "dn"):
+    if suite in ("all", "dn"):
         checks.extend(_dn_suite(cfg))
     rows = [(c.suite, c.name, c.passed, c.margin, c.detail) for c in checks]
     ok = all(c.passed for c in checks)
@@ -430,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("solve", "solve one Dirichlet problem and write the solution field")
     add("recover", "probe sequence, PDE solves, recovery report")
     ver = add("verify", "run property suites and emit a pass/fail report")
-    ver.add_argument("--dn", action="store_true",
-                     help="include the Dirichlet-to-Neumann structure suite")
     ver.add_argument("--suite", choices=("all", "vecp", "special", "dn"),
                      default=None, help="run a single suite")
     add("sweep", "cartesian product of (p, mode, gamma) recoveries")
@@ -439,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(name: str, cfg: ExperimentConfig, out_dir: Path,
-                **kwargs) -> int:
+                suite: str | None = None) -> int:
     _echo_config(cfg, out_dir)
     if name == "wolff":
         return cmd_wolff(cfg, out_dir)
@@ -450,15 +434,17 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path,
     if name == "recover":
         return cmd_recover(cfg, out_dir)
     if name == "verify":
-        return cmd_verify(cfg, out_dir, kwargs.get("include_dn", False),
-                          kwargs.get("suite") or "default")
+        return cmd_verify(cfg, out_dir, suite or "default")
     if name == "sweep":
         return cmd_sweep(cfg, out_dir)
     raise ValueError(f"unknown command {name!r}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the message
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         text = Path(args.config).read_text() if args.config else ""
         cfg = parse_config(text)
@@ -467,10 +453,8 @@ def main(argv=None) -> int:
             if not cfg.physics.p > 1.0:
                 raise ConfigError("--p must exceed 1")
         out = _out_dir(cfg, args.out)
-        kwargs = {}
-        if args.command == "verify":
-            kwargs = {"include_dn": args.dn, "suite": args.suite}
-        return run_command(args.command, cfg, out, **kwargs)
+        return run_command(args.command, cfg, out,
+                           suite=getattr(args, "suite", None))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -273,8 +273,7 @@ class DomainConfig:
     height: float = 1.0
     radius: float = 1.0
     bottom: str = ""                    # expression in x1; empty = flat
-    rule: str = "probe_window"          # probe_window | fixed
-    resolution: float = 32.0            # used by the solve command / fixed rule
+    resolution: float = 32.0            # used by the solve command
     nodes_per_wavelength: float = 16.0
     window_margin: float = 2.0
     max_nodes: float = 1_500_000.0
@@ -330,9 +329,8 @@ _SECTIONS = {
 
 _LIST_KEYS = {("probe", "m_list"), ("sweep", "p_list"), ("sweep", "mode_list"),
               ("sweep", "gamma_list"), ("output", "formats")}
-_STR_KEYS = {("domain", "shape"), ("domain", "bottom"), ("domain", "rule"),
-             ("physics", "gamma"), ("physics", "boundary_data"),
-             ("probe", "mode"), ("probe", "cutoff"),
+_STR_KEYS = {("domain", "shape"), ("domain", "bottom"), ("physics", "gamma"),
+             ("physics", "boundary_data"), ("probe", "mode"), ("probe", "cutoff"),
              ("solver", "init"), ("output", "directory")}
 
 
@@ -430,8 +428,6 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     if d.shape not in ("rectangle", "half_disc"):
         raise ConfigError(f"domain.shape: unknown shape {d.shape!r}")
-    if d.rule not in ("probe_window", "fixed"):
-        raise ConfigError(f"domain.rule: unknown rule {d.rule!r}")
     for key in ("half_width", "height", "radius"):
         if getattr(d, key) <= 0:
             raise ConfigError(f"domain.{key}: must be positive")

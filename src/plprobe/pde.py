@@ -462,7 +462,6 @@ class SolverConvergenceError(RuntimeError):
 class SolveResult:
     field: PField
     energy: float
-    iterations: int
     energy_history: list          # (eps, E, decrement) per accepted step
     weak_residual: float          # eps = 0 diagnostic
     regularized_residual: float   # dual residual at eps_final_abs
@@ -655,6 +654,6 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
 
     field = PField(values=_values_from_components(U), mode=mode)
     return SolveResult(field=field, energy=newton.energy(U, eps),
-                       iterations=len(history), energy_history=history,
+                       energy_history=history,
                        weak_residual=_dual_residual(grid, gamma_c, p, U, 0.0),
                        regularized_residual=res_reg, eps_final_abs=eps)

@@ -48,7 +48,6 @@ __all__ = [
     "quadrature_limit",
     "oscillatory_average_check",
     "probe_window_grid",
-    "fixed_domain_grid",
     "RecoveryRow",
     "RecoveryReport",
     "monotone_errors",
@@ -144,7 +143,6 @@ class ProbeFields:
     field: PField          # normalized probe v_M on the grid nodes
     trace: np.ndarray      # v_M restricted to boundary nodes
     scale: float           # normalization factor applied to u_0
-    raw: PField            # unnormalized u_0
 
 
 def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
@@ -180,14 +178,12 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
                 spec.M, spec.N, "; ".join(need)))
 
     raw_vals = _probe_values(spec, grid.pts)
-    mode = spec.mode
-    if mode == "real":
+    if spec.mode == "real":
         raw_vals = raw_vals.real.astype(np.complex128)
-    raw = PField(values=raw_vals, mode=mode)
     scale = spec.normalization()
-    norm = PField(values=scale * raw_vals, mode=mode)
+    norm = PField(values=scale * raw_vals, mode=spec.mode)
     trace = norm.values[grid.boundary_idx]
-    return ProbeFields(field=norm, trace=trace, scale=scale, raw=raw)
+    return ProbeFields(field=norm, trace=trace, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +366,12 @@ def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
 # ---------------------------------------------------------------------------
 
 
-def _probe_resolved_grid(spec: ProbeSpec, shape: Rectangle,
-                         nodes_per_wavelength: float, max_nodes: int) -> DomainGrid:
-    """Mesh `shape` with `nodes_per_wavelength` cells per probe oscillation
-    and at least 8 across the probe support, within `max_nodes`."""
-    res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
-    approx_nodes = (2 * shape.half_width * res + 1) * (shape.height * res + 1)
-    if approx_nodes > max_nodes:
-        raise ValueError(
-            f"grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
-    return build_grid(shape, res)
-
-
 def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
                       nodes_per_wavelength: float = 16.0,
                       max_nodes: int = 1_500_000) -> DomainGrid:
-    """Rectangle [-w/M, w/M] x [0, w/M] resolved to the probe oscillation.
+    """Rectangle [-w/M, w/M] x [0, w/M] with `nodes_per_wavelength` cells per
+    probe oscillation and at least 8 across the probe support, within
+    `max_nodes`.
 
     Under x -> M x this is a fixed domain with effective frequency
     N/M -> infinity and conductivity gamma(x/M) -> gamma(0), so the
@@ -396,18 +382,14 @@ def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
     half = margin / spec.M
     rho = spec.boundary_fn
     rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
+    res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
+    approx_nodes = (2 * half * res + 1) * (half * res + 1)
+    if approx_nodes > max_nodes:
+        raise ValueError(
+            f"grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
     bottom, bottom_deriv = rho.bottom_curve()
-    shape = Rectangle(half_width=half, height=half, bottom=bottom,
-                      bottom_deriv=bottom_deriv)
-    return _probe_resolved_grid(spec, shape, nodes_per_wavelength, max_nodes)
-
-
-def fixed_domain_grid(spec: ProbeSpec, half_width: float = 1.0,
-                      height: float = 1.0, nodes_per_wavelength: float = 16.0,
-                      max_nodes: int = 1_500_000) -> DomainGrid:
-    """Fixed rectangle with resolution scaled to the probe oscillation."""
-    return _probe_resolved_grid(spec, Rectangle(half_width=half_width, height=height),
-                                nodes_per_wavelength, max_nodes)
+    return build_grid(Rectangle(half_width=half, height=half, bottom=bottom,
+                                bottom_deriv=bottom_deriv), res)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +435,6 @@ class RecoveryReport:
     gamma0: float
     rows: list
     extrapolated: float = math.nan
-
-    @property
-    def estimates(self):
-        return [r.estimate for r in self.rows if r.ok]
 
     def errors(self):
         return [abs(r.estimate - self.gamma0) for r in self.rows if r.ok]
@@ -504,16 +482,17 @@ def _correction_indicator(grid, spec: ProbeSpec, probe: ProbeFields,
 def recover_boundary_value(gamma, p: float, mode: str, M_list,
                            *, s: float = 2.0,
                            settings: SolverSettings | None = None,
-                           grid_factory=None,
                            cutoff: special.CutoffProfile | None = None,
                            rho: special.BoundaryDefiningFunction | None = None,
                            profile: special.WolffProfile | None = None,
-                           quad_tol: float = 1e-7,
                            nodes_per_wavelength: float = 16.0,
-                           window_margin: float = 2.0) -> RecoveryReport:
+                           window_margin: float = 2.0,
+                           max_nodes: int = 1_500_000) -> RecoveryReport:
     """Run the probe sequence and report per-M DN self-pairings.
 
-    Per-M failures are recorded in their rows and the run continues.  The
+    Each M is solved on its `probe_window_grid`, which receives
+    `window_margin`, `nodes_per_wavelength` and `max_nodes`.  Per-M
+    failures are recorded in their rows and the run continues.  The
     extrapolated value adds the last step between the two final estimates
     once more.
     """
@@ -522,10 +501,6 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     cutoff = cutoff or special.CutoffProfile()
     if mode == "real" and profile is None:
         profile = special.solve_wolff_profile(p)
-    if grid_factory is None:
-        def grid_factory(spec):
-            return probe_window_grid(spec, margin=window_margin,
-                                     nodes_per_wavelength=nodes_per_wavelength)
 
     M_list = list(M_list)
     if any(b <= a for a, b in zip(M_list[:-1], M_list[1:])):
@@ -538,7 +513,10 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
                          rho=rho)
         row = RecoveryRow(M=float(M), N=spec.N, ok=False)
         try:
-            grid = grid_factory(spec)
+            # looked up at call time, so a tracer can swap the module attribute
+            grid = probe_window_grid(spec, margin=window_margin,
+                                     nodes_per_wavelength=nodes_per_wavelength,
+                                     max_nodes=max_nodes)
             probe = build_probe(spec, grid)
             sol = solve_dirichlet(grid, gamma_f, p, probe.field, settings,
                                   initial=probe.field)
@@ -551,9 +529,9 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
             row.leading = leading
             row.remainder = remainder
             row.correction = _correction_indicator(grid, spec, probe, sol.field)
-            row.newton_iterations = sol.iterations
+            row.newton_iterations = len(sol.energy_history)
             row.weak_residual = sol.weak_residual
-            row.quad_estimate = quadrature_limit(gamma_f, spec, tol=quad_tol)
+            row.quad_estimate = quadrature_limit(gamma_f, spec)
         except (SolverConvergenceError, UnderResolvedProbeError,
                 QuadratureError, ValueError) as exc:
             row.message = f"{type(exc).__name__}: {exc}"

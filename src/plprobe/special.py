@@ -132,10 +132,6 @@ class CutoffField:
     def support_radius(self) -> float:
         return 1.0 / self.M
 
-    @property
-    def plateau_radius(self) -> float:
-        return 0.5 / self.M
-
     def value(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts))
@@ -367,7 +363,7 @@ class WolffProfile:
         return worst
 
 
-def solve_wolff_profile(p: float, tol: float = 1e-10, samples: int = 8192,
+def solve_wolff_profile(p: float, tol: float = 1e-10,
                         horizon: float | None = None,
                         initial_slope: float = 1.0) -> WolffProfile:
     """Integrate the profile ODE from (a, a')(0) = (0, slope), extract one period.
@@ -410,7 +406,7 @@ def solve_wolff_profile(p: float, tol: float = 1e-10, samples: int = 8192,
     end = sol.sol(lam)
     drift = float(np.hypot(end[0] - 0.0, end[1] - initial_slope)) / initial_slope
 
-    ts = np.linspace(0.0, lam, samples, endpoint=False)
+    ts = np.linspace(0.0, lam, 8192, endpoint=False)
     a, aprime = sol.sol(ts)
     envelope = a**2 + aprime**2
     if envelope.min() <= 0.0:

@@ -11,7 +11,7 @@ import importlib
 import numpy as np
 import pytest
 from perfbench import spans
-from plprobe import pde
+from plprobe import pde, recovery
 
 MODULES = ("vecp", "special", "pde", "dnmap", "recovery", "config")
 
@@ -39,6 +39,17 @@ def test_benchmark_reads_solve_result():
         sol = pde.solve_dirichlet(grid, pde.ConductivityField.constant(1.0),
                                   3.0, datum, pde.SolverSettings(init="zero"))
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["pde.newton_steps"] == sol.iterations > 0
+    assert metrics["pde.newton_steps"] == len(sol.energy_history) > 0
     assert metrics["pde.newton_steps_before_final_eps"] == 0
     assert metrics["pde.free_dofs"] == int((~grid.boundary).sum()) * 2
+
+
+def test_benchmark_traces_the_recovery_grid():
+    # recover_boundary_value must look probe_window_grid up at call time
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rep = recovery.recover_boundary_value(
+            pde.ConductivityField.constant(1.0), 3.0, "complex", [4])
+    assert rep.rows[0].ok
+    grids = [s for s in tracer.spans if s.name == "recovery.probe_window_grid"]
+    assert len(grids) == 1

@@ -47,6 +47,18 @@ def test_invalid_gamma_exits_1(tmp_path):
     assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # argparse would exit 2, which is reserved for a violated run contract
+    assert run(["verify", "--dn", "--out", tmp_path]) == 1
+    assert run(["nosuch"]) == 1
+    assert run(["recover", "--config"]) == 1
+    assert run(["--version"]) == 0
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text("[domain]\nrule = fixed\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
+    assert "unknown key 'rule'" in capsys.readouterr().err
+
+
 def test_verify_command(tmp_path):
     code = run(["verify", "--suite", "vecp", "--out", tmp_path])
     assert code == 0

@@ -52,7 +52,6 @@ def test_empty_config_gets_defaults():
     cfg = parse_config("")
     assert cfg.physics.p == 2.0
     assert cfg.probe.m_list == (4.0, 8.0)
-    assert cfg.domain.rule == "probe_window"
 
 
 def test_minimal_config_round_trip():
@@ -69,6 +68,8 @@ def test_unknown_section_and_key_errors():
         parse_config("[nonsense]\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[physics]\nquux = 3\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[domain]\nrule = fixed\n")
     with pytest.raises(ConfigError, match="outside"):
         parse_config("p = 3\n")
     with pytest.raises(ConfigError, match="line 2"):
