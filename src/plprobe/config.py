@@ -438,6 +438,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if d.window_margin < 1.0:
         raise ConfigError("domain.window_margin: must be at least 1 "
                           "(probe support has radius 1/M)")
+    if not d.max_nodes >= 1:
+        raise ConfigError("domain.max_nodes: must be at least 1")
 
     if not ph.p > 1.0:
         raise ConfigError("physics.p: must exceed 1")

@@ -141,7 +141,6 @@ class ProbeSpec:
 @dataclass
 class ProbeFields:
     field: PField          # normalized probe v_M on the grid nodes
-    trace: np.ndarray      # v_M restricted to boundary nodes
     scale: float           # normalization factor applied to u_0
 
 
@@ -156,7 +155,7 @@ def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
-    """Evaluate the normalized probe on the grid and take its boundary trace.
+    """Evaluate the normalized probe on the grid nodes.
 
     Preconditions: at least 8 cells per oscillation wavelength and at
     least 8 cells across the support radius 1/M; complex probes require a
@@ -181,9 +180,8 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
     if spec.mode == "real":
         raw_vals = raw_vals.real.astype(np.complex128)
     scale = spec.normalization()
-    norm = PField(values=scale * raw_vals, mode=spec.mode)
-    trace = norm.values[grid.boundary_idx]
-    return ProbeFields(field=norm, trace=trace, scale=scale)
+    return ProbeFields(field=PField(values=scale * raw_vals, mode=spec.mode),
+                       scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +254,8 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
     x' only for the graph boundaries `_scaled_points` substitutes.
     """
     M, N, p, n = spec.M, spec.N, spec.p, spec.n
-    eta_field = special.CutoffField(M=M, profile=spec.cutoff)
-    eta = eta_field.value(x)
-    geta = eta_field.gradient(x) / M  # grad eta evaluated at Mx
+    eta, geta = special.CutoffField(M=M, profile=spec.cutoff).value_and_gradient(x)
+    geta /= M  # grad eta evaluated at Mx
 
     if spec.mode == "complex":
         # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_n|^2 + eta^2 |beta|^2
@@ -280,35 +277,47 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
     return gam * mag2 ** (p / 2.0)
 
 
-def _tensor_quad(spec: ProbeSpec, integrand, level: int, order: int = 10,
-                 chunk: int = 4096) -> float:
+# Gauss order of every panel; perpendicular rows per summation chunk, which
+# fixes the order of the sums; points per integrand evaluation block.
+_ORDER = 10
+_CHUNK = 4096
+_EVAL_POINTS = 1 << 15
+
+
+def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
     support and boundary layer, by Gauss panels refined `level` times.
 
     `integrand` maps a (n_perp, n_layer, n) block of points, one row of
     layer nodes per perpendicular node, to values (n_perp, n_layer); it may
-    evaluate factors of x' alone on x[:, :1] and broadcast them.  The
-    perpendicular nodes go in chunks of `chunk`, which fixes the order of
-    the sums.
+    evaluate factors of x' alone on x[:, :1] and broadcast them, and must
+    otherwise work point by point.  The perpendicular nodes are summed in
+    chunks of `_CHUNK` rows, which fixes the order of the sums.  Inside a
+    chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
+    points, which bounds the working set and changes no bit.
     """
     layer_nodes, layer_w = _gauss_panels(
-        _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level), order)
-    perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level), order)
+        _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level), _ORDER)
+    perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level), _ORDER)
     if spec.n == 2:
         y_perp = perp1_nodes[:, None]
         w_perp = perp1_w
     else:
         t_breaks = _subdivide(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 0.25 / 2**level)
-        t_nodes, t_w = _gauss_panels(t_breaks, order)
+        t_nodes, t_w = _gauss_panels(t_breaks, _ORDER)
         Y1, Y2 = np.meshgrid(perp1_nodes, t_nodes, indexing="ij")
         y_perp = np.column_stack([Y1.ravel(), Y2.ravel()])
         w_perp = (perp1_w[:, None] * t_w[None, :]).ravel()
     decay = np.exp(-spec.p * layer_nodes)[None, :]
+    rows = max(1, _EVAL_POINTS // layer_nodes.size)
     total = 0.0
-    for k in range(0, y_perp.shape[0], chunk):  # bound the tensor-grid memory
-        x = _scaled_points(spec, y_perp[k:k + chunk], layer_nodes)
-        vals = integrand(x) * decay
-        total += float(w_perp[k:k + chunk] @ vals @ layer_w)
+    for k in range(0, y_perp.shape[0], _CHUNK):
+        y_chunk = y_perp[k:k + _CHUNK]
+        vals = np.empty((y_chunk.shape[0], layer_nodes.size))
+        for b in range(0, y_chunk.shape[0], rows):
+            x = _scaled_points(spec, y_chunk[b:b + rows], layer_nodes)
+            vals[b:b + rows] = integrand(x) * decay
+        total += float(w_perp[k:k + _CHUNK] @ vals @ layer_w)
     return total
 
 

@@ -128,21 +128,22 @@ class CutoffField:
         if not self.M > 0:
             raise ValueError("M must be positive")
 
-    @property
-    def support_radius(self) -> float:
-        return 1.0 / self.M
-
     def value(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts))
         return self.profile.value_radial(self.M * r)
 
     def gradient(self, pts) -> np.ndarray:
+        return self.value_and_gradient(pts)[1]
+
+    def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """(value(pts), gradient(pts)) from one radius per point."""
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts))
-        d = self.M * self.profile.deriv_radial(self.M * r)
+        Mr = self.M * r
+        d = self.M * self.profile.deriv_radial(Mr)
         safe_r = np.where(r > 0, r, 1.0)
-        return d[..., None] * pts / safe_r[..., None]
+        return self.profile.value_radial(Mr), d[..., None] * pts / safe_r[..., None]
 
 
 def make_cutoff(M: float, smoothness: str = "c3") -> CutoffField:

@@ -47,6 +47,14 @@ def test_invalid_gamma_exits_1(tmp_path):
     assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
 
 
+def test_invalid_max_nodes_exits_1_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[domain]\nmax_nodes = -5\n[probe]\nm_list = 4\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
+    assert "domain.max_nodes" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     # argparse would exit 2, which is reserved for a violated run contract
     assert run(["verify", "--dn", "--out", tmp_path]) == 1

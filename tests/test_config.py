@@ -102,6 +102,13 @@ def test_bottom_curve_validation():
         parse_config("[domain]\nbottom = -x1^2/10\n[probe]\nmode = complex\n")
 
 
+@pytest.mark.parametrize("value", ("-5", "0", "0.5", "nan"))
+def test_max_nodes_validation(value):
+    with pytest.raises(ConfigError, match="domain.max_nodes: must be at least 1"):
+        parse_config(f"[domain]\nmax_nodes = {value}\n")
+    assert parse_config("[domain]\nmax_nodes = 1\n").domain.max_nodes == 1
+
+
 def test_solver_validation():
     with pytest.raises(ConfigError, match="eps"):
         parse_config("[solver]\neps_final = 0\n")

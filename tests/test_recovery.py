@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def test_probe_trace_support_exact(wolff3):
         probe = recovery.build_probe(spec, grid)
         bpts = grid.pts[grid.boundary_idx]
         r = np.sqrt((bpts**2).sum(axis=1))
-        outside = np.abs(probe.trace[r > 1.0 / spec.M])
+        trace = probe.field.values[grid.boundary_idx]
+        outside = np.abs(trace[r > 1.0 / spec.M])
         assert outside.size > 0 and np.all(outside == 0.0)
 
 
@@ -216,6 +218,46 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     block = recovery._energy_density(spec, gamma_fn, x)
     flat = _flat_energy_density(spec, gamma_fn, x.reshape(-1, n)).reshape(40, 30)
     assert block.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("mode, p, n, curved, M, levels", [
+    ("complex", 3.0, 2, False, 256.0, (0, 1, 2)),
+    ("real", 1.5, 2, False, 256.0, (0, 1)),
+    # level 1: 4,360 perpendicular nodes, two chunks, 109-row blocks
+    ("real", 3.0, 2, True, 256.0, (1,)),
+    ("real", 3.0, 3, False, 8.0, (0,))])
+def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
+                                               monkeypatch, wolff15, wolff3):
+    rho = None
+    if curved:
+        rho = special.graph_boundary(lambda x: -np.asarray(x) ** 2 / 10.0,
+                                     lambda x: -np.asarray(x) / 5.0, radius=1.0)
+    profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, n=n, rho=rho,
+                              profile=profile)
+
+    def integrand(x):
+        return recovery._energy_density(spec, GAMMA_SLOPE.fn, x)
+
+    def sums():
+        return [recovery._tensor_quad(spec, integrand, level) for level in levels]
+
+    blocked = sums()
+    # one block per summation chunk: the whole chunk evaluated at once
+    monkeypatch.setattr(recovery, "_EVAL_POINTS", recovery._CHUNK * 10**6)
+    assert sums() == blocked
+
+
+def test_quadrature_limit_working_set_is_bounded(wolff3):
+    # evaluating a whole 4,096-row chunk at once peaks at about 94 MiB
+    spec = recovery.ProbeSpec(mode="real", p=3.0, M=256.0, profile=wolff3)
+    tracemalloc.start()
+    try:
+        recovery.quadrature_limit(GAMMA_SLOPE, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +443,7 @@ def test_probe_scaling_invariance_of_indicator(wolff3):
     t = 4.0
     probe_t = recovery.ProbeFields(
         field=pde.PField(t * probe.field.values, "complex"),
-        trace=t * probe.trace, scale=t * probe.scale)
+        scale=t * probe.scale)
     sol_t = pde.PField(t * sol.field.values, "complex")
     scaled = recovery._correction_indicator(grid, spec, probe_t, sol_t)
     assert scaled / t**3.0 == pytest.approx(base, rel=1e-12)

@@ -51,7 +51,6 @@ def test_cutoff_plateau_and_support():
     assert eta.value(np.array([0.0, 0.0])) == 1.0
     assert eta.value(np.array([0.12, 0.0])) == 1.0  # inside plateau 1/(2M)
     assert eta.value(np.array([1.01 / 4.0, 0.0])) == 0.0
-    assert eta.support_radius == 0.25
 
 
 def test_cutoff_monotone_on_shoulder():
@@ -83,6 +82,32 @@ def test_cutoff_radial_equals_polynomial_formula(smoothness):
                           [prof.value_radial(r) for r in rs])
     assert np.array_equal(prof.deriv_radial(arr.reshape(7, 1)).ravel(),
                           [prof.deriv_radial(r) for r in rs])
+
+
+@pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
+def test_cutoff_value_and_gradient_equal_separate_calls(smoothness):
+    # one radius per point gives the bits of value() and of the gradient
+    # formula d(M r) * x / r, at r = 0, on the plateau, on the shoulder
+    # (both edges included) and outside the support
+    M = 4.0
+    eta = special.make_cutoff(M, smoothness)
+    radii = np.array([0.0, 0.1, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.75,
+                      np.nextafter(1.0, 0.0), 1.0, 1.3]) / M
+    theta = np.linspace(0.1, 3.0, radii.size)
+    pts2 = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+    pts3 = np.stack([pts2[:, 0], 0.5 * pts2[:, 1], 0.75 * pts2[:, 1]], axis=-1)
+    for pts in (pts2, pts3.reshape(3, 3, 3)):
+        r = np.sqrt(special._norm_sq(pts))
+        d = M * eta.profile.deriv_radial(M * r)
+        grad = d[..., None] * pts / np.where(r > 0, r, 1.0)[..., None]
+        value, gradient = eta.value_and_gradient(pts)
+        assert value.tobytes() == eta.value(pts).tobytes()
+        assert gradient.tobytes() == grad.tobytes()
+        assert eta.gradient(pts).tobytes() == grad.tobytes()
+    value, gradient = eta.value_and_gradient(pts2)
+    assert value[0] == 1.0 and np.all(gradient[0] == 0.0)  # r = 0
+    assert value[-1] == 0.0 and np.all(gradient[-1] == 0.0)  # outside
+    assert np.all(gradient[4:6] != 0.0)  # inside the shoulder
 
 
 def test_cutoff_gradient_bound():
