@@ -5,7 +5,7 @@ reads a config (defaults apply when none is given), echoes the validated
 config into the output directory, and writes CSV/JSON artifacts whose
 bytes are a pure function of config + seed on one machine and library
 stack.  Across machines only the last bits of floats may differ (BLAS
-kernel, numpy SIMD loops, SuperLU).  Exit codes: 0 all contracts met,
+kernel, which also runs the banded Cholesky; numpy SIMD loops).  Exit codes: 0 all contracts met,
 1 execution/config error, 2 a run contract was violated.
 """
 

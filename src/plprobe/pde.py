@@ -12,9 +12,11 @@ boundary, is solved as the minimization of the regularized convex energy
 
 by damped Newton with a backtracking (Armijo, sufficient-decrease constant
 1/4) line search, run from the initial iterate at the single eps =
-eps_final times the RMS gradient of the datum.  Each step factors the
-free-dof Newton matrix by LU with a symmetric minimum-degree ordering and
-diagonal pivots; its sparsity pattern is built once per solve.  Complex
+eps_final times the RMS gradient of the datum.  The free dofs are numbered
+with the lattice's shorter side running fastest, so the free-dof Newton
+matrix is a band of half-width about ncomp times that side; each step
+assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf),
+with the slot of every element entry built once per solve.  Complex
 data is handled as a coupled two-component real field with density
 (|grad u_re|^2 + |grad u_im|^2 + eps^2)^(p/2); stationarity in each
 component reproduces the complex weak form.  The Newton weight
@@ -33,8 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .vecp import _norm_sq, _pow_or_zero
 
@@ -475,41 +476,48 @@ SUFFICIENT_DECREASE = 0.25
 MAX_BACKTRACKS = 40  # step halvings before the line search gives up
 
 
-def _factor(H):
-    """LU of the SPD free-dof Newton matrix: symmetric minimum-degree
-    ordering and diagonal pivots, about half the fill of COLAMD."""
-    return splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+def _factor_solve(ab, b):
+    """Solve H x = b for the SPD matrix H whose lower band (LAPACK layout,
+    Fortran order) is `ab`, by Cholesky; `ab` is overwritten by the factor."""
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SolverConvergenceError(
+            f"Newton matrix is not positive definite (leading minor {info})")
+    return dpbtrs(factor, b, lower=1)[0]
 
 
 class _FreeDofNewton:
     """Gradient and Newton matrix of E_eps restricted to the free dofs.
 
-    The CSC pattern of the free-dof block and the slot of every element
-    entry in its `.data` are built once; each linearization is then one
-    bincount for the gradient and one for the matrix.  Entries touching a
-    fixed dof go to a discarded extra slot.
+    The free nodes are numbered with the lattice's shorter side running
+    fastest, components interleaved, so the matrix is a band of half-width
+    `kd`; `dofs` maps that numbering back to `U.ravel()`.  The slot of every
+    element entry in the gradient and in the lower band is built once; each
+    linearization is then one bincount for the gradient and one for the
+    band.  Entries touching a fixed dof, or above the diagonal, go to a
+    discarded extra slot.
     """
 
     def __init__(self, grid, gamma_c, p, ncomp):
         self.grid, self.gamma_c, self.p = grid, gamma_c, p
         nel, nloc = grid.tri.shape[0], 3 * ncomp
-        self.free = np.repeat(~grid.boundary, ncomp)
-        nfree = int(self.free.sum())
-        number = np.where(self.free, np.cumsum(self.free) - 1, nfree)
+        lattice = np.arange(grid.npt).reshape(grid.ny + 1, grid.nx + 1)
+        order = (lattice.T if grid.nx >= grid.ny else lattice).ravel()
+        nodes = order[~grid.boundary[order]]
+        self.dofs = (nodes[:, None] * ncomp + np.arange(ncomp)).ravel()
+        nfree = self.nfree = self.dofs.size
+        number = np.full(grid.npt * ncomp, nfree)
+        number[self.dofs] = np.arange(nfree)
         fdof = number[grid.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(nel, nloc)
-        self.nfree = nfree
         self.vec_slot = fdof.ravel()
 
-        rows = np.repeat(fdof, nloc, axis=1).ravel().astype(np.int64)
-        cols = np.tile(fdof, (1, nloc)).ravel().astype(np.int64)
-        key = np.where((rows < nfree) & (cols < nfree), cols * nfree + rows,
-                       nfree * nfree)
-        ukey, self.mat_slot = np.unique(key, return_inverse=True)
-        ukey = ukey[:-1] if ukey[-1] == nfree * nfree else ukey
-        self.nnz = ukey.size
-        self.indices = (ukey % nfree).astype(np.int32)
-        self.indptr = np.searchsorted(ukey // nfree, np.arange(nfree + 1)).astype(np.int32)
+        rows, cols = fdof[:, :, None], fdof[:, None, :]
+        lower = (rows < nfree) & (cols <= rows)
+        slot = rows - cols
+        self.kd = int(slot[lower].max(initial=0))
+        slot += cols * (self.kd + 1)
+        slot[~lower] = nfree * (self.kd + 1)
+        self.mat_slot = slot.ravel()
         self.bb = np.einsum("eiv,ejv->eij", grid.grad, grid.grad)
 
     def energy(self, U, eps):
@@ -518,8 +526,8 @@ class _FreeDofNewton:
     def residual(self, U, eps):
         return _dual_residual(self.grid, self.gamma_c, self.p, U, eps)
 
-    def linearize(self, U, eps):
-        """(E_eps(U), free gradient, free Newton matrix in CSC)."""
+    def blocks(self, U, eps):
+        """(E_eps(U), free gradient, element Newton blocks (nel, 3 ncomp, 3 ncomp))."""
         grid, p = self.grid, self.p
         nel = grid.tri.shape[0]
         q = _element_gradients(grid, U)
@@ -533,15 +541,21 @@ class _FreeDofNewton:
         g = np.bincount(self.vec_slot, weights=(iq * coef[:, None]).ravel(),
                         minlength=self.nfree + 1)[:self.nfree]
         # the rank-one product is formed before scaling so each element
-        # block, and hence the assembled matrix, is exactly symmetric
-        Hloc = coef_rank1[:, None, None] * (iq[:, :, None] * iq[:, None, :])
+        # block is exactly symmetric, and the lower band is the whole matrix
+        Hloc = iq[:, :, None] * iq[:, None, :]
+        Hloc *= coef_rank1[:, None, None]
         for c in range(ncomp):
             Hloc[:, c::ncomp, c::ncomp] += coef[:, None, None] * self.bb
-        data = np.bincount(self.mat_slot, weights=Hloc.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
-        H = sp.csc_matrix((data, self.indices, self.indptr),
-                          shape=(self.nfree, self.nfree))
-        return E, g, H
+        return E, g, Hloc
+
+    def linearize(self, U, eps):
+        """(E_eps(U), free gradient, lower band of the free Newton matrix,
+        shape (kd + 1, nfree) in Fortran order)."""
+        E, g, Hloc = self.blocks(U, eps)
+        nband = self.nfree * (self.kd + 1)
+        ab = np.bincount(self.mat_slot, weights=Hloc.ravel(),
+                         minlength=nband + 1)[:nband]
+        return E, g, ab.reshape(self.nfree, self.kd + 1).T
 
 
 def _damped_newton(newton, U, eps, settings):
@@ -555,14 +569,15 @@ def _damped_newton(newton, U, eps, settings):
     """
     history, polish = [], False
     while True:
-        E, g, H = newton.linearize(U, eps)
-        d = _factor(H).solve(-g)
+        E, g, ab = newton.linearize(U, eps)
+        d = _factor_solve(ab, -g)
+        del ab  # the next step's band is assembled without this one alive
         decrement = float(-g @ d)
         if decrement < 0.0:
             raise SolverConvergenceError("Newton direction is not a descent direction")
 
         D = np.zeros_like(U)
-        D.ravel()[newton.free] = d
+        D.ravel()[newton.dofs] = d
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             U_try = U + t * D

@@ -43,6 +43,7 @@ __all__ = [
     "ProbeSpec",
     "ProbeFields",
     "UnderResolvedProbeError",
+    "GridBudgetError",
     "QuadratureError",
     "build_probe",
     "quadrature_limit",
@@ -58,6 +59,10 @@ __all__ = [
 
 class UnderResolvedProbeError(ValueError):
     """Grid cannot resolve the probe oscillation or support."""
+
+
+class GridBudgetError(ValueError):
+    """The probe window grid would exceed its node budget."""
 
 
 class QuadratureError(RuntimeError):
@@ -394,7 +399,7 @@ def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
     res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
     approx_nodes = (2 * half * res + 1) * (half * res + 1)
     if approx_nodes > max_nodes:
-        raise ValueError(
+        raise GridBudgetError(
             f"grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
     bottom, bottom_deriv = rho.bottom_curve()
     return build_grid(Rectangle(half_width=half, height=half, bottom=bottom,
@@ -500,8 +505,9 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     """Run the probe sequence and report per-M DN self-pairings.
 
     Each M is solved on its `probe_window_grid`, which receives
-    `window_margin`, `nodes_per_wavelength` and `max_nodes`.  Per-M
-    failures are recorded in their rows and the run continues.  The
+    `window_margin`, `nodes_per_wavelength` and `max_nodes`.  A per-M
+    solver, resolution, quadrature or grid-budget failure is recorded in
+    its row and the run continues; any other exception propagates.  The
     extrapolated value adds the last step between the two final estimates
     once more.
     """
@@ -542,7 +548,7 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
             row.weak_residual = sol.weak_residual
             row.quad_estimate = quadrature_limit(gamma_f, spec)
         except (SolverConvergenceError, UnderResolvedProbeError,
-                QuadratureError, ValueError) as exc:
+                QuadratureError, GridBudgetError) as exc:
             row.message = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plprobe import cli
+from plprobe import cli, pde, recovery
 from plprobe.config import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -234,8 +234,31 @@ def test_sweep_reports_failed_row_messages(tmp_path):
             if not l.startswith("#")]
     assert len(rows) == 2
     message = rows[1].split(",", 8)[8]
-    assert message.startswith("M=8: ValueError: grid would need ~")
+    assert message.startswith("M=8: GridBudgetError: grid would need ~")
     assert "M=4" not in message
+
+
+def test_recover_line_search_failure_is_a_failed_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(pde, "MAX_BACKTRACKS", 0)
+    cfg = tmp_path / "recover.cfg"
+    cfg.write_text("[probe]\nm_list = 4\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 2
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "M =     4: FAILED (SolverConvergenceError: line search failed" in summary
+
+
+def test_recover_programming_error_exits_1(tmp_path, monkeypatch, capsys):
+    # only the solver, resolution, quadrature and grid-budget failures are
+    # per-M rows; a bare ValueError is an execution error
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(recovery, "build_probe", broken)
+    cfg = tmp_path / "recover.cfg"
+    cfg.write_text("[probe]\nm_list = 4\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
+    assert "ValueError: boom" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_sweep_programming_error_exits_1(tmp_path, monkeypatch):

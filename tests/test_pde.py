@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plprobe import pde, recovery
 
@@ -314,31 +317,106 @@ def _newton_at_probe(g, mode, p):
     return pde._FreeDofNewton(g, gam(g.centroid), p, u.ncomp), u.components()
 
 
-@pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
-def test_newton_matrix_symmetric_and_factored_accurately(nonlinear_setup, mode, p):
-    g = nonlinear_setup[0]
-    newton, U = _newton_at_probe(g, mode, p)
-    _, grad, H = newton.linearize(U, 1e-6)
-    assert H.shape == (int((~g.boundary).sum()) * U.shape[1],) * 2
-    assert (H != H.T).nnz == 0
-    # diagonal pivots without threshold are safe because H is SPD
-    x = pde._factor(H).solve(grad)
-    assert np.linalg.norm(H @ x - grad) <= 1e-10 * np.linalg.norm(grad)
+def _newton_grids():
+    """The probe window, the half disc and a tall rectangle (nx < ny)."""
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+    tall = pde.build_grid(pde.Rectangle(half_width=0.25, height=1.0), 32)
+    assert tall.nx < tall.ny
+    return (recovery.probe_window_grid(spec),
+            pde.build_grid(pde.HalfDisc(radius=1.0), 16), tall)
+
+
+def _band_lower(ab):
+    """The lower triangle whose LAPACK lower band is ab, as a sparse matrix."""
+    n = ab.shape[1]
+    return sp.diags([ab[k, :n - k] for k in range(ab.shape[0])],
+                    [-k for k in range(ab.shape[0])], format="csr")
+
+
+def _band_matrix(ab):
+    lower = _band_lower(ab)
+    return lower + sp.triu(lower.T, 1)
+
+
+def _reference_matrix(g, newton, Hloc, ncomp):
+    """The free-dof Newton matrix assembled by coo_matrix from the element
+    blocks, with the free dofs numbered by `newton.dofs`."""
+    number = np.full(g.npt * ncomp, newton.nfree)
+    number[newton.dofs] = np.arange(newton.nfree)
+    fdof = number[g.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(Hloc.shape[:2])
+    rows = np.broadcast_to(fdof[:, :, None], Hloc.shape)
+    cols = np.broadcast_to(fdof[:, None, :], Hloc.shape)
+    keep = (rows < newton.nfree) & (cols < newton.nfree)
+    return sp.coo_matrix((Hloc[keep], (rows[keep], cols[keep])),
+                         shape=(newton.nfree,) * 2).tocsr()
 
 
 @pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
-def test_newton_matrix_is_derivative_of_gradient(nonlinear_setup, mode, p):
-    g = nonlinear_setup[0]
-    newton, U = _newton_at_probe(g, mode, p)
+def test_newton_matrix_symmetric_and_factored_accurately(mode, p):
+    for g in _newton_grids():
+        newton, U = _newton_at_probe(g, mode, p)
+        ncomp = U.shape[1]
+        # the free nodes are numbered across the lattice's short side
+        assert newton.kd == ncomp * min(g.nx, g.ny) - 1
+        assert np.array_equal(np.sort(newton.dofs),
+                              np.flatnonzero(np.repeat(~g.boundary, ncomp)))
+        _, grad, Hloc = newton.blocks(U, 1e-6)
+        assert np.array_equal(Hloc, Hloc.transpose(0, 2, 1))
+        ref = _reference_matrix(g, newton, Hloc, ncomp)
+        _, grad_band, ab = newton.linearize(U, 1e-6)
+        assert np.array_equal(grad_band, grad)
+        assert ab.shape == (newton.kd + 1, newton.nfree) and ab.flags.f_contiguous
+        scale = abs(ref).max()
+        assert abs(_band_lower(ab) - sp.tril(ref)).max() <= 1e-14 * scale
+        assert abs(ref - ref.T).max() <= 1e-14 * scale
+        x = pde._factor_solve(ab, grad)
+        assert np.linalg.norm(ref @ x - grad) <= 1e-10 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
+def test_newton_matrix_is_derivative_of_gradient(mode, p):
     eps = 0.1
-    _, grad, H = newton.linearize(U, eps)
-    v = np.random.default_rng(0).standard_normal(newton.nfree)
-    V = np.zeros_like(U)
-    V.ravel()[newton.free] = v
-    h = 1e-7  # central differences: error O(h^2 |grad v|^2), ~3e-9 here
-    dg = (newton.linearize(U + h * V, eps)[1]
-          - newton.linearize(U - h * V, eps)[1]) / (2.0 * h)
-    assert np.linalg.norm(H @ v - dg) <= 1e-7 * np.linalg.norm(dg)
+    # central differences: truncation O(h^2) is largest on the half disc's
+    # distorted cells (1.4e-8 relative), round-off about 3e-9
+    h = 1e-8
+    for g in _newton_grids():
+        newton, U = _newton_at_probe(g, mode, p)
+        _, grad, ab = newton.linearize(U, eps)
+        v = np.random.default_rng(0).standard_normal(newton.nfree)
+        V = np.zeros_like(U)
+        V.ravel()[newton.dofs] = v
+        dg = (newton.linearize(U + h * V, eps)[1]
+              - newton.linearize(U - h * V, eps)[1]) / (2.0 * h)
+        assert np.linalg.norm(_band_matrix(ab) @ v - dg) <= 1e-7 * np.linalg.norm(dg)
+
+
+def test_indefinite_band_raises_from_factor():
+    ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
+    with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
+        pde._factor_solve(ab, np.ones(4))
+
+
+def test_failed_line_search_raises(nonlinear_setup, monkeypatch):
+    g, gam, f = nonlinear_setup
+    monkeypatch.setattr(pde, "MAX_BACKTRACKS", 0)
+    with pytest.raises(pde.SolverConvergenceError, match="line search failed") as err:
+        pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
+    assert err.value.residual > 0.0
+
+
+def test_newton_setup_memory_is_bounded():
+    # the band slots are the set-up's one nel x (3 ncomp)^2 int64 array
+    # (3.7 MiB here), built in place
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
+    g = recovery.probe_window_grid(spec)
+    gamma_c = np.ones(g.tri.shape[0])
+    tracemalloc.start()
+    try:
+        pde._FreeDofNewton(g, gamma_c, 3.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_warm_started_solve_runs_single_final_stage():

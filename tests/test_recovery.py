@@ -367,7 +367,7 @@ def test_recover_failure_rows_recorded():
                                           max_nodes=3000)
     assert rep.rows[0].ok
     assert not rep.rows[1].ok
-    assert rep.rows[1].message.startswith("ValueError: grid would need ~")
+    assert rep.rows[1].message.startswith("GridBudgetError: grid would need ~")
     assert not rep.monotone_contract()
 
 
