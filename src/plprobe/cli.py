@@ -72,22 +72,13 @@ def _gamma_field(expr_text: str) -> pde.ConductivityField:
     return pde.ConductivityField(expr)
 
 
-def _rho_from_config(cfg: ExperimentConfig):
-    if not cfg.domain.bottom:
-        return None
-    g = parse_expression(cfg.domain.bottom)
-    dg = g.derivative("x1")
-    radius = max(cfg.domain.half_width, cfg.domain.height) * 4.0
-
-    def g1(x1):
-        x1 = np.asarray(x1, dtype=float)
-        return g(np.stack([x1, np.zeros_like(x1)], axis=-1))
-
-    def dg1(x1):
-        x1 = np.asarray(x1, dtype=float)
-        return dg(np.stack([x1, np.zeros_like(x1)], axis=-1))
-
-    return special.graph_boundary(g1, dg1, radius=radius)
+def _rho_from_config(cfg: ExperimentConfig) -> special.BoundaryDefiningFunction:
+    d = cfg.domain
+    if not d.bottom:
+        return special.BoundaryDefiningFunction()
+    g = parse_expression(d.bottom)  # on points of one coordinate, x2 = 0
+    return special.BoundaryDefiningFunction(g, g.derivative("x1"),
+                                            radius=max(d.half_width, d.height) * 4.0)
 
 
 def _profile_cache():
@@ -175,8 +166,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=cfg.probe.s,
                                   cutoff=cutoff, profile=profile, rho=rho)
         grid = recovery.probe_window_grid(
-            spec, margin=d.window_margin,
-            nodes_per_wavelength=d.nodes_per_wavelength,
+            spec, nodes_per_wavelength=d.nodes_per_wavelength,
             max_nodes=int(d.max_nodes))
         probe = recovery.build_probe(spec, grid)
         datum = probe.field
@@ -185,9 +175,8 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         if d.shape == "half_disc":
             shape = pde.HalfDisc(radius=d.radius)
         else:
-            bottom, bderiv = rho.bottom_curve() if rho is not None else (None, None)
             shape = pde.Rectangle(half_width=d.half_width, height=d.height,
-                                  bottom=bottom, bottom_deriv=bderiv)
+                                  bottom=rho)
         grid = pde.build_grid(shape, d.resolution)
         vals = expr(grid.pts).astype(np.complex128)
         datum = pde.PField(vals if mode == "complex" else vals.real.astype(complex),
@@ -216,8 +205,7 @@ def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
     return recovery.recover_boundary_value(
         gamma, p, mode, list(cfg.probe.m_list), s=cfg.probe.s,
         settings=_solver_settings(cfg), cutoff=cutoff, rho=rho, profile=profile,
-        nodes_per_wavelength=d.nodes_per_wavelength,
-        window_margin=d.window_margin, max_nodes=int(d.max_nodes))
+        nodes_per_wavelength=d.nodes_per_wavelength, max_nodes=int(d.max_nodes))
 
 
 def _report_rows(report: recovery.RecoveryReport):

@@ -275,7 +275,6 @@ class DomainConfig:
     bottom: str = ""                    # expression in x1; empty = flat
     resolution: float = 32.0            # used by the solve command
     nodes_per_wavelength: float = 16.0
-    window_margin: float = 2.0
     max_nodes: float = 1_500_000.0
 
 
@@ -435,9 +434,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("domain.resolution: at least 8 cells per unit required")
     if d.nodes_per_wavelength < 8:
         raise ConfigError("domain.nodes_per_wavelength: at least 8 required")
-    if d.window_margin < 1.0:
-        raise ConfigError("domain.window_margin: must be at least 1 "
-                          "(probe support has radius 1/M)")
     if not d.max_nodes >= 1:
         raise ConfigError("domain.max_nodes: must be at least 1")
 

@@ -66,14 +66,9 @@ def dn_pairing(grid: DomainGrid, gamma, p: float, f: PField,
 
 def homogeneity_check(grid, gamma, p, f: PField, t: float,
                       settings: SolverSettings | None = None) -> float:
-    """| <L(tf), tf> - t^p <L(f), f> | / (t^p |<L(f), f>|)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    base = dn_pairing(grid, gamma, p, f, settings=settings)
-    ft = PField(f.values * t, f.mode)
-    scaled = dn_pairing(grid, gamma, p, ft, settings=settings)
-    target = t**p * base
-    return abs(scaled - target) / abs(target)
+    """| <L(tf), tf> - t^p <L(f), f> | / (t^p |<L(f), f>|): the
+    `constant_shift_check` with zero shift."""
+    return constant_shift_check(grid, gamma, p, f, 0.0, t, settings)
 
 
 def constant_shift_check(grid, gamma, p, f: PField, z: complex, t: float,

@@ -1,9 +1,10 @@
 """Weighted p-Laplace Dirichlet solver on structured triangulations.
 
-The domain (rectangle with flat or graph bottom boundary, or half disc) is
-meshed by splitting each structured cell into two first-order triangles;
-element gradients are constant, so affine fields are reproduced exactly
-and the p-energy density is integrated by the midpoint rule per element.
+The domain (rectangle above the flat or graph bottom x2 = g(x1) of a
+`special.BoundaryDefiningFunction`, or half disc) is meshed by splitting
+each structured cell into two first-order triangles; element gradients
+are constant, so affine fields are reproduced exactly and the p-energy
+density is integrated by the midpoint rule per element.
 
 The Dirichlet problem div(gamma |grad u|^(p-2) grad u) = 0, u = f on the
 boundary, is solved as the minimization of the regularized convex energy
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from .special import BoundaryDefiningFunction
 from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
@@ -64,16 +66,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Rectangle:
-    """[-half_width, half_width] x [0, height]; optional graph bottom x2 = g(x1).
-
-    The bottom curve must satisfy g(0) = 0, g'(0) = 0 so the base boundary
-    point is the origin with inward normal e_2.
+    """[-half_width, half_width] x [0, height] above the bottom x2 = g(x1)
+    of `bottom`, flat by default; g(0) = g'(0) = 0 puts the base boundary
+    point at the origin with inward normal e_2.
     """
 
     half_width: float = 1.0
     height: float = 1.0
-    bottom: object = None        # callable g(x1) or None for a flat bottom
-    bottom_deriv: object = None  # g'(x1), required when bottom is given
+    bottom: BoundaryDefiningFunction = field(default_factory=BoundaryDefiningFunction)
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,8 @@ def _distance_to_boundary(grid: DomainGrid) -> np.ndarray:
     hw, ht = shape.half_width, shape.height
     lateral = np.minimum(x + hw, hw - x)
     top = ht - y
-    if shape.bottom is None:
-        bottom = y
-    else:
-        g = np.asarray(shape.bottom(x), dtype=float)
-        dg = np.asarray(shape.bottom_deriv(x), dtype=float)
-        bottom = (y - g) / np.hypot(1.0, dg)
+    rho = shape.bottom
+    bottom = rho.value(grid.pts) / np.hypot(*rho.gradient(grid.pts).T)
     return np.maximum(np.minimum(np.minimum(lateral, top), bottom), 0.0)
 
 
@@ -169,17 +165,13 @@ def build_grid(shape, resolution: float) -> DomainGrid:
     if isinstance(shape, Rectangle):
         if shape.half_width <= 0 or shape.height <= 0:
             raise ValueError("degenerate rectangle")
-        if (shape.bottom is None) != (shape.bottom_deriv is None):
-            raise ValueError("bottom and bottom_deriv must be supplied together")
         nx = 2 * max(1, round(shape.half_width * resolution))
         ny = max(2, round(shape.height * resolution))
         xs = np.linspace(-shape.half_width, shape.half_width, nx + 1)
         ys = np.linspace(0.0, shape.height, ny + 1)
         X, Y = np.meshgrid(xs, ys)
-        if shape.bottom is not None:
-            g = np.asarray(shape.bottom(xs), dtype=float)
-            if abs(g[nx // 2]) > 1e-12:
-                raise ValueError("bottom curve must vanish at x1 = 0")
+        if not shape.bottom.flat:
+            g = shape.bottom.g(xs[:, None])
             # boundary-fitted stretching: bottom row follows the graph,
             # the top row stays flat at height
             Y = g[None, :] + Y * (shape.height - g[None, :]) / shape.height

@@ -87,7 +87,8 @@ class ProbeSpec:
     cutoff: special.CutoffProfile = field(default_factory=special.CutoffProfile)
     direction: np.ndarray | None = None
     profile: special.WolffProfile | None = None
-    rho: special.BoundaryDefiningFunction | None = None
+    rho: special.BoundaryDefiningFunction = field(
+        default_factory=special.BoundaryDefiningFunction)
 
     def __post_init__(self):
         if self.mode not in ("complex", "real"):
@@ -123,10 +124,6 @@ class ProbeSpec:
         return math.sqrt(self.p - 1.0) * np.asarray(d, dtype=float)
 
     @property
-    def boundary_fn(self) -> special.BoundaryDefiningFunction:
-        return self.rho if self.rho is not None else special.flat_boundary(self.n)
-
-    @property
     def wavelength(self) -> float:
         """Oscillation wavelength of the probe along x_1."""
         if self.mode == "complex":
@@ -155,7 +152,7 @@ def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
     if spec.mode == "complex":
         h = special.ComplexExponentialField(p=spec.p, N=spec.N, beta=spec.beta)
         return cut * h.value(pts)
-    fld = special.make_wolff_field(spec.profile, spec.N, spec.boundary_fn)
+    fld = special.WolffField(spec.profile, spec.N, spec.rho)
     return cut * fld.value(pts)
 
 
@@ -167,8 +164,8 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
     flat bottom boundary.
     """
     if spec.mode == "complex":
-        flat = isinstance(grid.shape, Rectangle) and grid.shape.bottom is None
-        if not flat or (spec.rho is not None and not spec.rho.flat):
+        flat = isinstance(grid.shape, Rectangle) and grid.shape.bottom.flat
+        if not (flat and spec.rho.flat):
             raise ValueError("complex-mode probes require a flat bottom boundary")
     h = grid.h
     need = []
@@ -243,9 +240,8 @@ def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
     rho_val = (y_layer / N)[None, :]
     # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
     # the (x_1, rho) substitution is volume-preserving (unit jacobian)
-    bottom, _ = spec.boundary_fn.bottom_curve()
-    x[..., n - 1] = (rho_val if bottom is None
-                     else rho_val + bottom(x[:, 0, 0])[:, None])
+    g = spec.rho.g
+    x[..., n - 1] = rho_val if g is None else rho_val + g(x[:, 0, :1])[:, None]
     return x
 
 
@@ -271,7 +267,7 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
         tau = N * x[:, :1, 0]
         a = spec.profile.a_at(tau)
         ap = spec.profile.aprime_at(tau)
-        grad_rho = spec.boundary_fn.gradient(x[:, :1])
+        grad_rho = spec.rho.gradient(x[:, :1])
         vec = (M / N) * geta * a[..., None] - eta[..., None] * a[..., None] * grad_rho
         vec[..., 0] += eta * ap
         mag2 = _norm_sq(vec)
@@ -380,30 +376,31 @@ def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
 # ---------------------------------------------------------------------------
 
 
-def probe_window_grid(spec: ProbeSpec, margin: float = 2.0,
-                      nodes_per_wavelength: float = 16.0,
+# Half-width of the probe window in units of 1/M: twice the probe support
+# radius 1/M, so a band of width 1/M separates the support from the
+# window's lateral and top sides, where the datum is zero.
+WINDOW_MARGIN = 2.0
+
+
+def probe_window_grid(spec: ProbeSpec, nodes_per_wavelength: float = 16.0,
                       max_nodes: int = 1_500_000) -> DomainGrid:
-    """Rectangle [-w/M, w/M] x [0, w/M] with `nodes_per_wavelength` cells per
-    probe oscillation and at least 8 across the probe support, within
-    `max_nodes`.
+    """Rectangle [-w/M, w/M] x [0, w/M], w = WINDOW_MARGIN, above the bottom
+    of `spec.rho`, with `nodes_per_wavelength` cells per probe oscillation
+    and at least 8 across the probe support, within `max_nodes`.
 
     Under x -> M x this is a fixed domain with effective frequency
     N/M -> infinity and conductivity gamma(x/M) -> gamma(0), so the
     recovery limit is unchanged while node counts stay ~ (M^(s-1))^2.
     """
-    if margin < 1.0:
-        raise ValueError("window margin must be at least 1 (probe support 1/M)")
-    half = margin / spec.M
-    rho = spec.boundary_fn
-    rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
+    half = WINDOW_MARGIN / spec.M
+    spec.rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
     res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
     approx_nodes = (2 * half * res + 1) * (half * res + 1)
     if approx_nodes > max_nodes:
         raise GridBudgetError(
             f"grid would need ~{approx_nodes:.0f} nodes (> {max_nodes})")
-    bottom, bottom_deriv = rho.bottom_curve()
-    return build_grid(Rectangle(half_width=half, height=half, bottom=bottom,
-                                bottom_deriv=bottom_deriv), res)
+    return build_grid(Rectangle(half_width=half, height=half, bottom=spec.rho),
+                      res)
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +494,15 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
                            *, s: float = 2.0,
                            settings: SolverSettings | None = None,
                            cutoff: special.CutoffProfile | None = None,
-                           rho: special.BoundaryDefiningFunction | None = None,
+                           rho: special.BoundaryDefiningFunction = (
+                               special.BoundaryDefiningFunction()),
                            profile: special.WolffProfile | None = None,
                            nodes_per_wavelength: float = 16.0,
-                           window_margin: float = 2.0,
                            max_nodes: int = 1_500_000) -> RecoveryReport:
     """Run the probe sequence and report per-M DN self-pairings.
 
     Each M is solved on its `probe_window_grid`, which receives
-    `window_margin`, `nodes_per_wavelength` and `max_nodes`.  A per-M
+    `nodes_per_wavelength` and `max_nodes`.  A per-M
     solver, resolution, quadrature or grid-budget failure is recorded in
     its row and the run continues; any other exception propagates.  The
     extrapolated value adds the last step between the two final estimates
@@ -529,8 +526,7 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
         row = RecoveryRow(M=float(M), N=spec.N, ok=False)
         try:
             # looked up at call time, so a tracer can swap the module attribute
-            grid = probe_window_grid(spec, margin=window_margin,
-                                     nodes_per_wavelength=nodes_per_wavelength,
+            grid = probe_window_grid(spec, nodes_per_wavelength=nodes_per_wavelength,
                                      max_nodes=max_nodes)
             probe = build_probe(spec, grid)
             sol = solve_dirichlet(grid, gamma_f, p, probe.field, settings,

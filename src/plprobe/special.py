@@ -9,10 +9,12 @@ Two families of p-harmonic fields drive the boundary-recovery experiments:
 * real oscillatory fields of Wolff type  e^(-N rho(x)) a(N x_1), where the
   profile a solves  a'' + V(a, a') a = 0  with
   V = ((2p-3) a'^2 + (p-1) a^2) / ((p-1) a'^2 + a^2)
-  and is periodic with zero mean; rho is a boundary defining function
-  (rho = x_n in the flat case).
+  and is periodic with zero mean.
 
-The module also provides the radial cutoff used to localize probes, the
+The boundary defining function is rho(x) = x_n - g(x_1) for a flat (no g)
+or graph bottom x_n = g(x_1); one `BoundaryDefiningFunction` carries g to
+the Wolff field, the probe, its quadrature and the grid of `pde`.  The
+module also provides the radial cutoff used to localize probes, the
 normalization constants c_p for both families, and a finite-difference
 p-Laplace residual used to certify the fields numerically.
 """
@@ -34,13 +36,10 @@ __all__ = [
     "ComplexExponentialField",
     "make_complex_exponential",
     "BoundaryDefiningFunction",
-    "flat_boundary",
-    "graph_boundary",
     "WolffProfile",
     "PeriodDetectionError",
     "solve_wolff_profile",
     "WolffField",
-    "make_wolff_field",
     "c_p_complex",
     "c_p_real",
     "p_laplace_residual",
@@ -223,16 +222,47 @@ def make_complex_exponential(p: float, n: int = 2, direction=None,
 
 @dataclass(frozen=True)
 class BoundaryDefiningFunction:
-    """rho with rho(0) = 0, grad rho(0) = e_n; domain side is rho > 0.
+    """rho(x) = x_n - g(x_1) for the bottom boundary x_n = g(x_1); flat
+    (rho = x_n) when g is None.
 
-    `value` maps points (m, n) -> (m,); `gradient` maps (m, n) -> (m, n).
-    `radius` bounds the validity neighborhood around the base point.
+    g and g_deriv map points of one coordinate, shape (..., 1), to (...);
+    g(0) = 0 and g'(0) = 0, so rho(0) = 0 and grad rho(0) = e_n, and the
+    domain side is rho > 0.  `radius` bounds the validity neighborhood
+    around the base point.
     """
 
-    value: object
-    gradient: object
+    g: object = None
+    g_deriv: object = None
     radius: float = math.inf
-    flat: bool = True
+
+    def __post_init__(self):
+        if self.flat:
+            return
+        zero = np.zeros((1, 1))
+        g0, dg0 = float(self.g(zero)[0]), float(self.g_deriv(zero)[0])
+        if abs(g0) > 1e-12 or abs(dg0) > 1e-10:
+            raise ValueError(f"graph bottom must satisfy g(0) = 0 and g'(0) = 0 "
+                             f"(got g(0) = {g0:.3g}, g'(0) = {dg0:.3g})")
+
+    @property
+    def flat(self) -> bool:
+        return self.g is None
+
+    def value(self, pts) -> np.ndarray:
+        """rho at points (m, n) -> (m,)."""
+        pts = np.asarray(pts, dtype=float)
+        if self.flat:
+            return pts[..., -1]
+        return pts[..., -1] - self.g(pts[..., :1])
+
+    def gradient(self, pts) -> np.ndarray:
+        """grad rho = e_n - g'(x_1) e_1 at points (m, n) -> (m, n)."""
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros_like(pts)
+        out[..., -1] = 1.0
+        if not self.flat:
+            out[..., 0] = -self.g_deriv(pts[..., :1])
+        return out
 
     def check_inside(self, pts) -> None:
         if not math.isfinite(self.radius):
@@ -243,60 +273,6 @@ class BoundaryDefiningFunction:
             raise ValueError(
                 f"point outside the defining-function neighborhood "
                 f"(|x| up to {float(np.max(r)):.3g} > radius {self.radius:.3g})")
-
-    def bottom_curve(self):
-        """(g, g') with g(x_1) = -rho(x_1, 0): the graph bottom that
-        `pde.Rectangle` takes, or (None, None) for a flat boundary."""
-        if self.flat:
-            return None, None
-
-        def on_axis(x1):
-            x1 = np.asarray(x1, dtype=float)
-            return np.stack([x1, np.zeros_like(x1)], axis=-1)
-
-        return (lambda x1: -self.value(on_axis(x1)),
-                lambda x1: -self.gradient(on_axis(x1))[..., 0])
-
-
-def flat_boundary(n: int = 2) -> BoundaryDefiningFunction:
-    def value(pts):
-        return np.asarray(pts, dtype=float)[..., -1]
-
-    def gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        g = np.zeros_like(pts)
-        g[..., -1] = 1.0
-        return g
-
-    return BoundaryDefiningFunction(value=value, gradient=gradient,
-                                    radius=math.inf, flat=True)
-
-
-def graph_boundary(g, g_deriv, radius: float = math.inf) -> BoundaryDefiningFunction:
-    """rho(x) = x_2 - g(x_1) for a graph bottom boundary, n = 2.
-
-    Normalizes internally: requires g(0) = 0 and g'(0) = 0 after shifting,
-    so that rho(0) = 0 and grad rho(0) = e_2 exactly.
-    """
-    g0 = float(g(np.zeros(1))[0]) if np.ndim(g(np.zeros(1))) else float(g(0.0))
-    dg0 = float(np.asarray(g_deriv(np.zeros(1))).reshape(-1)[0])
-    if abs(dg0) > 1e-10:
-        raise ValueError(
-            f"graph boundary must be tangent to the horizontal at 0, g'(0) = {dg0:.3g}")
-
-    def value(pts):
-        pts = np.asarray(pts, dtype=float)
-        return pts[..., 1] - (np.asarray(g(pts[..., 0])) - g0)
-
-    def gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        out[..., 0] = -np.asarray(g_deriv(pts[..., 0]))
-        out[..., 1] = 1.0
-        return out
-
-    return BoundaryDefiningFunction(value=value, gradient=gradient,
-                                    radius=radius, flat=False)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +404,11 @@ class WolffField:
 
     profile: WolffProfile
     N: float
-    rho: BoundaryDefiningFunction
+    rho: BoundaryDefiningFunction = field(default_factory=BoundaryDefiningFunction)
+
+    def __post_init__(self):
+        if not self.N > 0:
+            raise ValueError("N must be positive")
 
     @property
     def wavenumber(self) -> float:
@@ -449,14 +429,6 @@ class WolffField:
         out = -self.profile.a_at(tau)[..., None] * grad_rho
         out[..., 0] += self.profile.aprime_at(tau)
         return self.N * damp[..., None] * out
-
-
-def make_wolff_field(profile: WolffProfile, N: float,
-                     rho: BoundaryDefiningFunction | None = None) -> WolffField:
-    if not N > 0:
-        raise ValueError("N must be positive")
-    return WolffField(profile=profile, N=float(N),
-                      rho=rho if rho is not None else flat_boundary())
 
 
 # ---------------------------------------------------------------------------

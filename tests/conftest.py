@@ -3,8 +3,8 @@ recovery demo.
 
 Golden files pin text and structure exactly and floats to a tolerance.
 Output bytes are deterministic within one machine and library stack, but
-the last bits of a float move with the BLAS kernel, numpy's SIMD loops and
-SuperLU, so golden floats are compared with `math.isclose`.  The tolerance
+the last bits of a float move with the BLAS kernel (which also runs the
+banded Cholesky of the Newton steps) and numpy's SIMD loops, so golden floats are compared with `math.isclose`.  The tolerance
 sits about 15x above the drift measured across OpenBLAS core types and numpy
 CPU-feature settings (CHANGES.md), and 7 orders below the default `tol`
 of `recovery.quadrature_limit`.

@@ -51,7 +51,7 @@ def test_criterion_2_wolff_self_consistency():
         d_lam = abs(prof.lam - tight.lam) / prof.lam
         d_K = abs(prof.K - tight.K) / prof.K
         ok &= d_lam <= 1e-8 and d_K <= 1e-8
-        fld = special.make_wolff_field(prof, N=2.0)
+        fld = special.WolffField(prof, N=2.0)
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(-1, 1, 5), rng.uniform(0.05, 0.8, 5)])
         steps = (2e-2 / fld.N, 1e-2 / fld.N, 5e-3 / fld.N)

@@ -61,10 +61,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["nosuch"]) == 1
     assert run(["recover", "--config"]) == 1
     assert run(["--version"]) == 0
-    cfg = tmp_path / "rule.cfg"
-    cfg.write_text("[domain]\nrule = fixed\n")
-    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
-    assert "unknown key 'rule'" in capsys.readouterr().err
+    for key in ("rule = fixed", "window_margin = 2"):
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"[domain]\n{key}\n")
+        assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
+        assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path):
@@ -107,6 +108,58 @@ def test_solve_rejects_non_finite_datum(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"datum is not finite at node \d+: datum\(.*\) = \(inf", err)
     assert "singular" not in err
+
+
+def _csv_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def test_recover_curved_bottom_pins_report(tmp_path):
+    # real mode, p = 3, g = -x1^2/10, M = 4, 8; values recorded before the
+    # bottom boundary became one type
+    assert run(["recover", "--config", REPO / "configs" / "recover_curved.cfg",
+                "--out", tmp_path]) == 0
+    rows = _csv_rows(tmp_path / "report.csv")
+    expected = {
+        "estimate": (0.93608783485624036, 1.0105398095008438),
+        "quad_estimate": (1.0136253589714497, 1.0148767628948479),
+        "leading": (1.0311932505594532, 1.0388869177875859),
+        "remainder_re": (-0.095105415703212834, -0.028347108286742063),
+        "correction": (0.0084217272572666268, 0.0025297707215101838),
+    }
+    assert [r["M"] for r in rows] == ["4", "8"]
+    for column, values in expected.items():
+        for row, value in zip(rows, values):
+            assert float(row[column]) == pytest.approx(value, rel=1e-12), column
+    assert [r["newton_iterations"] for r in rows] == ["8", "8"]
+
+
+def test_solve_curved_bottom_row_lies_on_graph(tmp_path):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("[domain]\nbottom = -x1^2/10\nresolution = 16\n"
+                   "[physics]\np = 3\nboundary_data = x1 + x2^2\n"
+                   "[probe]\nmode = real\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 0
+    rows = _csv_rows(tmp_path / "solution.csv")
+    x = np.array([float(r["x"]) for r in rows])
+    y = np.array([float(r["y"]) for r in rows])
+    bottom = slice(0, np.unique(x).size)  # x runs fastest, bottom row first
+    assert x[bottom][0] == -1.0 and x[bottom][-1] == 1.0
+    assert np.array_equal(y[bottom], -x[bottom] ** 2 / 10.0)
+
+
+def test_recover_nonpositive_gamma_in_window_exits_1(tmp_path, capsys):
+    # the dip passes the config's 41 x 41 sampling of gamma, so it is first
+    # seen on the M = 4 probe window; that is an input error, not a row
+    cfg = tmp_path / "dip.cfg"
+    cfg.write_text("[physics]\np = 3\n"
+                   "gamma = 1 - 2*exp(-1500*((x1-0.025)^2 + (x2-0.0125)^2))\n"
+                   "[probe]\nm_list = 4\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
+    assert "ValueError: conductivity must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_probe_check_exit_code_contract(tmp_path):

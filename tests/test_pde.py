@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from plprobe import pde, recovery
+from plprobe import pde, recovery, special
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +92,9 @@ def test_half_disc_boundary_mask():
 
 
 def test_curved_bottom_grid():
-    g = pde.build_grid(
-        pde.Rectangle(half_width=0.5, height=0.5,
-                      bottom=lambda x: -0.1 * np.asarray(x) ** 2,
-                      bottom_deriv=lambda x: -0.2 * np.asarray(x)), 32)
+    rho = special.BoundaryDefiningFunction(lambda x: -0.1 * x[..., 0] ** 2,
+                                           lambda x: -0.2 * x[..., 0])
+    g = pde.build_grid(pde.Rectangle(half_width=0.5, height=0.5, bottom=rho), 32)
     bottom = g.pts[g.bottom_idx]
     assert np.allclose(bottom[:, 1], -0.1 * bottom[:, 0] ** 2, atol=1e-14)
     assert np.all(g.area > 0.0)

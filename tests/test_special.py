@@ -314,7 +314,7 @@ def test_wolff_period_detection_failure():
 
 def test_wolff_field_flat_p2_is_damped_sine():
     prof = special.solve_wolff_profile(2.0)
-    fld = special.make_wolff_field(prof, N=3.0)
+    fld = special.WolffField(prof, N=3.0)
     pts = np.array([[0.2, 0.1], [0.7, 0.4], [-0.3, 0.2]])
     expected = np.exp(-3.0 * pts[:, 1]) * np.sin(3.0 * pts[:, 0])
     assert np.allclose(fld.value(pts), expected, atol=1e-9)
@@ -322,9 +322,9 @@ def test_wolff_field_flat_p2_is_damped_sine():
 
 def test_wolff_field_modulus_law():
     prof = special.solve_wolff_profile(3.0)
-    rho = special.graph_boundary(lambda x1: -0.1 * np.asarray(x1) ** 2,
-                                 lambda x1: -0.2 * np.asarray(x1), radius=2.0)
-    fld = special.make_wolff_field(prof, N=5.0, rho=rho)
+    rho = special.BoundaryDefiningFunction(lambda x1: -0.1 * x1[..., 0] ** 2,
+                                           lambda x1: -0.2 * x1[..., 0], radius=2.0)
+    fld = special.WolffField(prof, N=5.0, rho=rho)
     pts = np.array([[0.2, 0.15], [0.4, 0.3]])
     rv = pts[:, 1] + 0.1 * pts[:, 0] ** 2
     assert np.allclose(np.abs(fld.value(pts)),
@@ -334,7 +334,7 @@ def test_wolff_field_modulus_law():
 
 def test_wolff_field_gradient_matches_fd():
     prof = special.solve_wolff_profile(1.5)
-    fld = special.make_wolff_field(prof, N=2.0)
+    fld = special.WolffField(prof, N=2.0)
     x = np.array([0.37, 0.21])
     g = fld.gradient(x[None, :])[0]
     step = 1e-6
@@ -348,7 +348,7 @@ def test_wolff_field_gradient_matches_fd():
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_wolff_field_flat_residual_order(p):
     prof = special.solve_wolff_profile(p)
-    fld = special.make_wolff_field(prof, N=2.0)
+    fld = special.WolffField(prof, N=2.0)
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(0.05, 0.8, 6)])
     steps = (2e-2 / fld.N, 1e-2 / fld.N, 5e-3 / fld.N)
@@ -365,9 +365,9 @@ def test_wolff_field_curved_residual_decays_toward_base_point():
     # coordinates; the residual decays toward 0 down to an O(1/N) curvature
     # floor.  Max over phases per ring; recorded decay factor ~19 at N=40.
     prof = special.solve_wolff_profile(3.0)
-    rho = special.graph_boundary(lambda x1: -0.1 * np.asarray(x1) ** 2,
-                                 lambda x1: -0.2 * np.asarray(x1), radius=2.0)
-    fld = special.make_wolff_field(prof, N=40.0, rho=rho)
+    rho = special.BoundaryDefiningFunction(lambda x1: -0.1 * x1[..., 0] ** 2,
+                                           lambda x1: -0.2 * x1[..., 0], radius=2.0)
+    fld = special.WolffField(prof, N=40.0, rho=rho)
     ring_max = []
     for scale in (0.4, 0.1, 0.025):
         rs = [special.p_laplace_residual(fld, np.array([scale * f1, scale * f2]),
@@ -380,24 +380,24 @@ def test_wolff_field_curved_residual_decays_toward_base_point():
 
 def test_wolff_field_rejects_points_outside_validity():
     prof = special.solve_wolff_profile(3.0)
-    rho = special.graph_boundary(lambda x1: -0.1 * np.asarray(x1) ** 2,
-                                 lambda x1: -0.2 * np.asarray(x1), radius=0.5)
-    fld = special.make_wolff_field(prof, N=5.0, rho=rho)
+    rho = special.BoundaryDefiningFunction(lambda x1: -0.1 * x1[..., 0] ** 2,
+                                           lambda x1: -0.2 * x1[..., 0], radius=0.5)
+    fld = special.WolffField(prof, N=5.0, rho=rho)
     with pytest.raises(ValueError):
         fld.value(np.array([[0.8, 0.1]]))
 
 
 def test_graph_boundary_normalization():
-    rho = special.graph_boundary(lambda x1: -0.1 * np.asarray(x1) ** 2,
-                                 lambda x1: -0.2 * np.asarray(x1))
+    rho = special.BoundaryDefiningFunction(lambda x1: -0.1 * x1[..., 0] ** 2,
+                                           lambda x1: -0.2 * x1[..., 0])
     zero = np.zeros((1, 2))
     assert rho.value(zero)[0] == 0.0
     assert np.allclose(rho.gradient(zero)[0], [0.0, 1.0])
     # interior side is positive
     assert rho.value(np.array([[0.3, 0.5]]))[0] > 0.0
     with pytest.raises(ValueError):
-        special.graph_boundary(lambda x1: 0.3 * np.asarray(x1),
-                               lambda x1: 0.3 * np.ones_like(np.asarray(x1)))
+        special.BoundaryDefiningFunction(lambda x1: 0.3 * x1[..., 0],
+                                         lambda x1: 0.3 * np.ones_like(x1[..., 0]))
 
 
 # ---------------------------------------------------------------------------
