@@ -464,6 +464,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
 
     if d.bottom:
+        if d.shape == "half_disc":
+            raise ConfigError("domain.bottom: a curved bottom needs domain.shape = "
+                              "rectangle (a half_disc is meshed with a flat diameter)")
         bexpr = parse_expression(d.bottom)
         if "x2" in bexpr.variables:
             raise ConfigError("domain.bottom: a bottom curve depends on x1 only")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pde import (DomainGrid, PField, SolverSettings, _as_gamma,
-                  _element_gradients, _p_energy, solve_dirichlet)
+                  _complex_gradients, _p_energy, solve_dirichlet)
 from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
@@ -32,18 +32,11 @@ __all__ = [
 ]
 
 
-def _complex_gradients(grid: DomainGrid, field: PField) -> np.ndarray:
-    q = _element_gradients(grid, field.components())
-    if q.shape[2] == 2:
-        return q[:, :, 0] + 1j * q[:, :, 1]
-    return q[:, :, 0].astype(np.complex128)
-
-
 def flux_pairing(grid: DomainGrid, gamma, p: float, u: PField, g: PField) -> complex:
     """int gamma |grad u|^(p-2) grad u . grad conj(g), element-midpoint quadrature."""
     gamma_c = _as_gamma(gamma)(grid.centroid)
-    qu = _complex_gradients(grid, u)
-    qg = _complex_gradients(grid, g)
+    qu = _complex_gradients(grid, u.components())
+    qg = _complex_gradients(grid, g.components())
     w = _pow_or_zero(_norm_sq(qu), (p - 2.0) / 2.0)
     return complex((grid.area * gamma_c * w * (qu * np.conj(qg)).sum(axis=1)).sum())
 
@@ -121,8 +114,8 @@ def pairing_bound_margin(grid, gamma, p, f: PField,
         g = f
     sol = solve_dirichlet(grid, gamma_f, p, f, settings)
     val = flux_pairing(grid, gamma_f, p, sol.field, g)
-    nu = _p_energy(grid, _norm_sq(_complex_gradients(grid, sol.field)), p) ** (1 / p)
-    ng = _p_energy(grid, _norm_sq(_complex_gradients(grid, g)), p) ** (1 / p)
+    nu, ng = (_p_energy(grid, _norm_sq(_complex_gradients(grid, f.components())),
+                        p) ** (1 / p) for f in (sol.field, g))
     return abs(val) / (gamma_max * nu ** (p - 1.0) * ng)
 
 

@@ -4,7 +4,11 @@ The domain (rectangle above the flat or graph bottom x2 = g(x1) of a
 `special.BoundaryDefiningFunction`, or half disc) is meshed by splitting
 each structured cell into two first-order triangles; element gradients
 are constant, so affine fields are reproduced exactly and the p-energy
-density is integrated by the midpoint rule per element.
+density is integrated by the midpoint rule per element.  Element data is
+stored and computed component-major: one contiguous length-nel vector per
+(hat, direction) of the geometry and per (direction, component) of a
+gradient, so one contraction kernel (gradients and hat dots) and one scatter
+serve the energy, the Newton step, the residual and the pairings.
 
 The Dirichlet problem div(gamma |grad u|^(p-2) grad u) = 0, u = f on the
 boundary, is solved as the minimization of the regularized convex energy
@@ -16,8 +20,10 @@ by damped Newton with a backtracking (Armijo, sufficient-decrease constant
 eps_final times the RMS gradient of the datum.  The free dofs are numbered
 with the lattice's shorter side running fastest, so the free-dof Newton
 matrix is a band of half-width about ncomp times that side; each step
-assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf),
-with the slot of every element entry built once per solve.  Complex
+assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf).
+Only the lower triangle of each symmetric element block is formed (21 of
+36 entries for complex data, 6 of 9 for real); the slot of every entry and
+the hat p-norms of the residual are computed once per solve.  Complex
 data is handled as a coupled two-component real field with density
 (|grad u_re|^2 + |grad u_im|^2 + eps^2)^(p/2); stationarity in each
 component reproduces the complex weak form.  The Newton weight
@@ -83,12 +89,17 @@ class HalfDisc:
 
 @dataclass
 class DomainGrid:
-    """Structured triangulation with P1 element geometry precomputed."""
+    """Structured triangulation with P1 element geometry precomputed.
+
+    Element arrays are stored component-major: every (hat i, direction v)
+    pair owns one contiguous length-nel vector, so the element kernels run
+    numpy's inner loops over elements rather than over axes of length 2-3.
+    """
 
     pts: np.ndarray          # (npt, 2)
-    tri: np.ndarray          # (nel, 3) int
+    tri: np.ndarray          # (nel, 3) intp, column-major: tri[:, i] contiguous
     area: np.ndarray         # (nel,)
-    grad: np.ndarray         # (nel, 3, 2) gradients of the vertex hats
+    grad: np.ndarray         # (3, 2, nel): grad[i, v] = d(phi_i)/d(x_v)
     centroid: np.ndarray     # (nel, 2)
     boundary: np.ndarray     # (npt,) bool
     nx: int
@@ -117,16 +128,16 @@ class DomainGrid:
 
     @property
     def node_area(self) -> np.ndarray:
-        return self.scatter(np.broadcast_to((self.area / 3.0)[:, None], self.tri.shape))
+        return self.scatter(np.broadcast_to(self.area / 3.0, (3, self.area.size)))
 
     def scatter(self, el_values: np.ndarray) -> np.ndarray:
-        """Sum per-element vertex values, shape (nel, 3, ...), onto the
-        nodes: shape (npt, ...)."""
+        """Sum per-element hat values, shape (3, ..., nel), onto the nodes:
+        shape (..., npt).  Each node adds its terms in element order."""
         idx = self.tri.ravel()
-        cols = el_values.reshape(idx.size, -1).T
-        out = np.stack([np.bincount(idx, weights=c, minlength=self.npt)
-                        for c in cols], axis=1)
-        return out.reshape((self.npt,) + el_values.shape[2:])
+        vals = el_values.reshape(3, -1, el_values.shape[-1])
+        out = np.stack([np.bincount(idx, weights=vals[:, k].T.ravel(), minlength=self.npt)
+                        for k in range(vals.shape[1])])
+        return out.reshape(el_values.shape[1:-1] + (self.npt,))
 
     @property
     def delta(self) -> np.ndarray:
@@ -200,7 +211,7 @@ def build_grid(shape, resolution: float) -> DomainGrid:
     ii, jj = ii.ravel(), jj.ravel()
     lower = np.column_stack([node_id(ii, jj), node_id(ii + 1, jj), node_id(ii, jj + 1)])
     upper = np.column_stack([node_id(ii + 1, jj), node_id(ii + 1, jj + 1), node_id(ii, jj + 1)])
-    tri = np.vstack([lower, upper]).astype(np.int32)
+    tri = np.asfortranarray(np.vstack([lower, upper]), dtype=np.intp)
 
     p0, p1, p2 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
     cross = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
@@ -209,12 +220,12 @@ def build_grid(shape, resolution: float) -> DomainGrid:
     if np.any(area <= 0.0):
         raise ValueError("triangulation produced degenerate or inverted elements")
 
-    grad = np.empty((tri.shape[0], 3, 2))
+    grad = np.empty((3, 2, tri.shape[0]))
     corners = (p0, p1, p2)
     for i in range(3):
         pa, pb = corners[(i + 1) % 3], corners[(i + 2) % 3]
-        grad[:, i, 0] = (pa[:, 1] - pb[:, 1]) / (2.0 * area)
-        grad[:, i, 1] = (pb[:, 0] - pa[:, 0]) / (2.0 * area)
+        grad[i, 0] = (pa[:, 1] - pb[:, 1]) / (2.0 * area)
+        grad[i, 1] = (pb[:, 0] - pa[:, 0]) / (2.0 * area)
 
     centroid = (p0 + p1 + p2) / 3.0
 
@@ -307,35 +318,57 @@ def _values_from_components(U: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The two gradient kernels below add their terms to a zero start in index
-# order, as einsum does, so they equal their einsum forms bit for bit
-# (the zero start turns a -0 first term into +0).
+# The element kernels run on the component-major layout of `DomainGrid`:
+# element gradients are q[v, c], shape (2, ncomp, nel), and every term is
+# one operation on contiguous length-nel vectors.
+
+
+def _contract(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """out[m, c] = sum_k X[k, m] Y[k, c] per element, shape (X.shape[1],
+    Y.shape[1], nel), from vectors of length nel.  The terms are added to a
+    zero start in k order, as einsum does, so the result equals einsum bit
+    for bit (the zero start turns a -0 first term into +0)."""
+    out = np.empty(X.shape[1:2] + Y.shape[1:])
+    t = np.empty(X.shape[-1])
+    for m in range(X.shape[1]):
+        for c in range(Y.shape[1]):
+            np.multiply(X[0, m], Y[0, c], out=out[m, c])
+            out[m, c] += 0.0
+            for k in range(1, X.shape[0]):
+                out[m, c] += np.multiply(X[k, m], Y[k, c], out=t)
+    return out
 
 
 def _element_gradients(grid: DomainGrid, U: np.ndarray) -> np.ndarray:
-    """Constant per-element gradients, shape (nel, 2, ncomp):
-    einsum("eiv,eic->evc", grid.grad, U[grid.tri])."""
-    G, Ut = grid.grad, U[grid.tri]
-    q = G[:, 0, :, None] * Ut[:, 0, None, :]
-    q += 0.0
-    q += G[:, 1, :, None] * Ut[:, 1, None, :]
-    q += G[:, 2, :, None] * Ut[:, 2, None, :]
-    return q
+    """Constant per-element gradients of the nodal components U (npt, ncomp),
+    shape (2, ncomp, nel): einsum("ive,eic->vce", grid.grad, U[grid.tri])."""
+    Ut = np.ascontiguousarray(U.T).take(grid.tri.T, axis=1)   # (ncomp, 3, nel)
+    return _contract(grid.grad, Ut.transpose(1, 0, 2))
 
 
 def _hat_dots(grid: DomainGrid, q: np.ndarray) -> np.ndarray:
-    """grad phi_i . q for the three hats i of each element, shape
-    (nel, 3, ncomp): einsum("eiv,evc->eic", grid.grad, q)."""
-    G = grid.grad
-    t = G[:, :, 0, None] * q[:, None, 0, :]
-    t += 0.0
-    t += G[:, :, 1, None] * q[:, None, 1, :]
-    return t
+    """grad phi_i . q_c for the three hats i of each element, shape
+    (3, ncomp, nel): einsum("ive,vce->ice", grid.grad, q)."""
+    return _contract(grid.grad.transpose(1, 0, 2), q)
 
 
 def _grad_sq(q: np.ndarray) -> np.ndarray:
-    """|grad u|_T^2 per element from element gradients (nel, 2, ncomp)."""
-    return (q**2).sum(axis=(1, 2))
+    """|grad u|_T^2 per element from element gradients (2, ncomp, nel); the
+    squares are added v-major, c-minor, from the first."""
+    rows = q.reshape(-1, q.shape[-1])
+    out = rows[0] ** 2
+    for row in rows[1:]:
+        out += row**2
+    return out
+
+
+def _complex_gradients(grid: DomainGrid, U: np.ndarray) -> np.ndarray:
+    """Element gradients of the complex field with components U, shape
+    (nel, 2): a transposed view of the component-major kernel output."""
+    q = _element_gradients(grid, U)
+    if q.shape[1] == 2:
+        return (q[:, 0] + 1j * q[:, 1]).T
+    return q[:, 0].astype(np.complex128).T
 
 
 def _p_energy(grid: DomainGrid, q2: np.ndarray, p: float, gamma_c=1.0,
@@ -356,22 +389,25 @@ def energy(grid: DomainGrid, u, gamma, p: float, eps: float = 0.0) -> float:
     return _p_energy(grid, _grad_sq(_element_gradients(grid, U)), p, gamma_c, eps)
 
 
-def _dual_residual(grid, gamma_c, p, U, eps):
+def _hat_p_norms(grid: DomainGrid, p: float) -> np.ndarray:
+    """||grad phi_i||_p for the hat of every node, shape (npt,)."""
+    G = grid.grad
+    return grid.scatter(grid.area * (G[:, 0]**2 + G[:, 1]**2) ** (p / 2.0)) ** (1.0 / p)
+
+
+def _dual_residual(grid, gamma_c, p, U, eps, phinorm):
     """max_i |int gamma w grad u . grad phi_i| / (||grad u||_p^(p-1) ||grad phi_i||_p)
-    over interior hats; w = (|q|^2 + eps^2)^((p-2)/2) (eps = 0 gives the
-    unregularized weak form, with the flux extended by 0 where grad u = 0)."""
+    over interior hats, with `phinorm` from `_hat_p_norms`; w = (|q|^2 +
+    eps^2)^((p-2)/2) (eps = 0 gives the unregularized weak form, with the
+    flux extended by 0 where grad u = 0)."""
     q = _element_gradients(grid, U)
     q2 = _grad_sq(q)
-    coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
-    r = grid.scatter(_hat_dots(grid, q) * coef[:, None, None])
-
     unorm = _p_energy(grid, q2, p) ** (1.0 / p)
     if unorm == 0.0:
         return 0.0
-    phinorm = grid.scatter(grid.area[:, None]
-                           * (grid.grad**2).sum(axis=2) ** (p / 2.0)) ** (1.0 / p)
-
-    rnorm = np.sqrt((r**2).sum(axis=1))
+    coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
+    r = grid.scatter(_hat_dots(grid, q) * coef)
+    rnorm = np.sqrt((r**2).sum(axis=0))
     interior = ~grid.boundary
     return float(np.max(rnorm[interior] / (unorm ** (p - 1.0) * phinorm[interior])))
 
@@ -380,7 +416,7 @@ def weak_residual(grid: DomainGrid, gamma, p: float, u: PField,
                   eps: float = 0.0) -> float:
     """Normalized dual-norm defect of the (eps-regularized) weak form."""
     gamma_c = gamma(grid.centroid) if callable(gamma) else np.asarray(gamma)
-    return _dual_residual(grid, gamma_c, p, u.components(), eps)
+    return _dual_residual(grid, gamma_c, p, u.components(), eps, _hat_p_norms(grid, p))
 
 
 def hardy_ratio(grid: DomainGrid, v: PField, p: float) -> float:
@@ -406,8 +442,7 @@ def h1_relative_error(grid: DomainGrid, u, grad_exact) -> float:
     U = u.components() if isinstance(u, PField) else np.asarray(u)
     if U.ndim == 1:
         U = U[:, None]
-    q = _element_gradients(grid, U)
-    qc = q[:, :, 0] + (1j * q[:, :, 1] if U.shape[1] == 2 else 0.0)
+    qc = _complex_gradients(grid, U)
     gex = np.asarray(grad_exact(grid.centroid), dtype=np.complex128)
     return float(math.sqrt((grid.area * _norm_sq(qc - gex)).sum()
                            / (grid.area * _norm_sq(gex)).sum()))
@@ -483,11 +518,16 @@ class _FreeDofNewton:
 
     The free nodes are numbered with the lattice's shorter side running
     fastest, components interleaved, so the matrix is a band of half-width
-    `kd`; `dofs` maps that numbering back to `U.ravel()`.  The slot of every
-    element entry in the gradient and in the lower band is built once; each
-    linearization is then one bincount for the gradient and one for the
-    band.  Entries touching a fixed dof, or above the diagonal, go to a
-    discarded extra slot.
+    `kd`; `dofs` maps that numbering back to `U.ravel()`.  An element's
+    local dofs are a = ncomp i + c for hat i and component c.  Its Newton
+    block is symmetric, so only its 3 ncomp (3 ncomp + 1) / 2 local pairs
+    b <= a (`pairs`: 21 complex, 6 real) are formed, each as one length-nel
+    vector; a pair lands in the lower band at (max, min) of its two free
+    numbers.  The slot of every gradient and band entry is built once, in
+    element-major order, so each node and band entry adds its terms in
+    element order; the hat p-norms of the dual residual are also computed
+    once.  Each linearization is then one bincount for the gradient and one
+    for the band.  Entries touching a fixed dof go to a discarded extra slot.
     """
 
     def __init__(self, grid, gamma_c, p, ncomp):
@@ -500,52 +540,70 @@ class _FreeDofNewton:
         nfree = self.nfree = self.dofs.size
         number = np.full(grid.npt * ncomp, nfree)
         number[self.dofs] = np.arange(nfree)
-        fdof = number[grid.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(nel, nloc)
-        self.vec_slot = fdof.ravel()
+        self.vec_slot = number[grid.tri[:, :, None] * ncomp + np.arange(ncomp)].ravel()
+        fdof = self.vec_slot.reshape(nel, nloc).T
 
-        rows, cols = fdof[:, :, None], fdof[:, None, :]
-        lower = (rows < nfree) & (cols <= rows)
-        slot = rows - cols
-        self.kd = int(slot[lower].max(initial=0))
-        slot += cols * (self.kd + 1)
-        slot[~lower] = nfree * (self.kd + 1)
-        self.mat_slot = slot.ravel()
-        self.bb = np.einsum("eiv,ejv->eij", grid.grad, grid.grad)
+        # the local pairs (a, b), b <= a, with the index m of their hat pair
+        # in `bb` when a and b are one component (m = -1 otherwise)
+        pair_a, pair_b = np.tril_indices(nloc)
+        hat_a, hat_b = pair_a // ncomp, pair_b // ncomp
+        hat_pair = np.where(pair_a % ncomp == pair_b % ncomp,
+                            hat_a * (hat_a + 1) // 2 + hat_b, -1)
+        self.pairs = list(zip(pair_a, pair_b, hat_pair))
+        # grad phi_i . grad phi_j for the hat pairs j <= i
+        G = grid.grad
+        hat_i, hat_j = np.tril_indices(3)
+        self.bb = G[hat_i, 0] * G[hat_j, 0] + G[hat_i, 1] * G[hat_j, 1]
+        self.phinorm = _hat_p_norms(grid, p)
+
+        # kd is the widest spread of free numbers within one element
+        spread = np.where(fdof < nfree, fdof, -1).max(axis=0) - fdof.min(axis=0)
+        kd = self.kd = int(spread.max(initial=0))
+        # a local pair of free numbers row >= col has band slot row + kd col
+        mat_slot = np.empty((nel, len(self.pairs)), dtype=np.intp)
+        for k, (a, b, _) in enumerate(self.pairs):
+            row = np.maximum(fdof[a], fdof[b])
+            slot = np.minimum(fdof[a], fdof[b])
+            slot *= kd
+            slot += row
+            slot[row >= nfree] = nfree * (kd + 1)
+            mat_slot[:, k] = slot
+        self.mat_slot = mat_slot.ravel()
 
     def energy(self, U, eps):
         return energy(self.grid, U, self.gamma_c, self.p, eps)
 
     def residual(self, U, eps):
-        return _dual_residual(self.grid, self.gamma_c, self.p, U, eps)
+        return _dual_residual(self.grid, self.gamma_c, self.p, U, eps, self.phinorm)
 
-    def blocks(self, U, eps):
-        """(E_eps(U), free gradient, element Newton blocks (nel, 3 ncomp, 3 ncomp))."""
+    def linearize(self, U, eps):
+        """(E_eps(U), free gradient, lower band of the free Newton matrix,
+        shape (kd + 1, nfree) in Fortran order)."""
         grid, p = self.grid, self.p
-        nel = grid.tri.shape[0]
         q = _element_gradients(grid, U)
         q2 = _grad_sq(q)
         E = _p_energy(grid, q2, p, self.gamma_c, eps)
         coef = grid.area * self.gamma_c * p * _pow_or_zero(q2 + eps * eps,
                                                           (p - 2.0) / 2.0)
         coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
-        ncomp = U.shape[1]
-        iq = _hat_dots(grid, q).reshape(nel, 3 * ncomp)
-        g = np.bincount(self.vec_slot, weights=(iq * coef[:, None]).ravel(),
+        iq = _hat_dots(grid, q).reshape(-1, q.shape[-1])  # row a = ncomp i + c
+        # the weights are written element-major, as the slots are, without
+        # a transposed copy
+        nel = q.shape[-1]
+        gw = np.empty((nel, iq.shape[0]))
+        np.multiply(iq, coef, out=gw.T)
+        g = np.bincount(self.vec_slot, weights=gw.ravel(),
                         minlength=self.nfree + 1)[:self.nfree]
-        # the rank-one product is formed before scaling so each element
-        # block is exactly symmetric, and the lower band is the whole matrix
-        Hloc = iq[:, :, None] * iq[:, None, :]
-        Hloc *= coef_rank1[:, None, None]
-        for c in range(ncomp):
-            Hloc[:, c::ncomp, c::ncomp] += coef[:, None, None] * self.bb
-        return E, g, Hloc
-
-    def linearize(self, U, eps):
-        """(E_eps(U), free gradient, lower band of the free Newton matrix,
-        shape (kd + 1, nfree) in Fortran order)."""
-        E, g, Hloc = self.blocks(U, eps)
+        H, t = np.empty((nel, len(self.pairs))), np.empty(nel)
+        cbb = coef * self.bb
+        for k, (a, b, m) in enumerate(self.pairs):
+            np.multiply(iq[a], iq[b], out=t)
+            t *= coef_rank1
+            if m >= 0:
+                t += cbb[m]
+            H[:, k] = t
         nband = self.nfree * (self.kd + 1)
-        ab = np.bincount(self.mat_slot, weights=Hloc.ravel(),
+        ab = np.bincount(self.mat_slot, weights=H.ravel(),
                          minlength=nband + 1)[:nband]
         return E, g, ab.reshape(self.nfree, self.kd + 1).T
 
@@ -662,5 +720,5 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     field = PField(values=_values_from_components(U), mode=mode)
     return SolveResult(field=field, energy=newton.energy(U, eps),
                        energy_history=history,
-                       weak_residual=_dual_residual(grid, gamma_c, p, U, 0.0),
+                       weak_residual=newton.residual(U, 0.0),
                        regularized_residual=res_reg, eps_final_abs=eps)

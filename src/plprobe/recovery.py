@@ -34,9 +34,9 @@ import numpy as np
 
 from . import special
 from .pde import (ConductivityField, DomainGrid, PField, Rectangle,
-                  SolverSettings, SolverConvergenceError, _as_gamma, _p_energy,
-                  build_grid, solve_dirichlet)
-from .dnmap import flux_pairing, _complex_gradients
+                  SolverSettings, SolverConvergenceError, _as_gamma,
+                  _complex_gradients, _p_energy, build_grid, solve_dirichlet)
+from .dnmap import flux_pairing
 from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
@@ -470,8 +470,8 @@ def remainder_split(grid: DomainGrid, gamma, p: float, probe: PField,
                 + int gamma (flux(grad u) - flux(grad u_0)) . grad conj(u_0).
     """
     gamma_c = _as_gamma(gamma)(grid.centroid)
-    qv = _complex_gradients(grid, probe)
-    qu = _complex_gradients(grid, u)
+    qv = _complex_gradients(grid, probe.components())
+    qu = _complex_gradients(grid, u.components())
     qv2 = _norm_sq(qv)
     expo = (p - 2.0) / 2.0
     leading = _p_energy(grid, qv2, p, gamma_c)
@@ -486,7 +486,7 @@ def _correction_indicator(grid, spec: ProbeSpec, probe: ProbeFields,
                           u: PField) -> float:
     """M^(n-1) N^(1-p) ||grad(u - u_0)||_p^p for the unnormalized probe
     (= c_p times the plain p-energy of the normalized correction)."""
-    qd = _complex_gradients(grid, PField(u.values - probe.field.values, u.mode))
+    qd = _complex_gradients(grid, u.components() - probe.field.components())
     return spec.c_p() * _p_energy(grid, _norm_sq(qd), spec.p)
 
 

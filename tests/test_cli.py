@@ -150,6 +150,19 @@ def test_solve_curved_bottom_row_lies_on_graph(tmp_path):
     assert np.array_equal(y[bottom], -x[bottom] ** 2 / 10.0)
 
 
+def test_solve_half_disc_with_curved_bottom_exits_1(tmp_path, capsys):
+    # the half disc is meshed with a flat diameter, so a bottom curve would
+    # be dropped without a word
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("[domain]\nshape = half_disc\nbottom = -x1^2/10\nresolution = 16\n"
+                   "[physics]\np = 3\nboundary_data = x1 + x2^2\n"
+                   "[probe]\nmode = real\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert "domain.bottom" in err and "domain.shape" in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_recover_nonpositive_gamma_in_window_exits_1(tmp_path, capsys):
     # the dip passes the config's 41 x 41 sampling of gamma, so it is first
     # seen on the M = 4 probe window; that is an input error, not a row

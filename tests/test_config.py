@@ -100,6 +100,9 @@ def test_bottom_curve_validation():
         parse_config("[domain]\nbottom = x1/2\n[probe]\nmode = real\n")
     with pytest.raises(ConfigError, match="complex"):
         parse_config("[domain]\nbottom = -x1^2/10\n[probe]\nmode = complex\n")
+    with pytest.raises(ConfigError, match=r"domain\.bottom: .*domain\.shape = rectangle"):
+        parse_config("[domain]\nshape = half_disc\nbottom = -x1^2/10\n"
+                     "[probe]\nmode = real\n")
 
 
 @pytest.mark.parametrize("value", ("-5", "0", "0.5", "nan"))

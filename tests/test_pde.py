@@ -52,27 +52,31 @@ def test_scatter_equals_sequential_add(trailing):
     vals = np.random.default_rng(3).standard_normal(g.tri.shape + trailing)
     ref = np.zeros((g.npt,) + trailing)
     np.add.at(ref, g.tri.ravel(), vals.reshape((-1,) + trailing))
-    assert np.array_equal(g.scatter(vals), ref)
+    assert np.array_equal(g.scatter(np.moveaxis(vals, 0, -1)), np.moveaxis(ref, 0, -1))
     assert g.node_area.sum() == pytest.approx(g.area.sum(), rel=1e-13)
 
 
 @pytest.mark.parametrize("ncomp", (1, 2))
 @pytest.mark.parametrize("shape", ("window", "half disc"))
 def test_gradient_kernels_equal_einsum(shape, ncomp):
-    # the explicit vertex/component sums match einsum to the bit, signed
-    # zeros included (a zero field gives only zero terms)
+    # the component-major kernels match einsum on the element-major arrays to
+    # the bit, signed zeros included (a zero field gives only zero terms)
     if shape == "window":
         spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
         g = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
     else:
         g = pde.build_grid(pde.HalfDisc(radius=1.0), 12)
+    G = np.ascontiguousarray(g.grad.transpose(2, 0, 1))   # (nel, 3, 2)
     rng = np.random.default_rng(7)
     for U in (rng.standard_normal((g.npt, ncomp)), np.zeros((g.npt, ncomp))):
         q = pde._element_gradients(g, U)
-        ref = np.einsum("eiv,eic->evc", g.grad, U[g.tri])
-        assert q.tobytes() == ref.tobytes()
-        ref = np.einsum("eiv,evc->eic", g.grad, q)
-        assert pde._hat_dots(g, q).tobytes() == ref.tobytes()
+        ref = np.einsum("eiv,eic->evc", G, U[g.tri])
+        assert q.shape == (2, ncomp, g.tri.shape[0])
+        assert np.ascontiguousarray(q.transpose(2, 0, 1)).tobytes() == ref.tobytes()
+        assert pde._grad_sq(q).tobytes() == (ref**2).sum(axis=(1, 2)).tobytes()
+        dots = np.einsum("eiv,evc->eic", G, ref)
+        assert (np.ascontiguousarray(pde._hat_dots(g, q).transpose(2, 0, 1)).tobytes()
+                == dots.tobytes())
 
 
 def test_grid_origin_is_node():
@@ -269,6 +273,35 @@ def test_weak_residual_small_at_minimizer_large_before(nonlinear_setup):
     assert pde.weak_residual(g, gam, 3.0, f) >= 1e-3
 
 
+# Newton steps and final energy of the cold solves of the exact exponential
+# exp(N (i sqrt(p - 1) x1 - x2)), N = 3, at resolution 32, recorded before the
+# element kernels moved to the component-major layout.
+COLD_SOLVE_PINS = {
+    ("rectangle", 1.5, "zero"): (9, 3.0968118119232484),
+    ("rectangle", 1.5, "random"): (7, 3.096811811923249),
+    ("rectangle", 3.0, "zero"): (8, 31.218364262980614),
+    ("rectangle", 3.0, "random"): (14, 31.218364262980614),
+    ("half disc", 1.5, "zero"): (11, 2.9518754165801435),
+    ("half disc", 1.5, "random"): (11, 2.9518754165801435),
+    ("half disc", 3.0, "zero"): (9, 30.823995581278375),
+    ("half disc", 3.0, "random"): (20, 30.823995581278368),
+}
+
+
+@pytest.mark.parametrize("shape,p,init", sorted(COLD_SOLVE_PINS))
+def test_cold_solve_pins_steps_and_energy(shape, p, init):
+    steps, energy = COLD_SOLVE_PINS[shape, p, init]
+    g = pde.build_grid(pde.Rectangle(1.0, 1.0) if shape == "rectangle"
+                       else pde.HalfDisc(1.0), 32.0)
+    beta = np.sqrt(p - 1.0)
+    datum = pde.PField.from_function(
+        g, lambda x: np.exp(3.0 * (1j * beta * x[:, 0] - x[:, 1])))
+    sol = pde.solve_dirichlet(g, pde.ConductivityField.constant(1.0), p, datum,
+                              pde.SolverSettings(init=init, seed=1))
+    assert len(sol.energy_history) == steps
+    assert sol.energy == pytest.approx(energy, rel=1e-12)
+
+
 def test_weak_residual_stable_under_refinement():
     gam = pde.ConductivityField(lambda x: 1.0 + x[:, 1] / 2.0)
     vals = []
@@ -337,21 +370,44 @@ def _band_matrix(ab):
     return lower + sp.triu(lower.T, 1)
 
 
-def _reference_matrix(g, newton, Hloc, ncomp):
-    """The free-dof Newton matrix assembled by coo_matrix from the element
-    blocks, with the free dofs numbered by `newton.dofs`."""
+def _oracle_newton(g, gamma_c, p, U, eps, newton):
+    """E_eps, free gradient and free Newton matrix assembled by coo_matrix
+    from element blocks formed here with einsum, from hat gradients
+    computed from the vertices; local dofs interleave the components and
+    free dofs are numbered by `newton.dofs`."""
+    nel, ncomp = g.tri.shape[0], U.shape[1]
+    P = g.pts[g.tri]                                    # (nel, 3, 2)
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    G = np.empty((nel, 3, 2))
+    for i in range(3):
+        a, b = P[:, (i + 1) % 3], P[:, (i + 2) % 3]
+        G[:, i] = np.column_stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]]) / det[:, None]
+    q = np.einsum("eiv,eic->evc", G, U[g.tri])
+    r2 = np.einsum("evc,evc->e", q, q) + eps**2
+    coef = 0.5 * det * gamma_c * p * r2 ** ((p - 2.0) / 2.0)
+    E = float((0.5 * det * gamma_c * r2 ** (p / 2.0)).sum())
+    iq = np.einsum("eiv,evc->eic", G, q).reshape(nel, 3 * ncomp)
+    H = (np.einsum("e,ea,eb->eab", coef * (p - 2.0) / r2, iq, iq)
+         + np.einsum("e,eiv,ejv,cd->eicjd", coef, G, G,
+                     np.eye(ncomp)).reshape(nel, 3 * ncomp, 3 * ncomp))
     number = np.full(g.npt * ncomp, newton.nfree)
     number[newton.dofs] = np.arange(newton.nfree)
-    fdof = number[g.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(Hloc.shape[:2])
-    rows = np.broadcast_to(fdof[:, :, None], Hloc.shape)
-    cols = np.broadcast_to(fdof[:, None, :], Hloc.shape)
+    fdof = number[g.tri[:, :, None] * ncomp + np.arange(ncomp)].reshape(nel, 3 * ncomp)
+    keep = fdof < newton.nfree
+    grad = np.bincount(fdof[keep], weights=(iq * coef[:, None])[keep],
+                       minlength=newton.nfree)
+    rows = np.broadcast_to(fdof[:, :, None], H.shape)
+    cols = np.broadcast_to(fdof[:, None, :], H.shape)
     keep = (rows < newton.nfree) & (cols < newton.nfree)
-    return sp.coo_matrix((Hloc[keep], (rows[keep], cols[keep])),
-                         shape=(newton.nfree,) * 2).tocsr()
+    mat = sp.coo_matrix((H[keep], (rows[keep], cols[keep])),
+                        shape=(newton.nfree,) * 2).tocsr()
+    return E, grad, mat
 
 
 @pytest.mark.parametrize("mode,p", (("complex", 1.5), ("real", 3.0)))
 def test_newton_matrix_symmetric_and_factored_accurately(mode, p):
+    eps = 1e-6
     for g in _newton_grids():
         newton, U = _newton_at_probe(g, mode, p)
         ncomp = U.shape[1]
@@ -359,11 +415,11 @@ def test_newton_matrix_symmetric_and_factored_accurately(mode, p):
         assert newton.kd == ncomp * min(g.nx, g.ny) - 1
         assert np.array_equal(np.sort(newton.dofs),
                               np.flatnonzero(np.repeat(~g.boundary, ncomp)))
-        _, grad, Hloc = newton.blocks(U, 1e-6)
-        assert np.array_equal(Hloc, Hloc.transpose(0, 2, 1))
-        ref = _reference_matrix(g, newton, Hloc, ncomp)
-        _, grad_band, ab = newton.linearize(U, 1e-6)
-        assert np.array_equal(grad_band, grad)
+        assert len(newton.pairs) == 3 * ncomp * (3 * ncomp + 1) // 2
+        E_ref, grad_ref, ref = _oracle_newton(g, newton.gamma_c, p, U, eps, newton)
+        E, grad, ab = newton.linearize(U, eps)
+        assert E == pytest.approx(E_ref, rel=1e-13)
+        assert np.abs(grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
         assert ab.shape == (newton.kd + 1, newton.nfree) and ab.flags.f_contiguous
         scale = abs(ref).max()
         assert abs(_band_lower(ab) - sp.tril(ref)).max() <= 1e-14 * scale
@@ -404,18 +460,20 @@ def test_failed_line_search_raises(nonlinear_setup, monkeypatch):
 
 
 def test_newton_setup_memory_is_bounded():
-    # the band slots are the set-up's one nel x (3 ncomp)^2 int64 array
-    # (3.7 MiB here), built in place
+    # the band slots are the set-up's one nel x 21 int64 array (2.2 MiB
+    # here), filled one local pair at a time; the whole set-up peaks at
+    # 4.2 MiB
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
     g = recovery.probe_window_grid(spec)
     gamma_c = np.ones(g.tri.shape[0])
     tracemalloc.start()
     try:
-        pde._FreeDofNewton(g, gamma_c, 3.0, 2)
+        newton = pde._FreeDofNewton(g, gamma_c, 3.0, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert newton.mat_slot.nbytes == 21 * 8 * g.tri.shape[0]
+    assert peak <= 5 * 2**20
 
 
 def test_warm_started_solve_runs_single_final_stage():
