@@ -20,7 +20,8 @@ by damped Newton with a backtracking (Armijo, sufficient-decrease constant
 eps_final times the RMS gradient of the datum.  The free dofs are numbered
 with the lattice's shorter side running fastest, so the free-dof Newton
 matrix is a band of half-width about ncomp times that side; each step
-assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf).
+assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf)
+on one OpenBLAS thread.
 Only the lower triangle of each symmetric element block is formed (21 of
 36 entries for complex data, 6 of 9 for real); the slot of every entry and
 the hat p-norms of the residual are computed once per solve.  Complex
@@ -38,10 +39,16 @@ eps = 0 the same kernel is the flux weight of every weak form and pairing.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .special import BoundaryDefiningFunction
@@ -503,14 +510,62 @@ SUFFICIENT_DECREASE = 0.25
 MAX_BACKTRACKS = 40  # step halvings before the line search gives up
 
 
+@functools.cache
+def _scipy_openblas():
+    """The OpenBLAS bundled with scipy, which runs dpbtrf, as a ctypes
+    library; None where it or its `openblas_set_num_threads_local` is not
+    found.  Looked up at the first factorization, not at import."""
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = ctypes.c_int
+        return lib
+    return None
+
+
+# In a pthreads OpenBLAS (scipy's wheels) the thread count is one number for
+# the whole process, although the setter is named "local".  One pin at a time
+# keeps concurrent solves from restoring each other's count out of order; it
+# serializes nothing more, since scipy's dpbtrf wrapper holds the GIL.
+_PIN_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_openblas_thread():
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    with _PIN_LOCK:
+        previous = lib.openblas_set_num_threads_local(1)
+        try:
+            yield
+        finally:
+            lib.openblas_set_num_threads_local(previous)
+
+
 def _factor_solve(ab, b):
     """Solve H x = b for the SPD matrix H whose lower band (LAPACK layout,
-    Fortran order) is `ab`, by Cholesky; `ab` is overwritten by the factor."""
-    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise SolverConvergenceError(
-            f"Newton matrix is not positive definite (leading minor {info})")
-    return dpbtrs(factor, b, lower=1)[0]
+    Fortran order) is `ab`, by Cholesky; `ab` is overwritten by the factor.
+
+    The factor and solve run on one OpenBLAS thread, and the caller's
+    count is restored on return or error.  dpbtrf works in panels of at
+    most 32 columns, and threading their small updates costs more than it
+    gains: on 2 cores, one thread ties at kd <= 63 and is 1.3-1.7x faster
+    at kd >= 108 (kd = 229 on the M = 16 complex window).  Where scipy's
+    OpenBLAS is not found, the band is factored on the library's own
+    thread count."""
+    with _one_openblas_thread():
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SolverConvergenceError(
+                f"Newton matrix is not positive definite (leading minor {info})")
+        return dpbtrs(factor, b, lower=1)[0]
 
 
 class _FreeDofNewton:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from plprobe import cli
+from plprobe import cli, pde
 
 RECOVER_DEMO = Path(__file__).resolve().parent.parent / "configs" / "recover_demo.cfg"
 
@@ -81,3 +81,18 @@ def recover_demo_run(tmp_path_factory):
     configs/recover_demo.cfg, shared by the session; tests only read it."""
     out = tmp_path_factory.mktemp("recover_demo")
     return cli.main(["recover", "--config", str(RECOVER_DEMO), "--out", str(out)]), out
+
+
+@pytest.fixture
+def scipy_openblas():
+    """scipy's OpenBLAS (ctypes), its process thread count set to 2 so that a
+    pin to one thread shows whatever OPENBLAS_NUM_THREADS the suite runs
+    under; the count is restored afterwards.  Skips where the library is
+    not found, as the solver then factors without a pin."""
+    lib = pde._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy's OpenBLAS not found")
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(before)

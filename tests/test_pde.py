@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -449,6 +451,61 @@ def test_indefinite_band_raises_from_factor():
     ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
     with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
         pde._factor_solve(ab, np.ones(4))
+
+
+def _record_factor_threads(monkeypatch, lib):
+    """Wrap pde.dpbtrf to record OpenBLAS's thread count during each call."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return dpbtrf(*args, **kwargs)
+
+    dpbtrf = pde.dpbtrf
+    monkeypatch.setattr(pde, "dpbtrf", recording)
+    return seen
+
+
+def _spd_band(n=200, kd=20):
+    ab = np.asfortranarray(np.random.default_rng(n).uniform(-1.0, 1.0, (kd + 1, n)))
+    ab[0] = 2.0 * (kd + 1)  # diagonally dominant, so SPD
+    return ab
+
+
+def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
+    seen = _record_factor_threads(monkeypatch, scipy_openblas)
+    b = np.ones(200)
+    x = pde._factor_solve(_spd_band(), b)
+    assert np.isfinite(x).all()
+    assert seen == [1]
+    assert scipy_openblas.scipy_openblas_get_num_threads() == 2
+    ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
+    with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
+        pde._factor_solve(ab, np.ones(4))
+    assert seen == [1, 1]
+    assert scipy_openblas.scipy_openblas_get_num_threads() == 2
+
+
+def test_factor_pin_is_safe_across_threads(scipy_openblas, monkeypatch):
+    # the count is one number per process: pins taken in several threads at
+    # once must neither unpin another thread's factorization nor leave the
+    # count changed; a short switch interval interleaves the threads often
+    seen = _record_factor_threads(monkeypatch, scipy_openblas)
+
+    def factor_many():
+        for _ in range(200):
+            pde._factor_solve(_spd_band(40, 4), np.ones(40))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(factor_many) for _ in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 800
+    assert scipy_openblas.scipy_openblas_get_num_threads() == 2
 
 
 def test_failed_line_search_raises(nonlinear_setup, monkeypatch):
