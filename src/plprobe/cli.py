@@ -17,11 +17,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dnmap, pde, recovery, special, vecp
+from . import __version__, dnmap, pde, recovery, special
 from .config import ConfigError, ExperimentConfig, parse_config, parse_expression
 
 EXIT_OK = 0
@@ -77,8 +78,7 @@ def _rho_from_config(cfg: ExperimentConfig) -> special.BoundaryDefiningFunction:
     if not d.bottom:
         return special.BoundaryDefiningFunction()
     g = parse_expression(d.bottom)  # on points of one coordinate, x2 = 0
-    return special.BoundaryDefiningFunction(g, g.derivative("x1"),
-                                            radius=max(d.half_width, d.height) * 4.0)
+    return special.BoundaryDefiningFunction(g, g.derivative("x1"))
 
 
 def _profile_cache():
@@ -294,6 +294,17 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if not any_contract_fail else EXIT_CONTRACT
 
 
+@dataclass
+class SuiteCheck:
+    """One property-suite verdict: passes iff margin >= 0."""
+
+    suite: str
+    name: str
+    passed: bool
+    margin: float
+    detail: str = ""
+
+
 def _dn_suite(cfg: ExperimentConfig):
     checks = []
     grid = pde.build_grid(pde.Rectangle(half_width=1.0, height=1.0), 24)
@@ -312,23 +323,23 @@ def _dn_suite(cfg: ExperimentConfig):
     for p in (1.5, 2.0, 3.0):
         for t in (0.1, 2.0, 10.0):
             dev = dnmap.homogeneity_check(grid, gamma, p, f, t)
-            checks.append(vecp.SuiteCheck("dn", f"homogeneity[p={p:g},t={t:g}]",
-                                          dev <= 1e-4, 1e-4 - dev,
-                                          f"rel dev = {dev:.3e}"))
+            checks.append(SuiteCheck("dn", f"homogeneity[p={p:g},t={t:g}]",
+                                     dev <= 1e-4, 1e-4 - dev,
+                                     f"rel dev = {dev:.3e}"))
         dev = dnmap.constant_shift_check(grid, gamma, p, f,
                                          1.0 if f.mode == "real" else 1.0 + 0.5j, 0.5)
-        checks.append(vecp.SuiteCheck("dn", f"constant_shift[p={p:g}]",
-                                      dev <= 1e-4, 1e-4 - dev,
-                                      f"rel dev = {dev:.3e}"))
+        checks.append(SuiteCheck("dn", f"constant_shift[p={p:g}]",
+                                 dev <= 1e-4, 1e-4 - dev,
+                                 f"rel dev = {dev:.3e}"))
         slope = dnmap.self_pairing_slope(grid, gamma, p, f, [1e-1, 1e-2, 1e-3])
         dev = abs(slope - p) / p
-        checks.append(vecp.SuiteCheck("dn", f"pairing_slope[p={p:g}]",
-                                      dev <= 0.01, 0.01 - dev,
-                                      f"slope = {slope:.6f}"))
+        checks.append(SuiteCheck("dn", f"pairing_slope[p={p:g}]",
+                                 dev <= 0.01, 0.01 - dev,
+                                 f"slope = {slope:.6f}"))
         margin = dnmap.pairing_bound_margin(grid, gamma, p, f)
-        checks.append(vecp.SuiteCheck("dn", f"boundedness[p={p:g}]",
-                                      margin <= 1.0, 1.0 - margin,
-                                      f"|pairing|/bound = {margin:.4f}"))
+        checks.append(SuiteCheck("dn", f"boundedness[p={p:g}]",
+                                 margin <= 1.0, 1.0 - margin,
+                                 f"|pairing|/bound = {margin:.4f}"))
     return checks
 
 
@@ -338,30 +349,28 @@ def _special_suite():
         fld = special.make_complex_exponential(p, n=2, N=3.0)
         re_id, im_id = fld.identity_residual()
         dev = max(abs(re_id), abs(im_id))
-        checks.append(vecp.SuiteCheck("special", f"exponential_identity[p={p:g}]",
-                                      dev <= 1e-13, 1e-13 - dev, f"dev = {dev:.2e}"))
+        checks.append(SuiteCheck("special", f"exponential_identity[p={p:g}]",
+                                 dev <= 1e-13, 1e-13 - dev, f"dev = {dev:.2e}"))
         rng = np.random.default_rng(11)
         pts = np.column_stack([rng.uniform(-1, 1, 10), rng.uniform(0.05, 1.0, 10)])
-        worst = max(special.p_laplace_residual(fld, x, p, 1e-3 / fld.N) for x in pts)
-        checks.append(vecp.SuiteCheck("special", f"exponential_residual[p={p:g}]",
-                                      worst <= 1e-5, 1e-5 - worst,
-                                      f"max residual = {worst:.2e}"))
+        worst = max(special.p_laplace_residual(fld.gradient, x, p, 1e-3 / fld.N, fld.N)
+                    for x in pts)
+        checks.append(SuiteCheck("special", f"exponential_residual[p={p:g}]",
+                                 worst <= 1e-5, 1e-5 - worst,
+                                 f"max residual = {worst:.2e}"))
     prof = special.solve_wolff_profile(2.0)
     dev = abs(prof.lam - 2.0 * math.pi)
-    checks.append(vecp.SuiteCheck("special", "wolff_p2_period",
-                                  dev <= 1e-8, 1e-8 - dev, f"|lam - 2pi| = {dev:.2e}"))
+    checks.append(SuiteCheck("special", "wolff_p2_period",
+                             dev <= 1e-8, 1e-8 - dev, f"|lam - 2pi| = {dev:.2e}"))
     devK = abs(prof.K - 1.0)
-    checks.append(vecp.SuiteCheck("special", "wolff_p2_K",
-                                  devK <= 1e-8, 1e-8 - devK, f"|K - 1| = {devK:.2e}"))
+    checks.append(SuiteCheck("special", "wolff_p2_K",
+                             devK <= 1e-8, 1e-8 - devK, f"|K - 1| = {devK:.2e}"))
     return checks
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, suite: str) -> int:
-    # default (no --suite): the fast algebra + special-solution suites
     checks = []
-    if suite in ("default", "all", "vecp"):
-        checks.extend(vecp.all_suites())
-    if suite in ("default", "all", "special"):
+    if suite in ("all", "special"):
         checks.extend(_special_suite())
     if suite in ("all", "dn"):
         checks.extend(_dn_suite(cfg))
@@ -404,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("solve", "solve one Dirichlet problem and write the solution field")
     add("recover", "probe sequence, PDE solves, recovery report")
     ver = add("verify", "run property suites and emit a pass/fail report")
-    ver.add_argument("--suite", choices=("all", "vecp", "special", "dn"),
-                     default=None, help="run a single suite")
+    ver.add_argument("--suite", choices=("all", "special", "dn"),
+                     default=None, help="run one suite, or all (default: special)")
     add("sweep", "cartesian product of (p, mode, gamma) recoveries")
     return ap
 
@@ -422,7 +431,7 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir: Path,
     if name == "recover":
         return cmd_recover(cfg, out_dir)
     if name == "verify":
-        return cmd_verify(cfg, out_dir, suite or "default")
+        return cmd_verify(cfg, out_dir, suite or "special")
     if name == "sweep":
         return cmd_sweep(cfg, out_dir)
     raise ValueError(f"unknown command {name!r}")

@@ -28,7 +28,6 @@ __all__ = [
     "constant_shift_check",
     "self_pairing_slope",
     "pairing_bound_margin",
-    "extension_invariance_check",
 ]
 
 
@@ -117,20 +116,3 @@ def pairing_bound_margin(grid, gamma, p, f: PField,
     nu, ng = (_p_energy(grid, _norm_sq(_complex_gradients(grid, f.components())),
                         p) ** (1 / p) for f in (sol.field, g))
     return abs(val) / (gamma_max * nu ** (p - 1.0) * ng)
-
-
-def extension_invariance_check(grid, gamma, p, f: PField, g: PField,
-                               bump_scale: float = 0.5,
-                               settings: SolverSettings | None = None) -> float:
-    """Relative pairing change under an interior perturbation of g's extension."""
-    sol = solve_dirichlet(grid, gamma, p, f, settings)
-    base = flux_pairing(grid, gamma, p, sol.field, g)
-    bump = np.zeros(grid.npt, dtype=np.complex128)
-    interior = ~grid.boundary
-    x = grid.pts[interior]
-    bump[interior] = bump_scale * np.sin(3.0 * x[:, 0]) * x[:, 1] * (1.0 - x[:, 1])
-    if g.mode == "real":
-        bump = bump.real.astype(np.complex128)
-    g2 = PField(g.values + bump, g.mode)
-    moved = flux_pairing(grid, gamma, p, sol.field, g2)
-    return abs(moved - base) / abs(base)

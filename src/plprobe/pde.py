@@ -52,7 +52,7 @@ import scipy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .special import BoundaryDefiningFunction
-from .vecp import _norm_sq, _pow_or_zero
+from .vecp import _pow_or_zero
 
 __all__ = [
     "Rectangle",
@@ -67,8 +67,6 @@ __all__ = [
     "energy",
     "solve_dirichlet",
     "weak_residual",
-    "hardy_ratio",
-    "h1_relative_error",
 ]
 
 
@@ -113,29 +111,15 @@ class DomainGrid:
     ny: int
     resolution: float
     shape: object
-    _delta: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def npt(self) -> int:
         return self.pts.shape[0]
 
     @property
-    def boundary_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary)
-
-    @property
     def h(self) -> float:
         """Grid spacing (cells per unit resolution)."""
         return 1.0 / self.resolution
-
-    @property
-    def bottom_idx(self) -> np.ndarray:
-        """Nodes of the bottom boundary row (contains the base point 0)."""
-        return np.arange(self.nx + 1)
-
-    @property
-    def node_area(self) -> np.ndarray:
-        return self.scatter(np.broadcast_to(self.area / 3.0, (3, self.area.size)))
 
     def scatter(self, el_values: np.ndarray) -> np.ndarray:
         """Sum per-element hat values, shape (3, ..., nel), onto the nodes:
@@ -145,29 +129,6 @@ class DomainGrid:
         out = np.stack([np.bincount(idx, weights=vals[:, k].T.ravel(), minlength=self.npt)
                         for k in range(vals.shape[1])])
         return out.reshape(el_values.shape[1:-1] + (self.npt,))
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Distance to the boundary (exact for flat shapes, first-order
-        normal distance for graph bottoms); 0 exactly on boundary nodes."""
-        if self._delta is None:
-            self._delta = _distance_to_boundary(self)
-            self._delta[self.boundary] = 0.0
-        return self._delta
-
-
-def _distance_to_boundary(grid: DomainGrid) -> np.ndarray:
-    x, y = grid.pts[:, 0], grid.pts[:, 1]
-    shape = grid.shape
-    if isinstance(shape, HalfDisc):
-        r = np.hypot(x, y)
-        return np.maximum(np.minimum(shape.radius - r, y), 0.0)
-    hw, ht = shape.half_width, shape.height
-    lateral = np.minimum(x + hw, hw - x)
-    top = ht - y
-    rho = shape.bottom
-    bottom = rho.value(grid.pts) / np.hypot(*rho.gradient(grid.pts).T)
-    return np.maximum(np.minimum(np.minimum(lateral, top), bottom), 0.0)
 
 
 def build_grid(shape, resolution: float) -> DomainGrid:
@@ -300,10 +261,6 @@ class PField:
         vals = np.asarray(fn(grid.pts))
         return cls(values=vals.astype(np.complex128), mode=mode)
 
-    @classmethod
-    def zeros(cls, grid: DomainGrid, mode: str = "complex") -> "PField":
-        return cls(values=np.zeros(grid.npt, dtype=np.complex128), mode=mode)
-
     @property
     def ncomp(self) -> int:
         return 1 if self.mode == "real" else 2
@@ -424,35 +381,6 @@ def weak_residual(grid: DomainGrid, gamma, p: float, u: PField,
     """Normalized dual-norm defect of the (eps-regularized) weak form."""
     gamma_c = gamma(grid.centroid) if callable(gamma) else np.asarray(gamma)
     return _dual_residual(grid, gamma_c, p, u.components(), eps, _hat_p_norms(grid, p))
-
-
-def hardy_ratio(grid: DomainGrid, v: PField, p: float) -> float:
-    """||v / delta||_p / ||grad v||_p for fields vanishing on the boundary."""
-    if not p > 1:
-        raise ValueError("p must be > 1")
-    vals = v.values
-    if np.max(np.abs(vals[grid.boundary])) > 1e-14 * max(1.0, np.max(np.abs(vals))):
-        raise ValueError("hardy_ratio requires a field vanishing on the boundary")
-    den = _p_energy(grid, _grad_sq(_element_gradients(grid, v.components())),
-                    p) ** (1.0 / p)
-    if den == 0.0:
-        raise ValueError("hardy_ratio undefined for a constant field")
-    interior = ~grid.boundary
-    w = grid.node_area[interior]
-    ratio_terms = np.abs(vals[interior]) / grid.delta[interior]
-    num = float((w * ratio_terms**p).sum()) ** (1.0 / p)
-    return num / den
-
-
-def h1_relative_error(grid: DomainGrid, u, grad_exact) -> float:
-    """Element-gradient L2 error against an analytic gradient at centroids."""
-    U = u.components() if isinstance(u, PField) else np.asarray(u)
-    if U.ndim == 1:
-        U = U[:, None]
-    qc = _complex_gradients(grid, U)
-    gex = np.asarray(grad_exact(grid.centroid), dtype=np.complex128)
-    return float(math.sqrt((grid.area * _norm_sq(qc - gex)).sum()
-                           / (grid.area * _norm_sq(gex)).sum()))
 
 
 # ---------------------------------------------------------------------------

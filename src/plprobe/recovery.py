@@ -47,7 +47,6 @@ __all__ = [
     "QuadratureError",
     "build_probe",
     "quadrature_limit",
-    "oscillatory_average_check",
     "probe_window_grid",
     "RecoveryRow",
     "RecoveryReport",
@@ -349,28 +348,6 @@ def quadrature_limit(gamma_fn, spec: ProbeSpec, tol: float = 1e-7,
                          tol, max_level) / spec.c_p()
 
 
-def oscillatory_average_check(spec: ProbeSpec, tol: float = 1e-7,
-                              max_level: int = 5) -> dict:
-    """Scaled oscillatory integral against its period-average prediction.
-
-    lhs = M^(n-1) N int eta(Mx)^2 e^(-p N rho) a(N x_1)^2 dx,
-    rhs = (mean of a^2 over one period / p) * int eta(x', 0)^2 dx'.
-    Both sides are computed by independent quadratures (panel tensor rule
-    vs. profile period average + adaptive slice quadrature).
-    """
-    if spec.mode != "real":
-        raise ValueError("oscillatory average check applies to real-mode probes")
-    eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
-
-    def integrand(x):
-        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[:, :1, 0]) ** 2
-
-    lhs = _refined_quad(spec, integrand, tol, max_level)
-    c = float(np.mean(spec.profile.a ** 2))
-    rhs = (c / spec.p) * spec.cutoff.slice_integral(2.0, spec.n)
-    return {"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(rhs)}
-
-
 # ---------------------------------------------------------------------------
 # Per-M grids
 # ---------------------------------------------------------------------------
@@ -393,7 +370,6 @@ def probe_window_grid(spec: ProbeSpec, nodes_per_wavelength: float = 16.0,
     recovery limit is unchanged while node counts stay ~ (M^(s-1))^2.
     """
     half = WINDOW_MARGIN / spec.M
-    spec.rho.check_inside(np.array([[half * math.sqrt(2.0), 0.0]]))
     res = max(nodes_per_wavelength / spec.wavelength, 8.0 * spec.M, 8.0)
     approx_nodes = (2 * half * res + 1) * (half * res + 1)
     if approx_nodes > max_nodes:

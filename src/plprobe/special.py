@@ -32,7 +32,6 @@ from .vecp import _norm_sq, _pow_or_zero
 __all__ = [
     "CutoffProfile",
     "CutoffField",
-    "make_cutoff",
     "ComplexExponentialField",
     "make_complex_exponential",
     "BoundaryDefiningFunction",
@@ -132,9 +131,6 @@ class CutoffField:
         r = np.sqrt(_norm_sq(pts))
         return self.profile.value_radial(self.M * r)
 
-    def gradient(self, pts) -> np.ndarray:
-        return self.value_and_gradient(pts)[1]
-
     def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """(value(pts), gradient(pts)) from one radius per point."""
         pts = np.asarray(pts, dtype=float)
@@ -143,10 +139,6 @@ class CutoffField:
         d = self.M * self.profile.deriv_radial(Mr)
         safe_r = np.where(r > 0, r, 1.0)
         return self.profile.value_radial(Mr), d[..., None] * pts / safe_r[..., None]
-
-
-def make_cutoff(M: float, smoothness: str = "c3") -> CutoffField:
-    return CutoffField(M=float(M), profile=CutoffProfile(smoothness))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +157,6 @@ class ComplexExponentialField:
     @property
     def n(self) -> int:
         return self.beta.size
-
-    @property
-    def wavenumber(self) -> float:
-        return self.N
 
     @property
     def exponent_vector(self) -> np.ndarray:
@@ -227,13 +215,11 @@ class BoundaryDefiningFunction:
 
     g and g_deriv map points of one coordinate, shape (..., 1), to (...);
     g(0) = 0 and g'(0) = 0, so rho(0) = 0 and grad rho(0) = e_n, and the
-    domain side is rho > 0.  `radius` bounds the validity neighborhood
-    around the base point.
+    domain side is rho > 0.  A graph bottom is defined for every x_1.
     """
 
     g: object = None
     g_deriv: object = None
-    radius: float = math.inf
 
     def __post_init__(self):
         if self.flat:
@@ -263,16 +249,6 @@ class BoundaryDefiningFunction:
         if not self.flat:
             out[..., 0] = -self.g_deriv(pts[..., :1])
         return out
-
-    def check_inside(self, pts) -> None:
-        if not math.isfinite(self.radius):
-            return
-        pts = np.asarray(pts, dtype=float)
-        r = np.sqrt((pts**2).sum(axis=-1))
-        if np.any(r > self.radius * (1.0 + 1e-12)):
-            raise ValueError(
-                f"point outside the defining-function neighborhood "
-                f"(|x| up to {float(np.max(r)):.3g} > radius {self.radius:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +294,6 @@ class WolffProfile:
 
     def aprime_at(self, tau):
         return self._spline_ap(np.mod(tau, self.lam))
-
-    def ode_residual_max(self) -> float:
-        """max_t |a'' + V(a, a') a| / scale over the stored samples.
-
-        a'' is recovered by differentiating the a' spline, independently of
-        the relation a'' = -V a used during integration.
-        """
-        a2 = self._spline_ap.derivative()(self.t)
-        res = a2 + wolff_potential(self.a, self.aprime, self.p) * self.a
-        scale = float(np.max(np.abs(a2))) or 1.0
-        return float(np.max(np.abs(res))) / scale
-
-    def running_mean_drift(self, offsets=(0.3, 1.1, 2.4)) -> float:
-        """Max deviation of the period average of a over shifted windows."""
-        worst = abs(self.a_mean)
-        m = self.t.size
-        for t0 in offsets:
-            ts = t0 + self.lam * np.arange(m) / m
-            worst = max(worst, abs(float(np.mean(self.a_at(ts)))))
-        return worst
 
 
 def solve_wolff_profile(p: float, tol: float = 1e-10,
@@ -410,19 +366,13 @@ class WolffField:
         if not self.N > 0:
             raise ValueError("N must be positive")
 
-    @property
-    def wavenumber(self) -> float:
-        return self.N
-
     def value(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        self.rho.check_inside(pts)
         return np.exp(-self.N * self.rho.value(pts)) * self.profile.a_at(
             self.N * pts[..., 0])
 
     def gradient(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        self.rho.check_inside(pts)
         tau = self.N * pts[..., 0]
         damp = np.exp(-self.N * self.rho.value(pts))
         grad_rho = self.rho.gradient(pts)
@@ -436,21 +386,19 @@ class WolffField:
 # ---------------------------------------------------------------------------
 
 
-def c_p_complex(p: float, eta: CutoffField | CutoffProfile, n: int = 2) -> float:
+def c_p_complex(p: float, eta: CutoffProfile, n: int = 2) -> float:
     """p^((p-2)/2) * integral of eta(x', 0)^p over the boundary slice."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    profile = eta.profile if isinstance(eta, CutoffField) else eta
-    return p ** ((p - 2.0) / 2.0) * profile.slice_integral(p, n)
+    return p ** ((p - 2.0) / 2.0) * eta.slice_integral(p, n)
 
 
-def c_p_real(p: float, eta: CutoffField | CutoffProfile, profile: WolffProfile,
+def c_p_real(p: float, eta: CutoffProfile, profile: WolffProfile,
              n: int = 2) -> float:
     """(K / p) * integral of eta(x', 0)^p over the boundary slice."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    cut = eta.profile if isinstance(eta, CutoffField) else eta
-    return (profile.K / p) * cut.slice_integral(p, n)
+    return (profile.K / p) * eta.slice_integral(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +406,19 @@ def c_p_real(p: float, eta: CutoffField | CutoffProfile, profile: WolffProfile,
 # ---------------------------------------------------------------------------
 
 
-def p_laplace_residual(gradient_fn, point, p: float, step: float,
-                       wavenumber: float | None = None) -> float:
+def p_laplace_residual(gradient, point, p: float, step: float,
+                       wavenumber: float) -> float:
     """Dimensionless central-difference residual of div(|grad u|^(p-2) grad u).
 
-    `gradient_fn` is either a field object exposing .gradient(pts) (and
-    optionally .wavenumber) or a bare callable pts (m, n) -> (m, n) complex.
-    The raw divergence is normalized by (wavenumber * max stencil |flux|),
-    which makes the residual scale-free: exactly p-harmonic smooth fields
-    give O(step^2) values.
+    `gradient` maps points (m, n) to complex gradients (m, n), for example
+    a field's `.gradient`.  The raw divergence is normalized by
+    (wavenumber * max stencil |flux|), which makes the residual scale-free:
+    exactly p-harmonic smooth fields give O(step^2) values.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     if not p > 1:
         raise ValueError("p must be > 1")
-    grad = getattr(gradient_fn, "gradient", gradient_fn)
-    if wavenumber is None:
-        wavenumber = float(getattr(gradient_fn, "wavenumber", 1.0))
     x = np.asarray(point, dtype=float)
     n = x.size
 
@@ -482,7 +426,7 @@ def p_laplace_residual(gradient_fn, point, p: float, step: float,
     for j in range(n):
         stencil[2 * j, j] += step
         stencil[2 * j + 1, j] -= step
-    g = np.asarray(grad(stencil), dtype=np.complex128)
+    g = np.asarray(gradient(stencil), dtype=np.complex128)
     flux = _pow_or_zero(_norm_sq(g), (p - 2.0) / 2.0)[:, None] * g
 
     div = 0.0 + 0.0j

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plprobe import cli, dnmap, pde, recovery, special, vecp
+import oracles
+from plprobe import cli, dnmap, pde, recovery, special
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,7 +46,7 @@ def test_criterion_2_wolff_self_consistency():
     ok = True
     for p in (1.5, 3.0, 4.0):
         prof = special.solve_wolff_profile(p, tol=tol)
-        res = prof.ode_residual_max()
+        res = oracles.ode_residual_max(prof)
         ok &= res <= 10.0 * tol
         tight = special.solve_wolff_profile(p, tol=tol / 10.0)
         d_lam = abs(prof.lam - tight.lam) / prof.lam
@@ -55,8 +56,8 @@ def test_criterion_2_wolff_self_consistency():
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(-1, 1, 5), rng.uniform(0.05, 0.8, 5)])
         steps = (2e-2 / fld.N, 1e-2 / fld.N, 5e-3 / fld.N)
-        worst = [max(special.p_laplace_residual(fld, x, p, s) for x in pts)
-                 for s in steps]
+        worst = [max(special.p_laplace_residual(fld.gradient, x, p, s, fld.N)
+                     for x in pts) for s in steps]
         order = min(math.log2(worst[i] / worst[i + 1]) for i in range(2))
         ok &= order >= 1.8
         details.append(f"p={p:g}: res={res:.1e}, dlam={d_lam:.1e}, "
@@ -75,7 +76,8 @@ def test_criterion_3_complex_exponential():
         ok &= abs(re_id) <= 1e-13 and abs(im_id) <= 1e-13
         rng = np.random.default_rng(11)
         pts = np.column_stack([rng.uniform(-1, 1, 10), rng.uniform(0.05, 1.0, 10)])
-        worst = max(special.p_laplace_residual(fld, x, p, 1e-3 / fld.N) for x in pts)
+        worst = max(special.p_laplace_residual(fld.gradient, x, p, 1e-3 / fld.N, fld.N)
+                    for x in pts)
         ok &= worst <= 1e-5
         details.append(f"p={p:g}: identity={max(abs(re_id), abs(im_id)):.1e}, "
                        f"residual={worst:.1e}")
@@ -84,13 +86,31 @@ def test_criterion_3_complex_exponential():
 
 
 def test_criterion_4_inequality_suite():
+    # 1e5 seeded pairs, a quarter in each of dims (2, 3) x kinds (complex, real)
     t0 = time.time()
-    checks = (vecp.convexity_suite(pairs=100_000)
-              + vecp.monotonicity_suite(pairs=100_000))
-    ok = all(c.passed for c in checks)
-    worst = min(c.margin for c in checks)
+    rng = np.random.default_rng(oracles.PROPERTY_SEED)
+    batches = []
+    for dim in (2, 3):
+        for kind in ("complex", "real"):
+            z = oracles.sample_vectors(rng, 25_000, dim, kind)
+            w = oracles.sample_vectors(rng, 25_000, dim, kind)
+            keep = ~(z == w).all(axis=-1)
+            batches.append((z[keep], w[keep]))
+    ok = True
+    worst = math.inf
+    for p in (1.1, 1.5, 2.0, 3.0, 10.0):
+        for z, w in batches:
+            gaps = (oracles.convexity_gap(z, w, p) / oracles.convexity_gap_scale(z, w, p),
+                    oracles.p_power_difference_gap(z, w, p)
+                    / oracles.p_power_difference_scale(z, w, p))
+            worst = min(worst, *(float(g.min()) for g in gaps))
+            ratio = oracles.monotonicity_ratio(z, w, p)
+            ok &= ratio.min() > 0.0 and np.isfinite(ratio.max())
+            if p == 2.0:
+                ok &= np.max(np.abs(ratio - 1.0)) <= 1e-13
+    ok &= worst >= -1e-12
     _report(4, "p-power-inequality-suite", ok,
-            f"{len(checks)} checks over 1e5 pairs per p, worst margin {worst:.2e}",
+            f"gaps and monotonicity over 1e5 pairs per p, worst gap/scale {worst:.2e}",
             time.time() - t0, 30.0)
 
 
@@ -103,8 +123,9 @@ def test_criterion_5_solver_oracles():
         g = pde.build_grid(pde.Rectangle(half_width=1.0, height=1.0), res)
         f = pde.PField.from_function(g, lambda x: np.exp(1j * x[:, 0] - x[:, 1]),
                                      "complex")
-        sol = pde.solve_dirichlet(g, gam1, 2.0, f, initial=pde.PField.zeros(g))
-        errs[res] = pde.h1_relative_error(
+        sol = pde.solve_dirichlet(g, gam1, 2.0, f,
+                                  initial=pde.PField(np.zeros(g.npt), "complex"))
+        errs[res] = oracles.h1_relative_error(
             g, sol.field,
             lambda c: np.exp(1j * c[:, 0] - c[:, 1])[:, None]
             * np.array([1j, -1.0])[None, :])
@@ -183,7 +204,7 @@ def test_criterion_7_quadrature_limit():
                            f"{'dec' if strict else 'NONMONO'}")
     for p in (1.5, 3.0):
         spec = recovery.ProbeSpec(mode="real", p=p, M=64.0, profile=profiles[p])
-        osc = recovery.oscillatory_average_check(spec)
+        osc = oracles.oscillatory_average_check(spec)
         ok &= osc["rel_diff"] <= 5e-3
         details.append(f"osc p={p:g}: {osc['rel_diff']:.1e}")
     _report(7, "quadrature-level-limit", ok, "; ".join(details),

@@ -58,6 +58,7 @@ def test_invalid_max_nodes_exits_1_before_any_work(tmp_path, capsys):
 def test_usage_errors_exit_1(tmp_path, capsys):
     # argparse would exit 2, which is reserved for a violated run contract
     assert run(["verify", "--dn", "--out", tmp_path]) == 1
+    assert run(["verify", "--suite", "vecp", "--out", tmp_path]) == 1
     assert run(["nosuch"]) == 1
     assert run(["recover", "--config"]) == 1
     assert run(["--version"]) == 0
@@ -69,12 +70,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 def test_verify_command(tmp_path):
-    code = run(["verify", "--suite", "vecp", "--out", tmp_path])
+    code = run(["verify", "--suite", "special", "--out", tmp_path])
     assert code == 0
     text = (tmp_path / "verify.csv").read_text()
     assert "# contract: pass" in text
     body = [l for l in text.splitlines() if not l.startswith("#")]
     assert body[0] == "suite,check,passed,margin,detail"
+    assert len(body) > 1 and all(l.startswith("special,") for l in body[1:])
     assert all(",true," in l for l in body[1:])
 
 
@@ -134,6 +136,17 @@ def test_recover_curved_bottom_pins_report(tmp_path):
         for row, value in zip(rows, values):
             assert float(row[column]) == pytest.approx(value, rel=1e-12), column
     assert [r["newton_iterations"] for r in rows] == ["8", "8"]
+
+
+def test_recover_curved_bottom_beyond_solve_rectangle(tmp_path):
+    # the probe window of M = 4 reaches |x| = 0.707; the bottom graph is
+    # defined there whatever the keys of the solve rectangle say
+    cfg = tmp_path / "curved.cfg"
+    cfg.write_text("[domain]\nbottom = -x1^2/10\nhalf_width = 0.1\nheight = 0.1\n"
+                   "[physics]\np = 3\ngamma = 1 + x2/2\n"
+                   "[probe]\nmode = real\nm_list = 4\n")
+    assert run(["recover", "--config", cfg, "--out", tmp_path]) == 0
+    assert _csv_rows(tmp_path / "report.csv")[0]["ok"] == "true"
 
 
 def test_solve_curved_bottom_row_lies_on_graph(tmp_path):
