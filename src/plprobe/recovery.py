@@ -27,6 +27,7 @@ aligned to the cutoff kinks and to half-periods of the oscillation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,7 +148,7 @@ class ProbeFields:
 
 def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
-    cut = eta.value(pts)
+    cut = eta.value(pts.T)
     if spec.mode == "complex":
         h = special.ComplexExponentialField(p=spec.p, N=spec.N, beta=spec.beta)
         return cut * h.value(pts)
@@ -190,9 +191,21 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels(breaks: np.ndarray, order: int):
+# Gauss order of every panel.
+_ORDER = 10
+
+
+@functools.cache
+def _gauss_rule():
+    """The Gauss-Legendre rule of order `_ORDER` on [-1, 1], built once, on
+    first use: numpy builds it with LAPACK, whose buffers (about 0.9 MiB) a
+    process that integrates no probe energy need not hold."""
+    return np.polynomial.legendre.leggauss(_ORDER)
+
+
+def _gauss_panels(breaks: np.ndarray):
     """Composite Gauss-Legendre nodes/weights on the given panel breaks."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_rule()
     a, b = breaks[:-1], breaks[1:]
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -227,28 +240,32 @@ def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
 
 def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
                    y_layer: np.ndarray) -> np.ndarray:
-    """Points x of the (y', y_n) tensor grid as a (n_perp, n_layer, n) block.
+    """Points x of the (y', y_n) tensor grid as a component-major
+    (n, n_perp, n_layer) block.
 
     y' = M x' spans the cutoff support and y_n = N rho(x) the boundary layer.
     """
     M, N, n = spec.M, spec.N, spec.n
-    x = np.empty((y_perp.shape[0], y_layer.size, n))
-    x[..., 0] = y_perp[:, 0][:, None] / M
+    x = np.empty((n, y_perp.shape[0], y_layer.size))
+    x[0] = y_perp[:, 0][:, None] / M
     if n == 3:
-        x[..., 1] = y_perp[:, 1][:, None] / M
+        x[1] = y_perp[:, 1][:, None] / M
     rho_val = (y_layer / N)[None, :]
     # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
-    # the (x_1, rho) substitution is volume-preserving (unit jacobian)
+    # the (x_1, rho) substitution is volume-preserving (unit jacobian).
+    # x[0, :, :1] holds x_1 on the first layer, in g's (..., 1) shape.
     g = spec.rho.g
-    x[..., n - 1] = rho_val if g is None else rho_val + g(x[:, 0, :1])[:, None]
+    x[n - 1] = rho_val if g is None else rho_val + g(x[0, :, :1])[:, None]
     return x
 
 
 def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
-    """gamma(x) |G(x)/N|^p on a (n_perp, n_layer, n) block of scaled points,
-    without the e^(-p y_n) layer factor, where G/N = (M/N) grad eta (Mx) * osc
-    + eta (Mx) * (unit-scale field gradient); returns (n_perp, n_layer).
+    """gamma(x) |G(x)/N|^p on a component-major (n, n_perp, n_layer) block of
+    scaled points, without the e^(-p y_n) layer factor, where G/N =
+    (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale field gradient);
+    returns (n_perp, n_layer).
 
+    Each vector component is one contiguous (n_perp, n_layer) array.
     Factors of x' alone are evaluated once per perpendicular node, on the
     block's first layer: a(N x_1), a'(N x_1) and grad rho, which depends on
     x' only for the graph boundaries `_scaled_points` substitutes.
@@ -260,26 +277,28 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
     if spec.mode == "complex":
         # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_n|^2 + eta^2 |beta|^2
         vec = (M / N) * geta
-        vec[..., n - 1] -= eta
-        mag2 = _norm_sq(vec) + eta**2 * (p - 1.0)
+        vec[n - 1] -= eta
+        mag2 = _norm_sq(vec, axis=0) + eta**2 * (p - 1.0)
     else:
-        tau = N * x[:, :1, 0]
+        tau = N * x[0, :, :1]
         a = spec.profile.a_at(tau)
         ap = spec.profile.aprime_at(tau)
-        grad_rho = spec.rho.gradient(x[:, :1])
-        vec = (M / N) * geta * a[..., None] - eta[..., None] * a[..., None] * grad_rho
-        vec[..., 0] += eta * ap
-        mag2 = _norm_sq(vec)
+        # rho.gradient takes and returns point lists (m, n); this is
+        # (n, n_perp, 1), one value per perpendicular node
+        grad_rho = spec.rho.gradient(x[:, :, 0].T).T[..., None]
+        vec = (M / N) * geta * a - eta * a * grad_rho
+        vec[0] += eta * ap
+        mag2 = _norm_sq(vec, axis=0)
 
-    gam = np.asarray(gamma_fn(x.reshape(-1, n)), dtype=float)
+    # the (m, n) point list gamma_fn expects, as a view of the block
+    gam = np.asarray(gamma_fn(x.reshape(n, -1).T), dtype=float)
     if gam.ndim:  # a constant gamma_fn may return a scalar
-        gam = gam.reshape(x.shape[:2])
+        gam = gam.reshape(x.shape[1:])
     return gam * mag2 ** (p / 2.0)
 
 
-# Gauss order of every panel; perpendicular rows per summation chunk, which
-# fixes the order of the sums; points per integrand evaluation block.
-_ORDER = 10
+# Perpendicular rows per summation chunk, which fixes the order of the
+# sums; points per integrand evaluation block.
 _CHUNK = 4096
 _EVAL_POINTS = 1 << 15
 
@@ -288,23 +307,24 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
     support and boundary layer, by Gauss panels refined `level` times.
 
-    `integrand` maps a (n_perp, n_layer, n) block of points, one row of
-    layer nodes per perpendicular node, to values (n_perp, n_layer); it may
-    evaluate factors of x' alone on x[:, :1] and broadcast them, and must
-    otherwise work point by point.  The perpendicular nodes are summed in
+    `integrand` maps a component-major (n, n_perp, n_layer) block of points,
+    one row of layer nodes per perpendicular node, to values (n_perp,
+    n_layer); component k of every point is the contiguous array x[k].  It
+    may evaluate factors of x' alone on x[:, :, :1] and broadcast them, and
+    must otherwise work point by point.  The perpendicular nodes are summed in
     chunks of `_CHUNK` rows, which fixes the order of the sums.  Inside a
     chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
     points, which bounds the working set and changes no bit.
     """
     layer_nodes, layer_w = _gauss_panels(
-        _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level), _ORDER)
-    perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level), _ORDER)
+        _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level))
+    perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level))
     if spec.n == 2:
         y_perp = perp1_nodes[:, None]
         w_perp = perp1_w
     else:
         t_breaks = _subdivide(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 0.25 / 2**level)
-        t_nodes, t_w = _gauss_panels(t_breaks, _ORDER)
+        t_nodes, t_w = _gauss_panels(t_breaks)
         Y1, Y2 = np.meshgrid(perp1_nodes, t_nodes, indexing="ij")
         y_perp = np.column_stack([Y1.ravel(), Y2.ravel()])
         w_perp = (perp1_w[:, None] * t_w[None, :]).ravel()

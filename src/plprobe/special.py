@@ -63,6 +63,10 @@ class CutoffProfile:
     """Radial bump: 1 on [0, 1/2], polynomial smoothstep down to 0 at 1."""
 
     smoothness: str = "c3"
+    # slice integrals by (p, n), each computed once per profile: a command
+    # builds one profile and needs the same c_p at every M
+    _slices: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.smoothness not in _SMOOTHSTEP_COEFFS:
@@ -100,10 +104,15 @@ class CutoffProfile:
 
         n = 2: integral of eta(|t|)^p over the line; n = 3: over the plane.
         The plateau contributes exactly; the shoulder is integrated
-        adaptively to 1e-12.
+        adaptively to 1e-12, once per (p, n) for this profile.
         """
         if p <= 0:
             raise ValueError("p must be positive")
+        if (p, n) not in self._slices:
+            self._slices[p, n] = self._slice_integral(p, n)
+        return self._slices[p, n]
+
+    def _slice_integral(self, p: float, n: int) -> float:
         if n == 2:
             shoulder = quad(lambda r: self.value_radial(r) ** p, 0.5, 1.0,
                             epsabs=1e-13, epsrel=1e-12)[0]
@@ -126,19 +135,25 @@ class CutoffField:
         if not self.M > 0:
             raise ValueError("M must be positive")
 
+    # Points are component-major, (n, ...): a point list (m, n) is passed
+    # as its transpose, and the probe quadrature's (n, rows, layer) blocks
+    # as they are.
+
     def value(self, pts) -> np.ndarray:
+        """eta(M x) at component-major points (n, ...) -> (...)."""
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(_norm_sq(pts))
+        r = np.sqrt(_norm_sq(pts, axis=0))
         return self.profile.value_radial(self.M * r)
 
     def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """(value(pts), gradient(pts)) from one radius per point."""
+        """(value(pts), gradient(pts)) from one radius per point; the
+        gradient is component-major like `pts`."""
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(_norm_sq(pts))
+        r = np.sqrt(_norm_sq(pts, axis=0))
         Mr = self.M * r
         d = self.M * self.profile.deriv_radial(Mr)
         safe_r = np.where(r > 0, r, 1.0)
-        return self.profile.value_radial(Mr), d[..., None] * pts / safe_r[..., None]
+        return self.profile.value_radial(Mr), d * pts / safe_r
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +276,14 @@ class PeriodDetectionError(RuntimeError):
 
 
 def wolff_potential(a, aprime, p: float):
-    """V(a, a') = ((2p-3) a'^2 + (p-1) a^2) / ((p-1) a'^2 + a^2)."""
-    a = np.asarray(a, dtype=float)
-    aprime = np.asarray(aprime, dtype=float)
-    return ((2.0 * p - 3.0) * aprime**2 + (p - 1.0) * a**2) / (
-        (p - 1.0) * aprime**2 + a**2)
+    """V(a, a') = ((2p-3) a'^2 + (p-1) a^2) / ((p-1) a'^2 + a^2) for floats
+    or arrays of floats, elementwise.
+
+    The squares are products, which numpy's x**2 is too, so an array gives
+    the same bits as the same values passed one float at a time.
+    """
+    ap2, a2 = aprime * aprime, a * a
+    return ((2.0 * p - 3.0) * ap2 + (p - 1.0) * a2) / ((p - 1.0) * ap2 + a2)
 
 
 @dataclass
@@ -314,7 +332,9 @@ def solve_wolff_profile(p: float, tol: float = 1e-10,
         horizon = 500.0 * max(1.0, 1.0 / (p - 1.0))
 
     def rhs(t, y):
-        a, ap = y
+        # Python floats: ~3,500 calls per solve, each cheaper than on
+        # 0-d arrays, with the same IEEE double arithmetic
+        a, ap = float(y[0]), float(y[1])
         return (ap, -wolff_potential(a, ap, p) * a)
 
     def upward_zero(t, y):

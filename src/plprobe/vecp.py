@@ -10,7 +10,8 @@ extended by 0 at z = 0 (the limit exists for every p > 1), is
 `_pow_or_zero(|z|^2, (p-2)/2) * z` wherever it appears: the solver's Newton
 weight and weak residual (with |z|^2 + eps^2), the pairings, the remainder
 split and the finite-difference p-Laplace residual.  `_norm_sq` also gives
-the squared norms of the probe quadrature and the cutoff radius.
+the squared norms of the probe quadrature and the cutoff radius, summed over
+axis 0 of their component-major blocks.
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ import numpy as np
 __all__ = ["_norm_sq", "_pow_or_zero"]
 
 
-def _norm_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2 = |Re z|^2 + |Im z|^2 over the trailing axis (no validation).
+def _norm_sq(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """|z|^2 = |Re z|^2 + |Im z|^2 over the component axis (no validation):
+    the trailing axis of point lists, or axis 0 of component-major blocks.
 
     The components are added in index order, which is numpy's own
     reduction order over axes this short, so the result equals
-    `.sum(axis=-1)` bit for bit; real input skips the zero imaginary part.
+    `.sum(axis=axis)` bit for bit; real input skips the zero imaginary part.
     """
     sq = z.real**2 + z.imag**2 if np.iscomplexobj(z) else z**2
-    out = sq[..., 0]
-    for j in range(1, sq.shape[-1]):
-        out = out + sq[..., j]
+    sq = np.moveaxis(sq, axis, 0)
+    out = sq[0]
+    for j in range(1, sq.shape[0]):
+        out = out + sq[j]
     return out
 
 

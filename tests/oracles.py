@@ -2,7 +2,8 @@
 
 * the classical inequalities of the flux nonlinearity |z|^(p-2) z;
 * the period-average limit of the real probe's oscillatory integral;
-* the Wolff profile's ODE residual and the drift of its running mean;
+* the Wolff profile's ODE residual and the drift of its running mean, and
+  the profile integrated with V evaluated on 0-d arrays;
 * the Hardy ratio ||v / delta||_p / ||grad v||_p and the H1 error against
   an analytic gradient.
 
@@ -13,8 +14,10 @@ package itself runs none of them.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from plprobe import pde, recovery, special
 from plprobe.vecp import _norm_sq, _pow_or_zero
@@ -190,7 +193,7 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
     eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
 
     def integrand(x):
-        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[:, :1, 0]) ** 2
+        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[0, :, :1]) ** 2
 
     lhs = recovery._refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
@@ -213,6 +216,23 @@ def ode_residual_max(profile: special.WolffProfile) -> float:
     res = a2 + special.wolff_potential(profile.a, profile.aprime, profile.p) * profile.a
     scale = float(np.max(np.abs(a2))) or 1.0
     return float(np.max(np.abs(res))) / scale
+
+
+def wolff_profile_array_rhs(p: float) -> special.WolffProfile:
+    """`solve_wolff_profile(p)` with the ODE right-hand side evaluated on
+    0-d numpy arrays, V's squares taken as x**2."""
+
+    def array_rhs(t, y):
+        a = np.asarray(y[0], dtype=float)
+        ap = np.asarray(y[1], dtype=float)
+        V = ((2.0 * p - 3.0) * ap**2 + (p - 1.0) * a**2) / ((p - 1.0) * ap**2 + a**2)
+        return (ap, -V * a)
+
+    def integrate(fun, *args, **kwargs):
+        return solve_ivp(array_rhs, *args, **kwargs)
+
+    with mock.patch.object(special, "solve_ivp", integrate):
+        return special.solve_wolff_profile(p)
 
 
 def running_mean_drift(profile: special.WolffProfile,

@@ -64,7 +64,7 @@ def test_complex_probe_trace_modulus_is_cutoff(wolff2):
     probe = recovery.build_probe(spec, grid)
     bottom = np.arange(grid.nx + 1)  # the bottom row, x1 running fastest
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
-    expected = probe.scale * eta.value(grid.pts[bottom])
+    expected = probe.scale * eta.value(grid.pts[bottom].T)
     assert np.allclose(np.abs(probe.field.values[bottom]), expected, atol=1e-14)
 
 
@@ -75,7 +75,7 @@ def test_real_probe_trace_is_damped_sine_at_p2(wolff2):
     bottom = np.arange(grid.nx + 1)  # the bottom row, x1 running fastest
     x1 = grid.pts[bottom, 0]
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
-    expected = probe.scale * eta.value(grid.pts[bottom]) * np.sin(spec.N * x1)
+    expected = probe.scale * eta.value(grid.pts[bottom].T) * np.sin(spec.N * x1)
     assert np.allclose(probe.field.values[bottom].real, expected, atol=1e-9)
 
 
@@ -172,12 +172,12 @@ def test_curved_boundary_quadrature_limit(wolff3):
 
 
 def _flat_energy_density(spec, gamma_fn, x):
-    """Reference: every factor evaluated at every point of a flat (m, n)
-    array, with numpy's own sum for the squared norm."""
+    """Reference: every factor evaluated at every point of a flat row-major
+    (m, n) array, with numpy's own sum for the squared norm."""
     M, N, p, n = spec.M, spec.N, spec.p, spec.n
     eta_field = special.CutoffField(M=M, profile=spec.cutoff)
-    eta = eta_field.value(x)
-    geta = eta_field.value_and_gradient(x)[1] / M
+    eta = eta_field.value(x.T)
+    geta = eta_field.value_and_gradient(x.T)[1].T / M
     if spec.mode == "complex":
         vec = (M / N) * geta
         vec[:, n - 1] -= eta
@@ -209,13 +209,14 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     y_perp = rng.uniform(-1.1, 1.1, (40, n - 1))
     y_layer = np.sort(rng.uniform(0.0, 44.0 / spec.p, 30))
     x = recovery._scaled_points(spec, y_perp, y_layer)
-    assert x.shape == (40, 30, n)
+    assert x.shape == (n, 40, 30)
+    rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
 
     def gamma_fn(pts):
         return 1.0 + pts[:, -1] / 2.0 + pts[:, 0] ** 2
 
     block = recovery._energy_density(spec, gamma_fn, x)
-    flat = _flat_energy_density(spec, gamma_fn, x.reshape(-1, n)).reshape(40, 30)
+    flat = _flat_energy_density(spec, gamma_fn, rows).reshape(40, 30)
     assert block.tobytes() == flat.tobytes()
 
 
@@ -241,7 +242,14 @@ def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
     def sums():
         return [recovery._tensor_quad(spec, integrand, level) for level in levels]
 
+    def row_major(x):
+        rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
+        return _flat_energy_density(spec, GAMMA_SLOPE.fn, rows).reshape(x.shape[1:])
+
     blocked = sums()
+    # the component-major blocks sum to the bits of the row-major oracle
+    assert [recovery._tensor_quad(spec, row_major, level)
+            for level in levels] == blocked
     # one block per summation chunk: the whole chunk evaluated at once
     monkeypatch.setattr(recovery, "_EVAL_POINTS", recovery._CHUNK * 10**6)
     assert sums() == blocked

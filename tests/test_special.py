@@ -89,7 +89,8 @@ def test_cutoff_radial_equals_polynomial_formula(smoothness):
 def test_cutoff_value_and_gradient_equal_separate_calls(smoothness):
     # one radius per point gives the bits of value() and of the gradient
     # formula d(M r) * x / r, at r = 0, on the plateau, on the shoulder
-    # (both edges included) and outside the support
+    # (both edges included) and outside the support; the field takes and
+    # returns component-major arrays, the formula runs on point lists
     M = 4.0
     eta = special.CutoffField(M, special.CutoffProfile(smoothness))
     radii = np.array([0.0, 0.1, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.75,
@@ -101,21 +102,22 @@ def test_cutoff_value_and_gradient_equal_separate_calls(smoothness):
         r = np.sqrt(special._norm_sq(pts))
         d = M * eta.profile.deriv_radial(M * r)
         grad = d[..., None] * pts / np.where(r > 0, r, 1.0)[..., None]
-        value, gradient = eta.value_and_gradient(pts)
-        assert value.tobytes() == eta.value(pts).tobytes()
-        assert gradient.tobytes() == grad.tobytes()
-    value, gradient = eta.value_and_gradient(pts2)
-    assert value[0] == 1.0 and np.all(gradient[0] == 0.0)  # r = 0
-    assert value[-1] == 0.0 and np.all(gradient[-1] == 0.0)  # outside
-    assert np.all(gradient[4:6] != 0.0)  # inside the shoulder
+        cm = np.moveaxis(pts, -1, 0)
+        value, gradient = eta.value_and_gradient(cm)
+        assert value.tobytes() == eta.value(cm).tobytes()
+        assert np.moveaxis(gradient, 0, -1).tobytes() == grad.tobytes()
+    value, gradient = eta.value_and_gradient(pts2.T)
+    assert value[0] == 1.0 and np.all(gradient[:, 0] == 0.0)  # r = 0
+    assert value[-1] == 0.0 and np.all(gradient[:, -1] == 0.0)  # outside
+    assert np.all(gradient[:, 4:6] != 0.0)  # inside the shoulder
 
 
 def test_cutoff_gradient_bound():
     M = 8.0
     eta = special.CutoffField(M)
     r = np.linspace(0.0, 1.2 / M, 400)
-    pts = np.column_stack([r, np.zeros_like(r)])
-    gn = np.sqrt((eta.value_and_gradient(pts)[1] ** 2).sum(axis=1))
+    pts = np.stack([r, np.zeros_like(r)])
+    gn = np.sqrt((eta.value_and_gradient(pts)[1] ** 2).sum(axis=0))
     sup_profile = np.max(np.abs(eta.profile.deriv_radial(np.linspace(0, 1, 2001))))
     assert np.max(gn) <= M * sup_profile * (1.0 + 1e-12)
 
@@ -125,11 +127,11 @@ def test_cutoff_gradient_matches_finite_difference():
     pts = np.array([[0.31, 0.05], [0.2, 0.3], [0.42, -0.1]])
     step = 1e-6
     for x in pts:
-        g = eta.value_and_gradient(x[None, :])[1][0]
+        g = eta.value_and_gradient(x)[1]
         for j in range(2):
             e = np.zeros(2)
             e[j] = step
-            fd = (eta.value((x + e)[None, :])[0] - eta.value((x - e)[None, :])[0]) / (2 * step)
+            fd = (eta.value(x + e) - eta.value(x - e)) / (2 * step)
             assert g[j] == pytest.approx(fd, abs=5e-6)
 
 
@@ -140,6 +142,23 @@ def test_cutoff_slice_integral_frozen():
     assert cp.slice_integral(2.0, 2) == pytest.approx(1.404817404817405, abs=1e-10)
     assert cp.slice_integral(4.0, 2) == pytest.approx(1.32699247524188, abs=1e-10)
     assert cp.slice_integral(2.0, 3) == pytest.approx(1.5646937769627485, abs=1e-10)
+
+
+def test_cutoff_slice_integral_once_per_profile(monkeypatch):
+    # a profile integrates each (p, n) once; the kept results are not
+    # part of its value
+    cp = special.CutoffProfile("c3")
+    first = cp.slice_integral(3.0, 2)
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("slice integral recomputed")
+
+    monkeypatch.setattr(special, "quad", no_quad)
+    assert cp.slice_integral(3.0, 2) == first
+    fresh = special.CutoffProfile("c3")
+    assert fresh == cp and hash(fresh) == hash(cp)
+    with pytest.raises(AssertionError):
+        fresh.slice_integral(3.0, 2)
 
 
 def test_cutoff_dilation_scaling():
@@ -269,6 +288,16 @@ def test_wolff_frozen_goldens():
     prof4 = special.solve_wolff_profile(4.0)
     assert prof4.lam == pytest.approx(4.188790204786378, abs=1e-8)
     assert prof4.K == pytest.approx(0.6624800222267955, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", (1.2, 1.5, 2.0, 3.0, 5.0))
+def test_wolff_profile_equals_array_rhs(p):
+    # V on Python floats does the IEEE arithmetic of V on 0-d arrays
+    prof = special.solve_wolff_profile(p)
+    ref = oracles.wolff_profile_array_rhs(p)
+    for name in ("lam", "t", "a", "aprime", "K"):
+        assert (np.asarray(getattr(prof, name)).tobytes()
+                == np.asarray(getattr(ref, name)).tobytes()), name
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))

@@ -57,6 +57,9 @@ def test_norm_sq_equals_numpy_sum(dim, dtype):
     ref = (z.real**2 + z.imag**2).sum(-1)
     assert vecp._norm_sq(z).tobytes() == ref.tobytes()
     assert vecp._norm_sq(z[:, 0]).tobytes() == ref[:, 0].tobytes()
+    # component-major blocks sum over the leading axis to the same bits
+    zc = np.ascontiguousarray(np.moveaxis(z, -1, 0))
+    assert vecp._norm_sq(zc, axis=0).tobytes() == ref.tobytes()
 
 
 def test_convexity_gap_equality_case():
