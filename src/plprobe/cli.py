@@ -126,10 +126,12 @@ def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _recovery_ingredients(cfg: ExperimentConfig, get_profile, mode, p, gamma_text):
-    """(gamma, rho, cutoff, profile) of one probe family of the config."""
+    """(gamma, rho, cutoff, profile) of one probe family of the config; the
+    Wolff profile is built only in real mode, and never with get_profile
+    None."""
     return (_gamma_field(gamma_text), _rho_from_config(cfg),
             special.CutoffProfile(cfg.probe.cutoff),
-            get_profile(p) if mode == "real" else None)
+            get_profile(p) if mode == "real" and get_profile else None)
 
 
 def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
@@ -156,12 +158,14 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     mode, p = cfg.probe.mode, cfg.physics.p
+    probe_datum = cfg.physics.boundary_data == "probe"
     gamma, rho, cutoff, profile = _recovery_ingredients(
-        cfg, special.solve_wolff_profile, mode, p, cfg.physics.gamma)
+        cfg, special.solve_wolff_profile if probe_datum else None, mode, p,
+        cfg.physics.gamma)
     settings = _solver_settings(cfg)
     d = cfg.domain
 
-    if cfg.physics.boundary_data == "probe":
+    if probe_datum:
         M = float(cfg.probe.m_list[0])
         spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=cfg.probe.s,
                                   cutoff=cutoff, profile=profile, rho=rho)

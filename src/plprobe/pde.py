@@ -48,8 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .special import BoundaryDefiningFunction
 from .vecp import _pow_or_zero
@@ -443,6 +441,8 @@ def _scipy_openblas():
     """The OpenBLAS bundled with scipy, which runs dpbtrf, as a ctypes
     library; None where it or its `openblas_set_num_threads_local` is not
     found.  Looked up at the first factorization, not at import."""
+    import scipy
+
     libs = Path(scipy.__file__).parent.parent / "scipy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
@@ -487,7 +487,10 @@ def _factor_solve(ab, b):
     gains: on 2 cores, one thread ties at kd <= 63 and is 1.3-1.7x faster
     at kd >= 108 (kd = 229 on the M = 16 complex window).  Where scipy's
     OpenBLAS is not found, the band is factored on the library's own
-    thread count."""
+    thread count.  scipy.linalg is imported here, at the first
+    factorization, so that importing `pde` loads no scipy."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
     with _one_openblas_thread():
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info > 0:

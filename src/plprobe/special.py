@@ -17,6 +17,13 @@ the Wolff field, the probe, its quadrature and the grid of `pde`.  The
 module also provides the radial cutoff used to localize probes, the
 normalization constants c_p for both families, and a finite-difference
 p-Laplace residual used to certify the fields numerically.
+
+scipy is imported where it is used, not with the module: `quad` by the
+cutoff's slice integral (every c_p), `solve_ivp` by `solve_wolff_profile`
+and `CubicSpline` by `WolffProfile`.  The complex exponentials and the
+boundary defining function need none of them, so a command that never
+computes a c_p or a Wolff profile never loads scipy.integrate or
+scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .vecp import _norm_sq, _pow_or_zero
 
@@ -113,6 +118,8 @@ class CutoffProfile:
         return self._slices[p, n]
 
     def _slice_integral(self, p: float, n: int) -> float:
+        from scipy.integrate import quad
+
         if n == 2:
             shoulder = quad(lambda r: self.value_radial(r) ** p, 0.5, 1.0,
                             epsabs=1e-13, epsrel=1e-12)[0]
@@ -301,6 +308,8 @@ class WolffProfile:
     period_return_drift: float  # |(a, a')(lam) - (0, 1)|
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         tk = np.append(self.t, self.lam)
         self._spline_a = CubicSpline(tk, np.append(self.a, self.a[0]),
                                      bc_type="periodic")
@@ -330,6 +339,8 @@ def solve_wolff_profile(p: float, tol: float = 1e-10,
         raise ValueError("initial slope must be positive")
     if horizon is None:
         horizon = 500.0 * max(1.0, 1.0 / (p - 1.0))
+
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         # Python floats: ~3,500 calls per solve, each cheaper than on

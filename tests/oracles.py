@@ -17,6 +17,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 from plprobe import pde, recovery, special
@@ -231,7 +232,7 @@ def wolff_profile_array_rhs(p: float) -> special.WolffProfile:
     def integrate(fun, *args, **kwargs):
         return solve_ivp(array_rhs, *args, **kwargs)
 
-    with mock.patch.object(special, "solve_ivp", integrate):
+    with mock.patch.object(scipy.integrate, "solve_ivp", integrate):
         return special.solve_wolff_profile(p)
 
 

@@ -1,12 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plprobe import cli, pde, recovery
+from plprobe import cli, pde, recovery, special
 from plprobe.config import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -174,6 +177,70 @@ def test_solve_half_disc_with_curved_bottom_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "domain.bottom" in err and "domain.shape" in err
     assert not (tmp_path / "solution.csv").exists()
+
+
+SOLVE_EXPRESSION = ("[domain]\nshape = half_disc\nresolution = 16\n"
+                    "[physics]\np = 3\nboundary_data = x1 + x2^2\n"
+                    "[probe]\nmode = real\n")
+
+
+def test_solve_expression_datum_builds_no_wolff_profile(tmp_path, monkeypatch):
+    # only the probe datum needs the real-mode Wolff profile; building it
+    # anyway leaves every output byte as it is
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_EXPRESSION)
+    calls = []
+    build = special.solve_wolff_profile
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return build(p, *args, **kwargs)
+
+    monkeypatch.setattr(special, "solve_wolff_profile", counting)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "lazy"]) == 0
+    assert calls == []
+    ingredients = cli._recovery_ingredients
+    monkeypatch.setattr(cli, "_recovery_ingredients", lambda cfg, _, *args:
+                        ingredients(cfg, special.solve_wolff_profile, *args))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "eager"]) == 0
+    assert calls == [3.0]
+    for name in ("config_echo.cfg", "solution.csv", "convergence.csv"):
+        assert ((tmp_path / "lazy" / name).read_bytes()
+                == (tmp_path / "eager" / name).read_bytes())
+
+
+# scipy subpackages that `special` loads on first use only: quad, solve_ivp
+# (with scipy.optimize behind scipy.integrate) and CubicSpline
+DEFERRED_SCIPY = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+
+
+def _fresh_imports(args, cwd):
+    """Modules that `python -X importtime *args` imports in a fresh
+    interpreter, which must exit 0."""
+    path = [str(REPO / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    loaded = _fresh_imports(["-c", "import plprobe.cli"], tmp_path)
+    assert "plprobe.cli" in loaded
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_solve_expression_datum_loads_no_deferred_scipy(tmp_path):
+    # the band factorization loads scipy.linalg; nothing needs the rest
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_EXPRESSION)
+    loaded = _fresh_imports(["-m", "plprobe", "solve", "--config", cfg,
+                             "--out", tmp_path], tmp_path)
+    assert "plprobe.pde" in loaded and (tmp_path / "solution.csv").exists()
+    assert not loaded & DEFERRED_SCIPY
 
 
 def test_recover_nonpositive_gamma_in_window_exits_1(tmp_path, capsys):

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
 
 import oracles
@@ -455,15 +456,16 @@ def test_indefinite_band_raises_from_factor():
 
 
 def _record_factor_threads(monkeypatch, lib):
-    """Wrap pde.dpbtrf to record OpenBLAS's thread count during each call."""
+    """Wrap scipy.linalg.lapack.dpbtrf, which `pde._factor_solve` imports at
+    each call, to record OpenBLAS's thread count during each call."""
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(lib.scipy_openblas_get_num_threads())
         return dpbtrf(*args, **kwargs)
 
-    dpbtrf = pde.dpbtrf
-    monkeypatch.setattr(pde, "dpbtrf", recording)
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recording)
     return seen
 
 

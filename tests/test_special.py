@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad, solve_ivp
 
 import oracles
@@ -153,7 +154,7 @@ def test_cutoff_slice_integral_once_per_profile(monkeypatch):
     def no_quad(*args, **kwargs):
         raise AssertionError("slice integral recomputed")
 
-    monkeypatch.setattr(special, "quad", no_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
     assert cp.slice_integral(3.0, 2) == first
     fresh = special.CutoffProfile("c3")
     assert fresh == cp and hash(fresh) == hash(cp)
