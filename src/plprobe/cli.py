@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,22 +265,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     combos = [(p, mode, gtxt) for p in p_list for mode in mode_list
               for gtxt in gamma_list]
     get_profile = _profile_cache()
-    for p in p_list:  # warm the cache serially; profiles are shared
-        if "real" in mode_list:
-            get_profile(p)
-
-    # per-M failures are recorded in the report rows; anything else raised
-    # here is an execution error and ends the sweep
-    def run(combo):
-        p, mode, gtxt = combo
-        return _recover_one(cfg, mode, p, gtxt, get_profile)
-
-    with ThreadPoolExecutor(max_workers=int(cfg.sweep.max_workers)) as pool:
-        results = list(pool.map(run, combos))
-
     rows = []
     any_contract_fail = False
-    for (p, mode, gtxt), rep in zip(combos, results):
+    for p, mode, gtxt in combos:
+        # per-M failures are recorded in the report rows; anything else
+        # raised here is an execution error and ends the sweep
+        rep = _recover_one(cfg, mode, p, gtxt, get_profile)
         ok = rep.monotone_contract()
         any_contract_fail = any_contract_fail or not ok
         est = rep.rows[-1].estimate if rep.rows else math.nan

@@ -2,15 +2,19 @@
 
 Grammar of a config file::
 
-    # comment (also ';')
+    # whole-line comment (also ';')
     [section]
     key = value
 
 Sections: domain, physics, probe, solver, output, sweep; every key has a
 default, so the empty file is a valid config.  Values are numbers, words,
-comma lists, or arithmetic expressions over the variables x1, x2 with
-+  -  *  /  ^  exp  sin  cos  abs and numeric literals (conductivities and
-bottom curves are expressions).  ^ is right-associative power.
+comma lists, or arithmetic expressions (conductivities and bottom curves).
+An expression is a Python expression once ^ is read as ** (so ^ is
+right-associative power and binds tighter than unary minus), restricted to
+the variables x1, x2, the operators + - * / ^, unary + and -, parentheses,
+one-argument calls of exp, sin, cos, abs, and decimal literals, each read
+with float() from its text.  ** itself, literals with _ or a base prefix,
+and every other Python construct are errors that give a column.
 
 Parsing returns an ExperimentConfig with every default materialized; its
 canonical echo re-parses to an equal config and its sha256 stamps every
@@ -20,7 +24,9 @@ conductivity is reported with a violating sample point.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -43,47 +49,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
-
-
-class _Tok:
-    def __init__(self, kind, text, pos):
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            toks.append(_Tok(c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE"
-                             or (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                float(text[i:j])
-            except ValueError:
-                raise ConfigError(f"bad numeric literal {text[i:j]!r} at column {i + 1}")
-            toks.append(_Tok("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-            continue
-        raise ConfigError(f"unexpected character {c!r} at column {i + 1}")
-    toks.append(_Tok("end", "", n))
-    return toks
 
 
 class Expression:
@@ -171,94 +136,70 @@ def _diff(node, var):
     raise AssertionError(kind)
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.k = 0
-        self.vars = set()
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def take(self, kind=None):
-        t = self.toks[self.k]
-        if kind and t.kind != kind:
-            raise ConfigError(
-                f"expected {kind!r} at column {t.pos + 1}, found {t.text or 'end'!r}")
-        self.k += 1
-        return t
-
-    def parse(self):
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ConfigError(f"unexpected {t.text!r} at column {t.pos + 1}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek().kind == "-":
-            self.take()
-            return ("neg", self.unary())
-        if self.peek().kind == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.primary()
-        if self.peek().kind == "^":
-            self.take()
-            return ("^", base, self.unary())  # right-associative
-        return base
-
-    def primary(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.take()
-            return ("num", float(t.text))
-        if t.kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if t.kind == "name":
-            self.take()
-            if t.text in ("x1", "x2"):
-                self.vars.add(t.text)
-                return ("var", t.text)
-            if t.text in _FUNCTIONS:
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return ("call", t.text, arg)
-            raise ConfigError(
-                f"unknown name {t.text!r} at column {t.pos + 1} "
-                f"(variables x1, x2; functions exp, sin, cos, abs)")
-        raise ConfigError(f"unexpected {t.text or 'end'!r} at column {t.pos + 1}")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse_expression(text: str) -> Expression:
+    """Parse with Python's own parser, `^` read as `**`, and keep only the
+    grammar's nodes.  Python also reads `#` comments, line continuations,
+    strings and `x1**2`, so characters outside the grammar, and `**`, are
+    rejected first."""
     text = text.strip()
     if not text:
         raise ConfigError("empty expression")
-    p = _Parser(text)
-    node = p.parse()
-    return Expression(text, node, frozenset(p.vars))
+    for k, c in enumerate(text):
+        if not (c.isascii() and (c.isalnum() or c.isspace() or c in "+-*/^()._")):
+            raise ConfigError(f"unexpected character {c!r} at column {k + 1}")
+    if "**" in text:
+        raise ConfigError(f"unexpected '*' at column {text.index('**') + 2}")
+    # one line for Python (a line break is whitespace here), ^ as **; and the
+    # column in `text` of each index of `src`, and of its end
+    pieces = ["**" if c == "^" else " " if c.isspace() else c for c in text]
+    src = "".join(pieces)
+    column = [k + 1 for k, piece in enumerate(pieces) for _ in piece] + [len(text) + 1]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "invalid decimal literal" on 1if
+            body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        # offset 0 means the end of the text, which the last entry holds
+        raise ConfigError(f"{exc.msg} at column {column[(exc.offset or 0) - 1]}") from None
+    variables = set()
+
+    def walk(node):
+        at = column[node.col_offset]
+        seen = text[at - 1:column[node.end_col_offset] - 1]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return walk(node.operand)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            # float() of the digits, not of the parsed int, which would
+            # overflow: a 400-digit integer reads as inf
+            try:
+                if "_" not in seen:
+                    return ("num", float(seen))
+            except ValueError:  # 0x10, 0o7, 0b1
+                pass
+            raise ConfigError(f"bad numeric literal {seen!r} at column {at}")
+        if isinstance(node, ast.Name) and node.id in ("x1", "x2"):
+            variables.add(node.id)
+            return ("var", node.id)
+        if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+            raise ConfigError(f"unknown name {node.id!r} at column {at} "
+                              f"(variables x1, x2; functions exp, sin, cos, abs)")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in _FUNCTIONS:
+                walk(node.func)  # raises on an unknown name
+            # one argument, and the name not parenthesized as in (exp)(x1)
+            elif len(node.args) == 1 and node.func.col_offset == node.col_offset:
+                return ("call", node.func.id, walk(node.args[0]))
+        raise ConfigError(f"unexpected {seen!r} at column {at}")
+
+    node = walk(body)
+    return Expression(text, node, frozenset(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +255,6 @@ class SweepConfig:
     p_list: tuple = ()
     mode_list: tuple = ()
     gamma_list: tuple = ()
-    max_workers: float = 2.0
 
 
 _SECTIONS = {
@@ -370,7 +310,7 @@ def _fmt_value(v) -> str:
     return format(float(v), ".17g")
 
 
-def _parse_scalar(section, key, raw, default):
+def _parse_scalar(section, key, raw):
     if (section, key) in _LIST_KEYS:
         items = [s.strip() for s in raw.split(",") if s.strip()]
         if not items:
@@ -413,9 +353,8 @@ def parse_config(text: str) -> ExperimentConfig:
         sec = getattr(cfg, section)
         if not any(f.name == key for f in fields(sec)):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        default = getattr(sec, key)
         try:
-            setattr(sec, key, _parse_scalar(section, key, raw.strip(), default))
+            setattr(sec, key, _parse_scalar(section, key, raw.strip()))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     _validate(cfg)
@@ -439,7 +378,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     if not ph.p > 1.0:
         raise ConfigError("physics.p: must exceed 1")
-    gamma_expr = parse_expression(ph.gamma)
+    _check_positive("physics.gamma", ph.gamma, d)
 
     if pr.mode not in ("complex", "real"):
         raise ConfigError(f"probe.mode: unknown mode {pr.mode!r}")
@@ -458,6 +397,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver: tolerances/max_iter must be positive")
     if so.init not in ("datum", "zero", "random"):
         raise ConfigError(f"solver.init: unknown initialization {so.init!r}")
+    if not (so.seed >= 0 and float(so.seed).is_integer()):
+        raise ConfigError(f"solver.seed: must be a non-negative integer, got {so.seed:g}")
 
     for fmt in out.formats:
         if fmt not in ("csv", "json"):
@@ -480,7 +421,19 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("probe.mode: complex probes require a flat bottom "
                               "(use real mode on curved boundaries)")
 
-    # sample the conductivity over the domain bounding box
+    for pv in cfg.sweep.p_list:
+        if not pv > 1.0:
+            raise ConfigError("sweep.p_list: entries must exceed 1")
+    for mv in cfg.sweep.mode_list:
+        if mv not in ("complex", "real"):
+            raise ConfigError(f"sweep.mode_list: unknown mode {mv!r}")
+    for gtxt in cfg.sweep.gamma_list:
+        _check_positive(f"sweep.gamma_list entry {gtxt!r}", gtxt, d)
+
+
+def _check_positive(key: str, gamma_text: str, d: DomainConfig) -> None:
+    """Sample the conductivity on a 41 x 41 lattice of the box of the
+    domain shape; the error names `key` and the least sampled value."""
     if d.shape == "rectangle":
         xs = np.linspace(-d.half_width, d.half_width, 41)
         ys = np.linspace(0.0, d.height, 41)
@@ -489,20 +442,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         ys = np.linspace(0.0, d.radius, 41)
     X, Y = np.meshgrid(xs, ys)
     samples = np.column_stack([X.ravel(), Y.ravel()])
-    vals = gamma_expr(samples)
+    vals = parse_expression(gamma_text)(samples)
     if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
         k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
         raise ConfigError(
-            f"physics.gamma: must be positive on the domain; gamma(x1={samples[k, 0]:.6g}, "
+            f"{key}: must be positive on the domain; gamma(x1={samples[k, 0]:.6g}, "
             f"x2={samples[k, 1]:.6g}) = {vals[k]:.6g}")
-
-    for pv in cfg.sweep.p_list:
-        if not pv > 1.0:
-            raise ConfigError("sweep.p_list: entries must exceed 1")
-    for mv in cfg.sweep.mode_list:
-        if mv not in ("complex", "real"):
-            raise ConfigError(f"sweep.mode_list: unknown mode {mv!r}")
-    for gexpr in cfg.sweep.gamma_list:
-        parse_expression(gexpr)
-    if cfg.sweep.max_workers < 1:
-        raise ConfigError("sweep.max_workers: must be at least 1")

@@ -43,7 +43,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -457,24 +456,19 @@ def _scipy_openblas():
 
 
 # In a pthreads OpenBLAS (scipy's wheels) the thread count is one number for
-# the whole process, although the setter is named "local".  One pin at a time
-# keeps concurrent solves from restoring each other's count out of order; it
-# serializes nothing more, since scipy's dpbtrf wrapper holds the GIL.
-_PIN_LOCK = threading.Lock()
-
-
+# the whole process, although the setter is named "local": two solves pinning
+# it from different threads could restore each other's count out of order.
 @contextlib.contextmanager
 def _one_openblas_thread():
     lib = _scipy_openblas()
     if lib is None:
         yield
         return
-    with _PIN_LOCK:
-        previous = lib.openblas_set_num_threads_local(1)
-        try:
-            yield
-        finally:
-            lib.openblas_set_num_threads_local(previous)
+    previous = lib.openblas_set_num_threads_local(1)
+    try:
+        yield
+    finally:
+        lib.openblas_set_num_threads_local(previous)
 
 
 def _factor_solve(ab, b):

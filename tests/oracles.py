@@ -5,7 +5,9 @@
 * the Wolff profile's ODE residual and the drift of its running mean, and
   the profile integrated with V evaluated on 0-d arrays;
 * the Hardy ratio ||v / delta||_p / ||grad v||_p and the H1 error against
-  an analytic gradient.
+  an analytic gradient;
+* the config expression language's original tokenizer and
+  recursive-descent parser, frozen as the reference for its trees.
 
 They evaluate what `plprobe` computes with formulas of their own; the
 package itself runs none of them.
@@ -21,6 +23,7 @@ import scipy.integrate
 from scipy.integrate import solve_ivp
 
 from plprobe import pde, recovery, special
+from plprobe.config import ConfigError
 from plprobe.vecp import _norm_sq, _pow_or_zero
 
 # Fixed seed of every randomized inequality battery.
@@ -295,3 +298,145 @@ def h1_relative_error(grid: pde.DomainGrid, u: pde.PField, grad_exact) -> float:
     gex = np.asarray(grad_exact(grid.centroid), dtype=np.complex128)
     return float(math.sqrt((grid.area * _norm_sq(qc - gex)).sum()
                            / (grid.area * _norm_sq(gex)).sum()))
+
+
+# ---------------------------------------------------------------------------
+# The expression parser that `plprobe.config` used before it parsed with
+# `ast`, kept unchanged.  `reference_expression_tree` returns the tree that
+# `Expression._node` must equal, and the set of variables.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_FUNCTIONS = ("exp", "sin", "cos", "abs")
+
+
+class _Tok:
+    def __init__(self, kind, text, pos):
+        self.kind, self.text, self.pos = kind, text, pos
+
+
+def _tokenize(text: str):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^()":
+            toks.append(_Tok(c, c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] in ".eE"
+                             or (text[j] in "+-" and j > i and text[j - 1] in "eE")):
+                j += 1
+            try:
+                float(text[i:j])
+            except ValueError:
+                raise ConfigError(f"bad numeric literal {text[i:j]!r} at column {i + 1}")
+            toks.append(_Tok("num", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok("name", text[i:j], i))
+            i = j
+            continue
+        raise ConfigError(f"unexpected character {c!r} at column {i + 1}")
+    toks.append(_Tok("end", "", n))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.k = 0
+        self.vars = set()
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def take(self, kind=None):
+        t = self.toks[self.k]
+        if kind and t.kind != kind:
+            raise ConfigError(
+                f"expected {kind!r} at column {t.pos + 1}, found {t.text or 'end'!r}")
+        self.k += 1
+        return t
+
+    def parse(self):
+        node = self.expr()
+        t = self.peek()
+        if t.kind != "end":
+            raise ConfigError(f"unexpected {t.text!r} at column {t.pos + 1}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek().kind in "+-":
+            op = self.take().kind
+            node = (op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek().kind in "*/":
+            op = self.take().kind
+            node = (op, node, self.unary())
+        return node
+
+    def unary(self):
+        if self.peek().kind == "-":
+            self.take()
+            return ("neg", self.unary())
+        if self.peek().kind == "+":
+            self.take()
+            return self.unary()
+        return self.power()
+
+    def power(self):
+        base = self.primary()
+        if self.peek().kind == "^":
+            self.take()
+            return ("^", base, self.unary())  # right-associative
+        return base
+
+    def primary(self):
+        t = self.peek()
+        if t.kind == "num":
+            self.take()
+            return ("num", float(t.text))
+        if t.kind == "(":
+            self.take()
+            node = self.expr()
+            self.take(")")
+            return node
+        if t.kind == "name":
+            self.take()
+            if t.text in ("x1", "x2"):
+                self.vars.add(t.text)
+                return ("var", t.text)
+            if t.text in _REFERENCE_FUNCTIONS:
+                self.take("(")
+                arg = self.expr()
+                self.take(")")
+                return ("call", t.text, arg)
+            raise ConfigError(
+                f"unknown name {t.text!r} at column {t.pos + 1} "
+                f"(variables x1, x2; functions exp, sin, cos, abs)")
+        raise ConfigError(f"unexpected {t.text or 'end'!r} at column {t.pos + 1}")
+
+
+def reference_expression_tree(text: str):
+    """(tree, variables) of `text` as the original parser built them; raises
+    ConfigError where it rejected the text."""
+    text = text.strip()
+    if not text:
+        raise ConfigError("empty expression")
+    p = _Parser(text)
+    node = p.parse()
+    return node, frozenset(p.vars)

@@ -1,8 +1,15 @@
+import random
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
 from plprobe.config import (ConfigError, ExperimentConfig, parse_config,
                             parse_expression)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +48,89 @@ def test_expression_errors_carry_position():
         parse_expression("foo(x1)")
     with pytest.raises(ConfigError):
         parse_expression("1 +")
+
+
+def _tree(text):
+    expr = parse_expression(text)
+    return expr._node, expr.variables
+
+
+def _error_column(parse, text):
+    with pytest.raises(ConfigError) as info:
+        parse(text)
+    return re.search(r"column \d+", str(info.value)).group()
+
+
+def _random_expression(rng, depth):
+    """Text of one expression of the grammar: nested operators with random
+    spacing, unary signs, calls, parentheses and right-nested powers."""
+    def sp():
+        return rng.choice(("", "", " ", "  "))
+
+    def atom():
+        k = rng.randrange(6)
+        if k < 2:
+            return rng.choice(("x1", "x2"))
+        if k == 2:
+            return str(rng.randrange(100))
+        if k == 3:
+            return f"{rng.uniform(0.0, 10.0):.{rng.randrange(1, 13)}f}"
+        if k == 4:
+            return rng.choice(("1e-3", "2.5E2", ".5", "5.", "1.e1", "3e+0"))
+        return f"{rng.uniform(0.5, 2.0):.12f} * (1 + {rng.uniform(-0.25, 0.0):.12f}" \
+               f" * x1 + {rng.uniform(0.5, 1.0):.12f} * x2)"
+
+    if depth == 0 or rng.random() < 0.2:
+        return atom()
+    sub = _random_expression(rng, depth - 1)
+    k = rng.randrange(6)
+    if k < 2:
+        op = rng.choice("+-*/^")
+        return sub + sp() + op + sp() + _random_expression(rng, depth - 1)
+    if k == 2:
+        return rng.choice("-+") + sp() + sub
+    if k == 3:
+        return "(" + sp() + sub + sp() + ")"
+    if k == 4:
+        return rng.choice(("exp", "sin", "cos", "abs")) + sp() + "(" + sub + ")"
+    return sp().join((atom(), "^", rng.choice(("", "-")) + atom(), "^", sub))
+
+
+def test_expression_trees_match_the_reference_parser():
+    rng = random.Random(20111016)
+    for _ in range(10_000):
+        text = _random_expression(rng, 5)
+        assert _tree(text) == oracles.reference_expression_tree(text), text
+
+
+@pytest.mark.parametrize("text", ("2^3^2", "-x1^2/10", "2^-1", "--x1", "+x1",
+                                  "9" * 401, "1.5 * (1 + -0.125 * x1 + 0.5 * x2)",
+                                  "exp (x1)", "(1\n+ 2)"))
+def test_expression_fixed_trees_match_the_reference_parser(text):
+    assert _tree(text) == oracles.reference_expression_tree(text)
+
+
+def test_expression_long_integer_literal_reads_as_inf():
+    # float() of the 401 digits; the int that Python parses overflows float()
+    assert _tree("9" * 401) == (("num", float("inf")), frozenset())
+
+
+@pytest.mark.parametrize("text", ("1_000", "0x10", "1j", "x1**2", "True",
+                                  "x1 if x2 else 1", "x1 // 2", "x1.real", "not x1",
+                                  "(exp)(x1)", "exp()", "exp(*x1)", "1 # note"))
+def test_expression_outside_the_grammar_rejected(text):
+    with pytest.raises(ConfigError, match="column"):
+        parse_expression(text)
+    with pytest.raises(ConfigError):
+        oracles.reference_expression_tree(text)
+
+
+@pytest.mark.parametrize("text", ("x1^2 + $", "x1^2 + )", "x1**2", "2^3^2 +",
+                                  "x1^2 x2", "x1^2 * (2 +)", "2^^3", "x1^2 + foo"))
+def test_expression_error_columns_count_in_the_given_text(text):
+    # each ^ is two characters to Python's parser and one in the message
+    assert (_error_column(parse_expression, text)
+            == _error_column(oracles.reference_expression_tree, text))
 
 
 # ---------------------------------------------------------------------------
@@ -126,3 +216,23 @@ def test_solver_validation():
 def test_comments_and_blanks_ignored():
     cfg = parse_config("# heading\n\n[physics]\n; note\np = 3\n")
     assert cfg.physics.p == 3.0
+
+
+def test_sweep_gamma_list_positivity_names_the_key_and_point():
+    with pytest.raises(ConfigError, match=r"sweep\.gamma_list entry '1 - 2\*x2': "
+                                          r"must be positive .*gamma\(x1=-1, x2=1\) = -1"):
+        parse_config("[sweep]\ngamma_list = 1 + x2/2, 1 - 2*x2\n")
+
+
+@pytest.mark.parametrize("value", ("-1", "1.5", "nan", "inf"))
+def test_seed_must_be_a_non_negative_integer(value):
+    with pytest.raises(ConfigError, match="solver.seed: must be a non-negative integer"):
+        parse_config(f"[solver]\ninit = random\nseed = {value}\n")
+    assert parse_config("[solver]\ninit = random\nseed = 0\n").solver.seed == 0
+
+
+def test_readme_reference_config_parses():
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.probe.m_list == (4.0, 8.0, 16.0)
+    assert cfg.sweep.gamma_list == ("1 + x2/2",)

@@ -1,6 +1,4 @@
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -486,28 +484,6 @@ def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
     with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
         pde._factor_solve(ab, np.ones(4))
     assert seen == [1, 1]
-    assert scipy_openblas.scipy_openblas_get_num_threads() == 2
-
-
-def test_factor_pin_is_safe_across_threads(scipy_openblas, monkeypatch):
-    # the count is one number per process: pins taken in several threads at
-    # once must neither unpin another thread's factorization nor leave the
-    # count changed; a short switch interval interleaves the threads often
-    seen = _record_factor_threads(monkeypatch, scipy_openblas)
-
-    def factor_many():
-        for _ in range(200):
-            pde._factor_solve(_spd_band(40, 4), np.ones(40))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for future in [pool.submit(factor_many) for _ in range(4)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert seen == [1] * 800
     assert scipy_openblas.scipy_openblas_get_num_threads() == 2
 
 
