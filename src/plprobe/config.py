@@ -373,8 +373,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("domain.resolution: at least 8 cells per unit required")
     if d.nodes_per_wavelength < 8:
         raise ConfigError("domain.nodes_per_wavelength: at least 8 required")
-    if not d.max_nodes >= 1:
-        raise ConfigError("domain.max_nodes: must be at least 1")
+    if not (d.max_nodes >= 1 and float(d.max_nodes).is_integer()):
+        raise ConfigError("domain.max_nodes: must be at least 1 and an integer, "
+                          f"got {d.max_nodes:g}")
 
     if not ph.p > 1.0:
         raise ConfigError("physics.p: must exceed 1")
@@ -393,8 +394,11 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     if not so.eps_final > 0:
         raise ConfigError("solver.eps_final: must be positive")
-    if so.outer_tol <= 0 or so.residual_tol <= 0 or so.max_iter < 1:
-        raise ConfigError("solver: tolerances/max_iter must be positive")
+    if so.outer_tol <= 0 or so.residual_tol <= 0:
+        raise ConfigError("solver: tolerances must be positive")
+    if not (so.max_iter >= 1 and float(so.max_iter).is_integer()):
+        raise ConfigError("solver.max_iter: must be at least 1 and an integer, "
+                          f"got {so.max_iter:g}")
     if so.init not in ("datum", "zero", "random"):
         raise ConfigError(f"solver.init: unknown initialization {so.init!r}")
     if not (so.seed >= 0 and float(so.seed).is_integer()):

@@ -19,9 +19,11 @@ by damped Newton with a backtracking (Armijo, sufficient-decrease constant
 1/4) line search, run from the initial iterate at the single eps =
 eps_final times the RMS gradient of the datum.  The free dofs are numbered
 with the lattice's shorter side running fastest, so the free-dof Newton
-matrix is a band of half-width about ncomp times that side; each step
-assembles its lower band and factors it by LAPACK banded Cholesky (dpbtrf)
-on one OpenBLAS thread.
+matrix is a band of half-width about ncomp times that side; each Newton
+step assembles its lower band and factors it by LAPACK banded Cholesky
+(dpbtrf) on one OpenBLAS thread.  The closing polish step is a chord step:
+it assembles only the gradient and back-solves (dpbtrs) with the factor of
+the step before it.
 Only the lower triangle of each symmetric element block is formed (21 of
 36 entries for complex data, 6 of 9 for real); the slot of every entry and
 the hat p-norms of the residual are computed once per solve.  Complex
@@ -393,9 +395,11 @@ class SolverSettings:
     of the datum, which makes it exactly equivariant under scaling of the
     datum.  Once a step's relative energy decrease is at most outer_tol and
     the regularized dual residual is at most residual_tol, it takes one
-    more step, which brings the iterate to round-off, and stops; max_iter
-    bounds the steps taken before that test passes.  Step lengths halve
-    until the energy falls by at least 1/4 of the step's Newton decrement.
+    more step, which brings the iterate to round-off, and stops; that
+    polish step reuses the factored Newton matrix of the step before it
+    (a chord step).  max_iter bounds the steps taken before the test
+    passes.  Step lengths halve until the energy falls by at least 1/4 of
+    the step's decrement.
     """
 
     eps_final: float = 1e-6
@@ -471,25 +475,35 @@ def _one_openblas_thread():
         lib.openblas_set_num_threads_local(previous)
 
 
-def _factor_solve(ab, b):
-    """Solve H x = b for the SPD matrix H whose lower band (LAPACK layout,
-    Fortran order) is `ab`, by Cholesky; `ab` is overwritten by the factor.
+def _band_factor(ab):
+    """The lower band Cholesky factor of the SPD matrix H whose lower band
+    (LAPACK layout, Fortran order) is `ab`; `ab` may be overwritten, and
+    the caller keeps only the returned factor.
 
-    The factor and solve run on one OpenBLAS thread, and the caller's
-    count is restored on return or error.  dpbtrf works in panels of at
-    most 32 columns, and threading their small updates costs more than it
-    gains: on 2 cores, one thread ties at kd <= 63 and is 1.3-1.7x faster
-    at kd >= 108 (kd = 229 on the M = 16 complex window).  Where scipy's
-    OpenBLAS is not found, the band is factored on the library's own
-    thread count.  scipy.linalg is imported here, at the first
-    factorization, so that importing `pde` loads no scipy."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    The factor and every solve with it (`_band_solve`) run on one OpenBLAS
+    thread, and the caller's count is restored on return or error.  dpbtrf
+    works in panels of at most 32 columns, and threading their small
+    updates costs more than it gains: on 2 cores, one thread ties at
+    kd <= 63 and is 1.3-1.7x faster at kd >= 108 (kd = 229 on the M = 16
+    complex window).  Where scipy's OpenBLAS is not found, the band is
+    factored on the library's own thread count.  scipy.linalg is imported
+    here, at the first factorization, so that importing `pde` loads no
+    scipy."""
+    from scipy.linalg.lapack import dpbtrf
 
     with _one_openblas_thread():
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise SolverConvergenceError(
-                f"Newton matrix is not positive definite (leading minor {info})")
+    if info > 0:
+        raise SolverConvergenceError(
+            f"Newton matrix is not positive definite (leading minor {info})")
+    return factor
+
+
+def _band_solve(factor, b):
+    """Solve H x = b with the band Cholesky factor of H from `_band_factor`."""
+    from scipy.linalg.lapack import dpbtrs
+
+    with _one_openblas_thread():
         return dpbtrs(factor, b, lower=1)[0]
 
 
@@ -556,16 +570,16 @@ class _FreeDofNewton:
     def residual(self, U, eps):
         return _dual_residual(self.grid, self.gamma_c, self.p, U, eps, self.phinorm)
 
-    def linearize(self, U, eps):
+    def linearize(self, U, eps, band=True):
         """(E_eps(U), free gradient, lower band of the free Newton matrix,
-        shape (kd + 1, nfree) in Fortran order)."""
+        shape (kd + 1, nfree) in Fortran order); with band=False, (E_eps(U),
+        free gradient) only, and no band is assembled."""
         grid, p = self.grid, self.p
         q = _element_gradients(grid, U)
         q2 = _grad_sq(q)
         E = _p_energy(grid, q2, p, self.gamma_c, eps)
         coef = grid.area * self.gamma_c * p * _pow_or_zero(q2 + eps * eps,
                                                           (p - 2.0) / 2.0)
-        coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
         iq = _hat_dots(grid, q).reshape(-1, q.shape[-1])  # row a = ncomp i + c
         # the weights are written element-major, as the slots are, without
         # a transposed copy
@@ -574,6 +588,9 @@ class _FreeDofNewton:
         np.multiply(iq, coef, out=gw.T)
         g = np.bincount(self.vec_slot, weights=gw.ravel(),
                         minlength=self.nfree + 1)[:self.nfree]
+        if not band:
+            return E, g
+        coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
         H, t = np.empty((nel, len(self.pairs))), np.empty(nel)
         cbb = coef * self.bb
         for k, (a, b, m) in enumerate(self.pairs):
@@ -591,17 +608,24 @@ class _FreeDofNewton:
 def _damped_newton(newton, U, eps, settings):
     """Damped Newton at fixed eps from U; returns (last iterate, history).
 
-    Once a step's relative energy decrease is at most outer_tol and the
-    residual meets residual_tol (or the decrement reaches float
-    resolution), one more step is taken, which brings the iterate to
-    round-off.  Every accepted step appends (eps, E, decrement) to the
-    history.
+    Each Newton step assembles the band and factors it.  Once a step's
+    relative energy decrease is at most outer_tol and the residual meets
+    residual_tol (or the decrement reaches float resolution), one more
+    "polish" step is taken, which brings the iterate to round-off.  It is a
+    chord step: it assembles only the gradient and back-solves with the
+    factor of the step that passed the test.  Every accepted step appends
+    (eps, E, decrement) to the history, so a solve makes one factorization
+    fewer than it has history entries.
     """
     history, polish = [], False
     while True:
-        E, g, ab = newton.linearize(U, eps)
-        d = _factor_solve(ab, -g)
-        del ab  # the next step's band is assembled without this one alive
+        if polish:
+            E, g = newton.linearize(U, eps, band=False)
+        else:
+            E, g, ab = newton.linearize(U, eps)
+            factor = _band_factor(ab)
+            del ab  # only the factor keeps band-sized memory
+        d = _band_solve(factor, -g)
         decrement = float(-g @ d)
         if decrement < 0.0:
             raise SolverConvergenceError("Newton direction is not a descent direction")
@@ -625,10 +649,13 @@ def _damped_newton(newton, U, eps, settings):
         if (E - E_try) / max(abs(E_try), 1e-300) <= settings.outer_tol:
             polish = (newton.residual(U, eps) <= settings.residual_tol
                       or decrement <= 1e-28 * max(abs(E_try), 1e-300))
-        if not polish and len(history) >= settings.max_iter:
-            raise SolverConvergenceError(
-                f"no convergence within {settings.max_iter} iterations "
-                f"at eps = {eps:.3e}", residual=newton.residual(U, eps))
+        if not polish:
+            # the next step's band is assembled without this factor alive
+            del factor
+            if len(history) >= settings.max_iter:
+                raise SolverConvergenceError(
+                    f"no convergence within {settings.max_iter} iterations "
+                    f"at eps = {eps:.3e}", residual=newton.residual(U, eps))
 
 
 def _as_gamma(gamma) -> ConductivityField:
@@ -698,7 +725,7 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
             f"residual_tol {settings.residual_tol:.3e}", residual=res_reg)
 
     field = PField(values=_values_from_components(U), mode=mode)
-    return SolveResult(field=field, energy=newton.energy(U, eps),
+    return SolveResult(field=field, energy=history[-1][1],
                        energy_history=history,
                        weak_residual=newton.residual(U, 0.0),
                        regularized_residual=res_reg, eps_final_abs=eps)

@@ -399,6 +399,60 @@ def probe_window_grid(spec: ProbeSpec, nodes_per_wavelength: float = 16.0,
                       res)
 
 
+def _lattice_interpolate(coarse: DomainGrid, values: np.ndarray,
+                         fine: DomainGrid) -> np.ndarray:
+    """Bilinear interpolation of the nodal `values` of `coarse` to the nodes
+    of `fine`, two structured grids of one rectangle.
+
+    Node (i, j) of either lattice sits at lattice coordinates (i/nx, j/ny),
+    and the interpolation is bilinear in those coordinates; the lattices
+    need not be nested.  Both grids map lattice coordinates to the same
+    point of the rectangle, curved bottom included, so a field affine in
+    lattice coordinates is reproduced exactly.
+    """
+    def cells(n_from, n_to):
+        """Coarse cell and offset in it of every fine lattice line."""
+        x = np.arange(n_to + 1) * n_from / n_to
+        k = np.minimum(x.astype(np.intp), n_from - 1)
+        return k, x - k
+
+    (i, fi), (j, fj) = cells(coarse.nx, fine.nx), cells(coarse.ny, fine.ny)
+    C = values.reshape(coarse.ny + 1, coarse.nx + 1)
+    rows = C[:, i] * (1.0 - fi) + C[:, i + 1] * fi     # (coarse ny + 1, fine nx + 1)
+    fj = fj[:, None]
+    return (rows[j] * (1.0 - fj) + rows[j + 1] * fj).ravel()
+
+
+def _two_level_start(spec: ProbeSpec, grid: DomainGrid, probe: PField,
+                     gamma, settings, nodes_per_wavelength: float,
+                     max_nodes: int) -> PField:
+    """The start of the probe-window solve on `grid`: the probe plus the
+    correction u_c - v_c of the solve on the half-resolution window,
+    interpolated in lattice coordinates.
+
+    The coarse level is used only where the probe is still resolved at half
+    the resolution, by `build_probe`'s own floors (8 cells per wavelength
+    and 8 across the support), so that both windows are set by the
+    wavelength and the coarse one has exactly half the resolution.  Where
+    it is not, or where the coarse solve fails, the start is the probe.
+    All coarse arrays are released on return.
+    """
+    coarse_npw = nodes_per_wavelength / 2.0
+    if not (coarse_npw >= 8.0 and coarse_npw / spec.wavelength >= 8.0 * spec.M):
+        return probe
+    coarse = probe_window_grid(spec, nodes_per_wavelength=coarse_npw,
+                               max_nodes=max_nodes)
+    coarse_probe = build_probe(spec, coarse).field
+    try:
+        sol = solve_dirichlet(coarse, gamma, spec.p, coarse_probe, settings,
+                              initial=coarse_probe)
+    except SolverConvergenceError:
+        return probe
+    correction = _lattice_interpolate(coarse, sol.field.values - coarse_probe.values,
+                                      grid)
+    return PField(values=probe.values + correction, mode=spec.mode)
+
+
 # ---------------------------------------------------------------------------
 # Recovery driver
 # ---------------------------------------------------------------------------
@@ -498,11 +552,15 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     """Run the probe sequence and report per-M DN self-pairings.
 
     Each M is solved on its `probe_window_grid`, which receives
-    `nodes_per_wavelength` and `max_nodes`.  A per-M
-    solver, resolution, quadrature or grid-budget failure is recorded in
-    its row and the run continues; any other exception propagates.  The
-    extrapolated value adds the last step between the two final estimates
-    once more.
+    `nodes_per_wavelength` and `max_nodes`.  Where the probe is resolved
+    at half that resolution, the solve starts from the probe plus the
+    correction of the same solve on the half-resolution window (a
+    two-level start); otherwise, or if that coarse solve fails, it starts
+    from the probe.  `newton_iterations` counts the steps of the full
+    resolution solve only.  A per-M solver, resolution, quadrature or
+    grid-budget failure is recorded in its row and the run continues; any
+    other exception propagates.  The extrapolated value adds the last step
+    between the two final estimates once more.
     """
     gamma_f = _as_gamma(gamma)
     gamma0 = float(gamma_f(np.zeros((1, 2)))[0])
@@ -525,8 +583,10 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
             grid = probe_window_grid(spec, nodes_per_wavelength=nodes_per_wavelength,
                                      max_nodes=max_nodes)
             probe = build_probe(spec, grid)
+            start = _two_level_start(spec, grid, probe.field, gamma_f, settings,
+                                     nodes_per_wavelength, max_nodes)
             sol = solve_dirichlet(grid, gamma_f, p, probe.field, settings,
-                                  initial=probe.field)
+                                  initial=start)
             pairing = flux_pairing(grid, gamma_f, p, sol.field, probe.field)
             leading, remainder = remainder_split(grid, gamma_f, p,
                                                  probe.field, sol.field)

@@ -138,7 +138,8 @@ def test_recover_curved_bottom_pins_report(tmp_path):
     for column, values in expected.items():
         for row, value in zip(rows, values):
             assert float(row[column]) == pytest.approx(value, rel=1e-12), column
-    assert [r["newton_iterations"] for r in rows] == ["8", "8"]
+    # M = 8 starts from its half-resolution solution, M = 4 from the probe
+    assert [r["newton_iterations"] for r in rows] == ["8", "5"]
 
 
 def test_recover_curved_bottom_beyond_solve_rectangle(tmp_path):

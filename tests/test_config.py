@@ -231,6 +231,18 @@ def test_seed_must_be_a_non_negative_integer(value):
     assert parse_config("[solver]\ninit = random\nseed = 0\n").solver.seed == 0
 
 
+@pytest.mark.parametrize("section,key,value", (
+    ("solver", "max_iter", "1.5"), ("solver", "max_iter", "0"),
+    ("solver", "max_iter", "nan"), ("solver", "max_iter", "inf"),
+    ("domain", "max_nodes", "1.5"), ("domain", "max_nodes", "inf")))
+def test_counts_must_be_integers_of_at_least_1(section, key, value):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be at least 1 "
+                                          rf"and an integer, got {value}$"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    cfg = parse_config(f"[{section}]\n{key} = 2\n")
+    assert getattr(getattr(cfg, section), key) == 2
+
+
 def test_readme_reference_config_parses():
     block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block)

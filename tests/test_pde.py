@@ -426,7 +426,7 @@ def test_newton_matrix_symmetric_and_factored_accurately(mode, p):
         scale = abs(ref).max()
         assert abs(_band_lower(ab) - sp.tril(ref)).max() <= 1e-14 * scale
         assert abs(ref - ref.T).max() <= 1e-14 * scale
-        x = pde._factor_solve(ab, grad)
+        x = pde._band_solve(pde._band_factor(ab), grad)
         assert np.linalg.norm(ref @ x - grad) <= 1e-10 * np.linalg.norm(grad)
 
 
@@ -450,20 +450,21 @@ def test_newton_matrix_is_derivative_of_gradient(mode, p):
 def test_indefinite_band_raises_from_factor():
     ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
     with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
-        pde._factor_solve(ab, np.ones(4))
+        pde._band_factor(ab)
 
 
-def _record_factor_threads(monkeypatch, lib):
-    """Wrap scipy.linalg.lapack.dpbtrf, which `pde._factor_solve` imports at
-    each call, to record OpenBLAS's thread count during each call."""
+def _record_factor_threads(monkeypatch, lib, routine="dpbtrf"):
+    """Wrap scipy.linalg.lapack.`routine` (dpbtrf or dpbtrs), which
+    `pde._band_factor` and `pde._band_solve` import at each call, to record
+    OpenBLAS's thread count during each call."""
     seen = []
 
     def recording(*args, **kwargs):
         seen.append(lib.scipy_openblas_get_num_threads())
-        return dpbtrf(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    dpbtrf = scipy.linalg.lapack.dpbtrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recording)
+    original = getattr(scipy.linalg.lapack, routine)
+    monkeypatch.setattr(scipy.linalg.lapack, routine, recording)
     return seen
 
 
@@ -475,16 +476,45 @@ def _spd_band(n=200, kd=20):
 
 def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
     seen = _record_factor_threads(monkeypatch, scipy_openblas)
+    solves = _record_factor_threads(monkeypatch, scipy_openblas, "dpbtrs")
     b = np.ones(200)
-    x = pde._factor_solve(_spd_band(), b)
+    x = pde._band_solve(pde._band_factor(_spd_band()), b)
     assert np.isfinite(x).all()
-    assert seen == [1]
+    assert seen == [1] and solves == [1]
     assert scipy_openblas.scipy_openblas_get_num_threads() == 2
     ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
     with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
-        pde._factor_solve(ab, np.ones(4))
+        pde._band_factor(ab)
     assert seen == [1, 1]
     assert scipy_openblas.scipy_openblas_get_num_threads() == 2
+
+
+def test_p2_solve_takes_three_steps_on_two_factorizations(
+        nonlinear_setup, scipy_openblas, monkeypatch):
+    # the quadratic energy is minimized by the first step; the second only
+    # confirms it, and the polish step reuses the second step's factor
+    g, gam, f = nonlinear_setup
+    factors = _record_factor_threads(monkeypatch, scipy_openblas)
+    sol = pde.solve_dirichlet(g, gam, 2.0, f, pde.SolverSettings(init="zero"))
+    assert len(sol.energy_history) == 3
+    assert len(factors) == 2
+
+
+def test_polish_step_makes_no_factorization(nonlinear_setup, scipy_openblas,
+                                            monkeypatch):
+    g, gam, f = nonlinear_setup
+    factors = _record_factor_threads(monkeypatch, scipy_openblas)
+    solves = _record_factor_threads(monkeypatch, scipy_openblas, "dpbtrs")
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
+    assert len(factors) == len(sol.energy_history) - 1
+    assert len(solves) == len(sol.energy_history)
+
+
+def test_final_energy_is_last_history_entry(nonlinear_setup):
+    g, gam, f = nonlinear_setup
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
+    assert sol.energy == sol.energy_history[-1][1]
+    assert sol.energy == pde.energy(g, sol.field, gam, 3.0, sol.eps_final_abs)
 
 
 def test_failed_line_search_raises(nonlinear_setup, monkeypatch):

@@ -378,6 +378,100 @@ def test_recover_failure_rows_recorded():
     assert not rep.monotone_contract()
 
 
+def _lattice_coordinates(grid):
+    """(i/nx, j/ny) of every node of a structured grid."""
+    j, i = np.divmod(np.arange(grid.npt), grid.nx + 1)
+    return i / grid.nx, j / grid.ny
+
+
+def _lattice_affine(grid):
+    s, t = _lattice_coordinates(grid)
+    return (0.3 - 1.7j) + (2.5 + 0.5j) * s - (1.25 - 3.0j) * t
+
+
+def test_lattice_interpolation_reproduces_affine_fields_between_windows():
+    # the M = 16 complex p = 3 window and its half-resolution companion,
+    # whose lattices are not nested
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=16.0)
+    fine = recovery.probe_window_grid(spec)
+    coarse = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
+    assert (fine.nx, coarse.nx) == (230, 116)
+    out = recovery._lattice_interpolate(coarse, _lattice_affine(coarse), fine)
+    assert np.abs(out - _lattice_affine(fine)).max() <= 1e-14
+
+
+def test_lattice_interpolation_follows_a_curved_bottom():
+    rho = special.BoundaryDefiningFunction(lambda x: -x[..., 0] ** 2 / 10.0,
+                                           lambda x: -x[..., 0] / 5.0)
+    shape = pde.Rectangle(half_width=0.5, height=0.5, bottom=rho)
+    fine, coarse = pde.build_grid(shape, 60.0), pde.build_grid(shape, 31.0)
+    assert (fine.nx, coarse.nx) == (60, 32)
+
+    def field(grid):
+        # affine in x1 and in the height above the bottom, relative to the
+        # column: affine in lattice coordinates, not in x2
+        x1, x2 = grid.pts.T
+        g = -x1**2 / 10.0
+        return 1.0 + 2.0 * x1 - 3.0 * (x2 - g) / (0.5 - g)
+
+    out = recovery._lattice_interpolate(coarse, field(coarse), fine)
+    assert np.abs(out - field(fine)).max() <= 1e-14
+
+
+class _CoarseLevel(Exception):
+    pass
+
+
+def test_two_level_start_runs_where_half_resolution_resolves(monkeypatch,
+                                                              wolff15, wolff3):
+    def coarse_window(*args, **kwargs):
+        raise _CoarseLevel
+
+    monkeypatch.setattr(recovery, "probe_window_grid", coarse_window)
+    coarse = set()
+    for mode in ("complex", "real"):
+        for p, profile in ((1.5, wolff15), (3.0, wolff3)):
+            for M in (4.0, 8.0, 16.0):
+                spec = recovery.ProbeSpec(mode=mode, p=p, M=M, profile=(
+                    profile if mode == "real" else None))
+                try:
+                    assert recovery._two_level_start(
+                        spec, None, "probe", None, None, 16.0, 1_500_000) == "probe"
+                except _CoarseLevel:
+                    coarse.add((mode, p, M))
+    assert coarse == {("complex", 3.0, 8.0), ("complex", 3.0, 16.0),
+                      ("complex", 1.5, 16.0), ("real", 3.0, 8.0),
+                      ("real", 3.0, 16.0), ("real", 1.5, 16.0)}
+
+
+def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
+    grid = recovery.probe_window_grid(spec)
+    probe = recovery.build_probe(spec, grid)
+    direct = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe.field,
+                                 initial=probe.field)
+    expected = dnmap.flux_pairing(grid, GAMMA_SLOPE, 3.0, direct.field,
+                                  probe.field).real
+
+    solve, grids = recovery.solve_dirichlet, []
+
+    def coarse_fails(grid, *args, **kwargs):
+        grids.append(grid.nx)
+        if len(grids) == 1:
+            raise pde.SolverConvergenceError("injected")
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "solve_dirichlet", coarse_fails)
+    row = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [8]).rows[0]
+    assert grids == [grid.nx // 2, grid.nx]
+    assert row.ok, row.message
+    assert row.estimate == pytest.approx(expected, rel=1e-12)
+    # the same row of the recover demo's golden, written before the
+    # two-level start existed
+    assert row.estimate == pytest.approx(1.0039390498376664, rel=1e-12)
+    assert row.newton_iterations == len(direct.energy_history) == 7
+
+
 def test_recover_requires_increasing_m():
     with pytest.raises(ValueError):
         recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [8, 4])
