@@ -31,6 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .special import BoundaryDefiningFunction
+
 __all__ = [
     "ConfigError",
     "Expression",
@@ -415,12 +417,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         bexpr = parse_expression(d.bottom)
         if "x2" in bexpr.variables:
             raise ConfigError("domain.bottom: a bottom curve depends on x1 only")
-        g0 = float(bexpr(np.array([[0.0, 0.0]]))[0])
-        dg0 = float(bexpr.derivative("x1")(np.array([[0.0, 0.0]]))[0])
-        if abs(g0) > 1e-12 or abs(dg0) > 1e-12:
-            raise ConfigError(
-                "domain.bottom: curve must satisfy g(0) = 0 and g'(0) = 0 "
-                f"(got g(0) = {g0:.3g}, g'(0) = {dg0:.3g})")
+        try:
+            BoundaryDefiningFunction(bexpr, bexpr.derivative("x1"))
+        except ValueError as exc:
+            raise ConfigError(f"domain.bottom: {exc}") from None
         if pr.mode == "complex":
             raise ConfigError("probe.mode: complex probes require a flat bottom "
                               "(use real mode on curved boundaries)")

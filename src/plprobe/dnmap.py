@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pde import (DomainGrid, PField, SolverSettings, _as_gamma,
-                  _complex_gradients, _p_energy, solve_dirichlet)
+from .pde import (ConductivityField, DomainGrid, PField, _complex_gradients,
+                  _p_energy, solve_dirichlet)
 from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
@@ -31,40 +31,30 @@ __all__ = [
 ]
 
 
-def flux_pairing(grid: DomainGrid, gamma, p: float, u: PField, g: PField) -> complex:
+def flux_pairing(grid: DomainGrid, gamma: ConductivityField, p: float, u: PField,
+                 g: PField) -> complex:
     """int gamma |grad u|^(p-2) grad u . grad conj(g), element-midpoint quadrature."""
-    gamma_c = _as_gamma(gamma)(grid.centroid)
+    gamma_c = gamma(grid.centroid)
     qu = _complex_gradients(grid, u.components())
     qg = _complex_gradients(grid, g.components())
     w = _pow_or_zero(_norm_sq(qu), (p - 2.0) / 2.0)
     return complex((grid.area * gamma_c * w * (qu * np.conj(qg)).sum(axis=1)).sum())
 
 
-def dn_pairing(grid: DomainGrid, gamma, p: float, f: PField,
-               g: PField | None = None,
-               settings: SolverSettings | None = None,
-               solution: PField | None = None) -> complex:
-    """<L_gamma(trace f), trace g> with g defaulting to f itself.
-
-    f and g are full fields; f's interior values warm-start the solve.
-    Pass `solution` to reuse an existing solve of the same datum.
-    """
-    if g is None:
-        g = f
-    if solution is None:
-        solution = solve_dirichlet(grid, gamma, p, f, settings).field
-    return flux_pairing(grid, gamma, p, solution, g)
+def dn_pairing(grid: DomainGrid, gamma: ConductivityField, p: float,
+               f: PField) -> complex:
+    """The self-pairing <L_gamma(trace f), trace f>: one solve from f, whose
+    interior values warm-start it, then `flux_pairing` against f."""
+    return flux_pairing(grid, gamma, p, solve_dirichlet(grid, gamma, p, f).field, f)
 
 
-def homogeneity_check(grid, gamma, p, f: PField, t: float,
-                      settings: SolverSettings | None = None) -> float:
+def homogeneity_check(grid, gamma, p, f: PField, t: float) -> float:
     """| <L(tf), tf> - t^p <L(f), f> | / (t^p |<L(f), f>|): the
     `constant_shift_check` with zero shift."""
-    return constant_shift_check(grid, gamma, p, f, 0.0, t, settings)
+    return constant_shift_check(grid, gamma, p, f, 0.0, t)
 
 
-def constant_shift_check(grid, gamma, p, f: PField, z: complex, t: float,
-                         settings: SolverSettings | None = None) -> float:
+def constant_shift_check(grid, gamma, p, f: PField, z: complex, t: float) -> float:
     """Relative deviation of <L(z + tf), z + tf> from t^p <L(f), f>.
 
     The pairing slot is linear in the extension gradient and constants have
@@ -74,15 +64,14 @@ def constant_shift_check(grid, gamma, p, f: PField, z: complex, t: float,
         raise ValueError("t must be positive")
     if f.mode == "real" and np.iscomplexobj(z) and np.imag(z) != 0:
         raise ValueError("real-mode shift must be real")
-    base = dn_pairing(grid, gamma, p, f, settings=settings)
+    base = dn_pairing(grid, gamma, p, f)
     shifted = PField(z + t * f.values, f.mode)
-    paired = dn_pairing(grid, gamma, p, shifted, settings=settings)
+    paired = dn_pairing(grid, gamma, p, shifted)
     target = t**p * base
     return abs(paired - target) / abs(target)
 
 
-def self_pairing_slope(grid, gamma, p, f: PField, t_values,
-                       settings: SolverSettings | None = None) -> float:
+def self_pairing_slope(grid, gamma, p, f: PField, t_values) -> float:
     """Least-squares slope of log <L(tf), tf> against log t.
 
     Equals p exactly in the continuum; demonstrates that the map has no
@@ -95,7 +84,7 @@ def self_pairing_slope(grid, gamma, p, f: PField, t_values,
     logs = []
     for t in t_values:
         ft = PField(f.values * t, f.mode)
-        val = abs(dn_pairing(grid, gamma, p, ft, settings=settings))
+        val = abs(dn_pairing(grid, gamma, p, ft))
         if val == 0.0:
             raise ValueError("pairing vanished; slope undefined")
         logs.append(float(np.log(val)))
@@ -103,16 +92,11 @@ def self_pairing_slope(grid, gamma, p, f: PField, t_values,
     return float(slope)
 
 
-def pairing_bound_margin(grid, gamma, p, f: PField,
-                         g: PField | None = None,
-                         settings: SolverSettings | None = None) -> float:
-    """|<L(f), g>| / (gamma_max ||grad u_f||_p^(p-1) ||grad g||_p); at most 1."""
-    gamma_f = _as_gamma(gamma)
-    _, gamma_max = gamma_f.validate_on(grid)
-    if g is None:
-        g = f
-    sol = solve_dirichlet(grid, gamma_f, p, f, settings)
-    val = flux_pairing(grid, gamma_f, p, sol.field, g)
-    nu, ng = (_p_energy(grid, _norm_sq(_complex_gradients(grid, f.components())),
-                        p) ** (1 / p) for f in (sol.field, g))
-    return abs(val) / (gamma_max * nu ** (p - 1.0) * ng)
+def pairing_bound_margin(grid, gamma, p, f: PField) -> float:
+    """|<L(f), f>| / (gamma_max ||grad u_f||_p^(p-1) ||grad f||_p); at most 1."""
+    _, gamma_max = gamma.validate_on(grid)
+    u = solve_dirichlet(grid, gamma, p, f).field
+    val = flux_pairing(grid, gamma, p, u, f)
+    nu, nf = (_p_energy(grid, _norm_sq(_complex_gradients(grid, v.components())),
+                        p) ** (1 / p) for v in (u, f))
+    return abs(val) / (gamma_max * nu ** (p - 1.0) * nf)

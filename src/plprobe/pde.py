@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .special import BoundaryDefiningFunction
-from .vecp import _pow_or_zero
+from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "Rectangle",
@@ -216,7 +216,10 @@ def build_grid(shape, resolution: float) -> DomainGrid:
 
 @dataclass(frozen=True)
 class ConductivityField:
-    """Positive conductivity gamma(x); bounds are validated on each grid."""
+    """Positive conductivity gamma(x): the one conductivity type, taken by
+    every solve, pairing and quadrature.  `fn` maps points (m, n) to (m,)
+    values, or to one scalar, which a call broadcasts to (m,); bounds are
+    validated on each grid."""
 
     fn: object
 
@@ -315,16 +318,6 @@ def _hat_dots(grid: DomainGrid, q: np.ndarray) -> np.ndarray:
     return _contract(grid.grad.transpose(1, 0, 2), q)
 
 
-def _grad_sq(q: np.ndarray) -> np.ndarray:
-    """|grad u|_T^2 per element from element gradients (2, ncomp, nel); the
-    squares are added v-major, c-minor, from the first."""
-    rows = q.reshape(-1, q.shape[-1])
-    out = rows[0] ** 2
-    for row in rows[1:]:
-        out += row**2
-    return out
-
-
 def _complex_gradients(grid: DomainGrid, U: np.ndarray) -> np.ndarray:
     """Element gradients of the complex field with components U, shape
     (nel, 2): a transposed view of the component-major kernel output."""
@@ -349,7 +342,9 @@ def energy(grid: DomainGrid, u, gamma, p: float, eps: float = 0.0) -> float:
     if U.ndim == 1:
         U = U[:, None]
     gamma_c = gamma(grid.centroid) if callable(gamma) else np.asarray(gamma)
-    return _p_energy(grid, _grad_sq(_element_gradients(grid, U)), p, gamma_c, eps)
+    q = _element_gradients(grid, U)
+    return _p_energy(grid, _norm_sq(q.reshape(-1, q.shape[-1]), axis=0), p,
+                     gamma_c, eps)
 
 
 def _hat_p_norms(grid: DomainGrid, p: float) -> np.ndarray:
@@ -364,7 +359,7 @@ def _dual_residual(grid, gamma_c, p, U, eps, phinorm):
     eps^2)^((p-2)/2) (eps = 0 gives the unregularized weak form, with the
     flux extended by 0 where grad u = 0)."""
     q = _element_gradients(grid, U)
-    q2 = _grad_sq(q)
+    q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
     unorm = _p_energy(grid, q2, p) ** (1.0 / p)
     if unorm == 0.0:
         return 0.0
@@ -375,11 +370,11 @@ def _dual_residual(grid, gamma_c, p, U, eps, phinorm):
     return float(np.max(rnorm[interior] / (unorm ** (p - 1.0) * phinorm[interior])))
 
 
-def weak_residual(grid: DomainGrid, gamma, p: float, u: PField,
-                  eps: float = 0.0) -> float:
-    """Normalized dual-norm defect of the (eps-regularized) weak form."""
-    gamma_c = gamma(grid.centroid) if callable(gamma) else np.asarray(gamma)
-    return _dual_residual(grid, gamma_c, p, u.components(), eps, _hat_p_norms(grid, p))
+def weak_residual(grid: DomainGrid, gamma: ConductivityField, p: float,
+                  u: PField) -> float:
+    """Normalized dual-norm defect of the weak form (eps = 0)."""
+    return _dual_residual(grid, gamma(grid.centroid), p, u.components(), 0.0,
+                          _hat_p_norms(grid, p))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +571,7 @@ class _FreeDofNewton:
         free gradient) only, and no band is assembled."""
         grid, p = self.grid, self.p
         q = _element_gradients(grid, U)
-        q2 = _grad_sq(q)
+        q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
         E = _p_energy(grid, q2, p, self.gamma_c, eps)
         coef = grid.area * self.gamma_c * p * _pow_or_zero(q2 + eps * eps,
                                                           (p - 2.0) / 2.0)
@@ -658,11 +653,6 @@ def _damped_newton(newton, U, eps, settings):
                     f"at eps = {eps:.3e}", residual=newton.residual(U, eps))
 
 
-def _as_gamma(gamma) -> ConductivityField:
-    """The conductivity as a ConductivityField (a plain callable is wrapped)."""
-    return gamma if isinstance(gamma, ConductivityField) else ConductivityField(gamma)
-
-
 def _require_finite(name: str, grid: DomainGrid, f: PField) -> None:
     bad = np.flatnonzero(~np.isfinite(f.values))
     if bad.size:
@@ -672,8 +662,8 @@ def _require_finite(name: str, grid: DomainGrid, f: PField) -> None:
                          f"{name}({x:.6g}, {y:.6g}) = {f.values[k]}")
 
 
-def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
-                    settings: SolverSettings | None = None,
+def solve_dirichlet(grid: DomainGrid, gamma: ConductivityField, p: float,
+                    datum: PField, settings: SolverSettings | None = None,
                     initial: PField | None = None) -> SolveResult:
     """Minimize the regularized p-energy subject to the datum's boundary trace.
 
@@ -686,9 +676,8 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     if initial is not None:
         _require_finite("initial", grid, initial)
     settings = settings or SolverSettings()
-    gamma_field = _as_gamma(gamma)
-    gamma_field.validate_on(grid)
-    gamma_c = gamma_field(grid.centroid)
+    gamma.validate_on(grid)
+    gamma_c = gamma(grid.centroid)
 
     mode = datum.mode
     ncomp = datum.ncomp
@@ -711,7 +700,8 @@ def solve_dirichlet(grid: DomainGrid, gamma, p: float, datum: PField,
     # Regularization scale: RMS gradient of the datum extension (the probe
     # or boundary-data extension), so eps tracks the datum amplitude.
     q0 = _element_gradients(grid, datum.components())
-    grad_rms = math.sqrt(float((_grad_sq(q0) * grid.area).sum())
+    grad_rms = math.sqrt(float((_norm_sq(q0.reshape(-1, q0.shape[-1]), axis=0)
+                                 * grid.area).sum())
                          / float(grid.area.sum()))
     eps = settings.eps_final * (grad_rms if grad_rms > 0.0 else 1.0)
 

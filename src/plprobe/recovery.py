@@ -35,14 +35,13 @@ import numpy as np
 
 from . import special
 from .pde import (ConductivityField, DomainGrid, PField, Rectangle,
-                  SolverSettings, SolverConvergenceError, _as_gamma,
-                  _complex_gradients, _p_energy, build_grid, solve_dirichlet)
+                  SolverSettings, SolverConvergenceError, _complex_gradients,
+                  _p_energy, build_grid, solve_dirichlet)
 from .dnmap import flux_pairing
 from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "ProbeSpec",
-    "ProbeFields",
     "UnderResolvedProbeError",
     "GridBudgetError",
     "QuadratureError",
@@ -75,8 +74,9 @@ class ProbeSpec:
 
     N follows M through N = M^s with s > 1 (so M/N -> 0); the base point
     is the origin with inward normal e_n.  Real mode needs a Wolff profile
-    and a boundary defining function (flat by default); complex mode an
-    oscillation direction orthogonal to e_n.
+    and a boundary defining function (flat by default).  Complex mode uses
+    `special.make_complex_exponential`, which oscillates along e_1 with
+    |beta|^2 = p - 1.
     """
 
     mode: str
@@ -85,7 +85,6 @@ class ProbeSpec:
     s: float = 2.0
     n: int = 2
     cutoff: special.CutoffProfile = field(default_factory=special.CutoffProfile)
-    direction: np.ndarray | None = None
     profile: special.WolffProfile | None = None
     rho: special.BoundaryDefiningFunction = field(
         default_factory=special.BoundaryDefiningFunction)
@@ -105,23 +104,10 @@ class ProbeSpec:
             raise ValueError("real mode requires a Wolff profile")
         if self.mode == "real" and self.profile.p != self.p:
             raise ValueError("profile exponent does not match the probe exponent")
-        if self.direction is not None:
-            d = np.asarray(self.direction, dtype=float)
-            if d.shape != (self.n,) or abs(np.linalg.norm(d) - 1.0) > 1e-12 \
-                    or abs(d[-1]) > 1e-13:
-                raise ValueError("direction must be a unit vector orthogonal to e_n")
 
     @property
     def N(self) -> float:
         return self.M**self.s
-
-    @property
-    def beta(self) -> np.ndarray:
-        d = self.direction
-        if d is None:
-            d = np.zeros(self.n)
-            d[0] = 1.0
-        return math.sqrt(self.p - 1.0) * np.asarray(d, dtype=float)
 
     @property
     def wavelength(self) -> float:
@@ -140,24 +126,20 @@ class ProbeSpec:
         return (self.M ** (self.n - 1) * self.N ** (1.0 - self.p) / self.c_p()) ** (1.0 / self.p)
 
 
-@dataclass
-class ProbeFields:
-    field: PField          # normalized probe v_M on the grid nodes
-    scale: float           # normalization factor applied to u_0
-
-
 def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
     cut = eta.value(pts.T)
     if spec.mode == "complex":
-        h = special.ComplexExponentialField(p=spec.p, N=spec.N, beta=spec.beta)
+        h = special.make_complex_exponential(spec.p, spec.n, N=spec.N)
         return cut * h.value(pts)
     fld = special.WolffField(spec.profile, spec.N, spec.rho)
     return cut * fld.value(pts)
 
 
-def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
-    """Evaluate the normalized probe on the grid nodes.
+def build_probe(spec: ProbeSpec, grid: DomainGrid) -> PField:
+    """The normalized probe v_M on the grid nodes: `spec.normalization()`
+    times the raw probe eta_M h_N (complex) or eta_M e^(-N rho) a(N x_1)
+    (real).
 
     Preconditions: at least 8 cells per oscillation wavelength and at
     least 8 cells across the support radius 1/M; complex probes require a
@@ -181,9 +163,7 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> ProbeFields:
     raw_vals = _probe_values(spec, grid.pts)
     if spec.mode == "real":
         raw_vals = raw_vals.real.astype(np.complex128)
-    scale = spec.normalization()
-    return ProbeFields(field=PField(values=scale * raw_vals, mode=spec.mode),
-                       scale=scale)
+    return PField(values=spec.normalization() * raw_vals, mode=spec.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +239,8 @@ def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
     return x
 
 
-def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
+def _energy_density(spec: ProbeSpec, gamma: ConductivityField,
+                    x: np.ndarray) -> np.ndarray:
     """gamma(x) |G(x)/N|^p on a component-major (n, n_perp, n_layer) block of
     scaled points, without the e^(-p y_n) layer factor, where G/N =
     (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale field gradient);
@@ -290,11 +271,8 @@ def _energy_density(spec: ProbeSpec, gamma_fn, x: np.ndarray) -> np.ndarray:
         vec[0] += eta * ap
         mag2 = _norm_sq(vec, axis=0)
 
-    # the (m, n) point list gamma_fn expects, as a view of the block
-    gam = np.asarray(gamma_fn(x.reshape(n, -1).T), dtype=float)
-    if gam.ndim:  # a constant gamma_fn may return a scalar
-        gam = gam.reshape(x.shape[1:])
-    return gam * mag2 ** (p / 2.0)
+    # gamma of the (m, n) point list, a view of the block
+    return gamma(x.reshape(n, -1).T).reshape(x.shape[1:]) * mag2 ** (p / 2.0)
 
 
 # Perpendicular rows per summation chunk, which fixes the order of the
@@ -356,16 +334,19 @@ def _refined_quad(spec: ProbeSpec, integrand, tol: float, max_level: int) -> flo
         f"(last change {change:.3e})")
 
 
-def quadrature_limit(gamma_fn, spec: ProbeSpec, tol: float = 1e-7,
-                     max_level: int = 4) -> float:
+# Refinement levels `quadrature_limit` tries after level 0.
+_MAX_LEVEL = 4
+
+
+def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec,
+                     tol: float = 1e-7) -> float:
     """Grid-free estimate of gamma(0): M^(n-1) N^(1-p) int gamma |grad u_0|^p / c_p.
 
     Adaptive panel refinement; raises QuadratureError if successive levels
-    fail to agree to `tol` relative.
+    fail to agree to `tol` relative within `_MAX_LEVEL` refinements.
     """
-    gamma_fn = gamma_fn.fn if isinstance(gamma_fn, ConductivityField) else gamma_fn
-    return _refined_quad(spec, lambda x: _energy_density(spec, gamma_fn, x),
-                         tol, max_level) / spec.c_p()
+    return _refined_quad(spec, lambda x: _energy_density(spec, gamma, x),
+                         tol, _MAX_LEVEL) / spec.c_p()
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +423,7 @@ def _two_level_start(spec: ProbeSpec, grid: DomainGrid, probe: PField,
         return probe
     coarse = probe_window_grid(spec, nodes_per_wavelength=coarse_npw,
                                max_nodes=max_nodes)
-    coarse_probe = build_probe(spec, coarse).field
+    coarse_probe = build_probe(spec, coarse)
     try:
         sol = solve_dirichlet(coarse, gamma, spec.p, coarse_probe, settings,
                               initial=coarse_probe)
@@ -512,14 +493,14 @@ class RecoveryReport:
         return errs[-1] / abs(self.gamma0)
 
 
-def remainder_split(grid: DomainGrid, gamma, p: float, probe: PField,
-                    u: PField) -> tuple[float, complex]:
+def remainder_split(grid: DomainGrid, gamma: ConductivityField, p: float,
+                    probe: PField, u: PField) -> tuple[float, complex]:
     """The two terms of the pairing identity, computed on one quadrature:
 
     <L(f), f> = int gamma |grad u_0|^p
                 + int gamma (flux(grad u) - flux(grad u_0)) . grad conj(u_0).
     """
-    gamma_c = _as_gamma(gamma)(grid.centroid)
+    gamma_c = gamma(grid.centroid)
     qv = _complex_gradients(grid, probe.components())
     qu = _complex_gradients(grid, u.components())
     qv2 = _norm_sq(qv)
@@ -532,15 +513,15 @@ def remainder_split(grid: DomainGrid, gamma, p: float, probe: PField,
     return leading, remainder
 
 
-def _correction_indicator(grid, spec: ProbeSpec, probe: ProbeFields,
+def _correction_indicator(grid, spec: ProbeSpec, probe: PField,
                           u: PField) -> float:
     """M^(n-1) N^(1-p) ||grad(u - u_0)||_p^p for the unnormalized probe
     (= c_p times the plain p-energy of the normalized correction)."""
-    qd = _complex_gradients(grid, u.components() - probe.field.components())
+    qd = _complex_gradients(grid, u.components() - probe.components())
     return spec.c_p() * _p_energy(grid, _norm_sq(qd), spec.p)
 
 
-def recover_boundary_value(gamma, p: float, mode: str, M_list,
+def recover_boundary_value(gamma: ConductivityField, p: float, mode: str, M_list,
                            *, s: float = 2.0,
                            settings: SolverSettings | None = None,
                            cutoff: special.CutoffProfile | None = None,
@@ -562,8 +543,7 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
     other exception propagates.  The extrapolated value adds the last step
     between the two final estimates once more.
     """
-    gamma_f = _as_gamma(gamma)
-    gamma0 = float(gamma_f(np.zeros((1, 2)))[0])
+    gamma0 = float(gamma(np.zeros((1, 2)))[0])
     cutoff = cutoff or special.CutoffProfile()
     if mode == "real" and profile is None:
         profile = special.solve_wolff_profile(p)
@@ -583,13 +563,11 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
             grid = probe_window_grid(spec, nodes_per_wavelength=nodes_per_wavelength,
                                      max_nodes=max_nodes)
             probe = build_probe(spec, grid)
-            start = _two_level_start(spec, grid, probe.field, gamma_f, settings,
+            start = _two_level_start(spec, grid, probe, gamma, settings,
                                      nodes_per_wavelength, max_nodes)
-            sol = solve_dirichlet(grid, gamma_f, p, probe.field, settings,
-                                  initial=start)
-            pairing = flux_pairing(grid, gamma_f, p, sol.field, probe.field)
-            leading, remainder = remainder_split(grid, gamma_f, p,
-                                                 probe.field, sol.field)
+            sol = solve_dirichlet(grid, gamma, p, probe, settings, initial=start)
+            pairing = flux_pairing(grid, gamma, p, sol.field, probe)
+            leading, remainder = remainder_split(grid, gamma, p, probe, sol.field)
             row.ok = True
             row.estimate = pairing.real
             row.pairing_imag = abs(pairing.imag)
@@ -598,7 +576,7 @@ def recover_boundary_value(gamma, p: float, mode: str, M_list,
             row.correction = _correction_indicator(grid, spec, probe, sol.field)
             row.newton_iterations = len(sol.energy_history)
             row.weak_residual = sol.weak_residual
-            row.quad_estimate = quadrature_limit(gamma_f, spec)
+            row.quad_estimate = quadrature_limit(gamma, spec)
         except (SolverConvergenceError, UnderResolvedProbeError,
                 QuadratureError, GridBudgetError) as exc:
             row.message = f"{type(exc).__name__}: {exc}"

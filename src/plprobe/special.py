@@ -248,7 +248,7 @@ class BoundaryDefiningFunction:
             return
         zero = np.zeros((1, 1))
         g0, dg0 = float(self.g(zero)[0]), float(self.g_deriv(zero)[0])
-        if abs(g0) > 1e-12 or abs(dg0) > 1e-10:
+        if not (abs(g0) <= 1e-12 and abs(dg0) <= 1e-10):  # NaN fails too
             raise ValueError(f"graph bottom must satisfy g(0) = 0 and g'(0) = 0 "
                              f"(got g(0) = {g0:.3g}, g'(0) = {dg0:.3g})")
 

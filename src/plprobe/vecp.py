@@ -28,12 +28,18 @@ def _norm_sq(z: np.ndarray, axis: int = -1) -> np.ndarray:
     The components are added in index order, which is numpy's own
     reduction order over axes this short, so the result equals
     `.sum(axis=axis)` bit for bit; real input skips the zero imaginary part.
+    Each component's squares are added to the result in place.
     """
-    sq = z.real**2 + z.imag**2 if np.iscomplexobj(z) else z**2
-    sq = np.moveaxis(sq, axis, 0)
-    out = sq[0]
-    for j in range(1, sq.shape[0]):
-        out = out + sq[j]
+    if axis:
+        z = np.moveaxis(z, axis, 0)
+    cplx = np.iscomplexobj(z)
+
+    def sq(c):
+        return c.real**2 + c.imag**2 if cplx else c**2
+
+    out = sq(z[0])
+    for j in range(1, z.shape[0]):
+        out += sq(z[j])
     return out
 
 

@@ -282,7 +282,8 @@ def hardy_ratio(grid: pde.DomainGrid, v: pde.PField, p: float) -> float:
     if np.max(np.abs(vals[grid.boundary])) > 1e-14 * max(1.0, np.max(np.abs(vals))):
         raise ValueError("hardy_ratio requires a field vanishing on the boundary")
     q = pde._element_gradients(grid, v.components())
-    den = pde._p_energy(grid, pde._grad_sq(q), p) ** (1.0 / p)
+    q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
+    den = pde._p_energy(grid, q2, p) ** (1.0 / p)
     if den == 0.0:
         raise ValueError("hardy_ratio undefined for a constant field")
     interior = ~grid.boundary

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from plprobe import special
 from plprobe.config import (ConfigError, ExperimentConfig, parse_config,
                             parse_expression)
 
@@ -193,6 +194,27 @@ def test_bottom_curve_validation():
     with pytest.raises(ConfigError, match=r"domain\.bottom: .*domain\.shape = rectangle"):
         parse_config("[domain]\nshape = half_disc\nbottom = -x1^2/10\n"
                      "[probe]\nmode = real\n")
+
+
+@pytest.mark.parametrize("curve, valid", (("5e-11*x1 - x1^2/10", True),
+                                          ("2e-10*x1 - x1^2/10", False),
+                                          ("5e-13 - x1^2/10", True),
+                                          ("2e-12 - x1^2/10", False),
+                                          ("x1*x1/x1 - x1^2/10", False)))
+def test_bottom_curve_verdict_is_the_boundary_functions(curve, valid):
+    # config and BoundaryDefiningFunction give one verdict: |g(0)| <= 1e-12
+    # and |g'(0)| <= 1e-10; x1*x1/x1 is NaN at 0
+    g = parse_expression(curve)
+    text = f"[domain]\nbottom = {curve}\n[probe]\nmode = real\n"
+    if valid:
+        special.BoundaryDefiningFunction(g, g.derivative("x1"))
+        assert parse_config(text).domain.bottom == curve
+    else:
+        with pytest.raises(ValueError) as exc:
+            special.BoundaryDefiningFunction(g, g.derivative("x1"))
+        with pytest.raises(ConfigError) as cfg_exc:
+            parse_config(text)
+        assert str(cfg_exc.value) == f"domain.bottom: {exc.value}"
 
 
 @pytest.mark.parametrize("value", ("-5", "0", "0.5", "nan"))

@@ -37,7 +37,7 @@ def test_p2_pairing_equals_dirichlet_energy(setup):
     f = pde.PField.from_function(grid, lambda x: np.exp(1j * x[:, 0] - x[:, 1]),
                                  "complex")
     sol = pde.solve_dirichlet(grid, gam1, 2.0, f)
-    val = dnmap.dn_pairing(grid, gam1, 2.0, f, solution=sol.field)
+    val = dnmap.flux_pairing(grid, gam1, 2.0, sol.field, f)
     # closed-form quadrature oracle: int |grad h|^2 = 2 int e^(-2 x2)
     # over [-1,1]x[0,1]: 2 * 2 * (1 - e^(-2))/2 = 2 (1 - e^(-2))
     oracle = 2.0 * (1.0 - np.exp(-2.0))

@@ -6,7 +6,7 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 
 import oracles
-from plprobe import pde, recovery, special
+from plprobe import pde, recovery, special, vecp
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,8 @@ def test_gradient_kernels_equal_einsum(shape, ncomp):
         ref = np.einsum("eiv,eic->evc", G, U[g.tri])
         assert q.shape == (2, ncomp, g.tri.shape[0])
         assert np.ascontiguousarray(q.transpose(2, 0, 1)).tobytes() == ref.tobytes()
-        assert pde._grad_sq(q).tobytes() == (ref**2).sum(axis=(1, 2)).tobytes()
+        q2 = vecp._norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
+        assert q2.tobytes() == (ref**2).sum(axis=(1, 2)).tobytes()
         dots = np.einsum("eiv,evc->eic", G, ref)
         assert (np.ascontiguousarray(pde._hat_dots(g, q).transpose(2, 0, 1)).tobytes()
                 == dots.tobytes())
@@ -548,7 +549,7 @@ def test_warm_started_solve_runs_single_final_stage():
     grid = recovery.probe_window_grid(spec)
     probe = recovery.build_probe(spec, grid)
     gam = pde.ConductivityField(lambda x: 1.0 + x[:, 1] / 2.0)
-    sol = pde.solve_dirichlet(grid, gam, 3.0, probe.field, initial=probe.field)
+    sol = pde.solve_dirichlet(grid, gam, 3.0, probe, initial=probe)
     assert len(sol.energy_history) > 0
     assert all(eps == sol.eps_final_abs for eps, _, _ in sol.energy_history)
     assert sol.regularized_residual <= 1e-7

@@ -52,7 +52,7 @@ def test_probe_trace_support_exact(wolff3):
         probe = recovery.build_probe(spec, grid)
         bpts = grid.pts[grid.boundary]
         r = np.sqrt((bpts**2).sum(axis=1))
-        trace = probe.field.values[grid.boundary]
+        trace = probe.values[grid.boundary]
         outside = np.abs(trace[r > 1.0 / spec.M])
         assert outside.size > 0 and np.all(outside == 0.0)
 
@@ -64,8 +64,8 @@ def test_complex_probe_trace_modulus_is_cutoff(wolff2):
     probe = recovery.build_probe(spec, grid)
     bottom = np.arange(grid.nx + 1)  # the bottom row, x1 running fastest
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
-    expected = probe.scale * eta.value(grid.pts[bottom].T)
-    assert np.allclose(np.abs(probe.field.values[bottom]), expected, atol=1e-14)
+    expected = spec.normalization() * eta.value(grid.pts[bottom].T)
+    assert np.allclose(np.abs(probe.values[bottom]), expected, atol=1e-14)
 
 
 def test_real_probe_trace_is_damped_sine_at_p2(wolff2):
@@ -75,8 +75,42 @@ def test_real_probe_trace_is_damped_sine_at_p2(wolff2):
     bottom = np.arange(grid.nx + 1)  # the bottom row, x1 running fastest
     x1 = grid.pts[bottom, 0]
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
-    expected = probe.scale * eta.value(grid.pts[bottom].T) * np.sin(spec.N * x1)
-    assert np.allclose(probe.field.values[bottom].real, expected, atol=1e-9)
+    expected = spec.normalization() * eta.value(grid.pts[bottom].T) * np.sin(spec.N * x1)
+    assert np.allclose(probe.values[bottom].real, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ("complex", "real"))
+def test_build_probe_is_normalization_times_raw_probe(mode, wolff3):
+    spec = recovery.ProbeSpec(mode=mode, p=3.0, M=4.0,
+                              profile=wolff3 if mode == "real" else None)
+    grid = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
+    eta = special.CutoffField(M=spec.M, profile=spec.cutoff).value(grid.pts.T)
+    if mode == "complex":
+        raw = eta * special.make_complex_exponential(3.0, 2, N=spec.N).value(grid.pts)
+    else:
+        raw = (eta * special.WolffField(wolff3, spec.N, spec.rho).value(grid.pts)).real
+    probe = recovery.build_probe(spec, grid)
+    assert isinstance(probe, pde.PField) and probe.mode == mode
+    assert np.array_equal(probe.values, spec.normalization() * raw)
+
+
+def test_scalar_conductivity_runs_through_solve_pairing_and_quadrature():
+    # a conductivity function that returns one scalar is broadcast by
+    # ConductivityField alone, and then matches the constant field
+    scalar = pde.ConductivityField(lambda x: 2.5)
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+    grid = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
+    probe = recovery.build_probe(spec, grid)
+    u = pde.solve_dirichlet(grid, scalar, 3.0, probe).field
+    u_const = pde.solve_dirichlet(grid, pde.ConductivityField.constant(2.5), 3.0,
+                                  probe).field
+    assert u.values.tobytes() == u_const.values.tobytes()
+    assert (dnmap.flux_pairing(grid, scalar, 3.0, u, probe)
+            == dnmap.flux_pairing(grid, pde.ConductivityField.constant(2.5), 3.0,
+                                  u, probe))
+    quad = recovery.quadrature_limit(scalar, spec)
+    assert quad == pytest.approx(2.5 * recovery.quadrature_limit(GAMMA_ONE, spec),
+                                 rel=1e-15, abs=0.0)
 
 
 def test_build_probe_under_resolved_error(wolff3):
@@ -215,7 +249,7 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     def gamma_fn(pts):
         return 1.0 + pts[:, -1] / 2.0 + pts[:, 0] ** 2
 
-    block = recovery._energy_density(spec, gamma_fn, x)
+    block = recovery._energy_density(spec, pde.ConductivityField(gamma_fn), x)
     flat = _flat_energy_density(spec, gamma_fn, rows).reshape(40, 30)
     assert block.tobytes() == flat.tobytes()
 
@@ -237,14 +271,14 @@ def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
                               profile=profile)
 
     def integrand(x):
-        return recovery._energy_density(spec, GAMMA_SLOPE.fn, x)
+        return recovery._energy_density(spec, GAMMA_SLOPE, x)
 
     def sums():
         return [recovery._tensor_quad(spec, integrand, level) for level in levels]
 
     def row_major(x):
         rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
-        return _flat_energy_density(spec, GAMMA_SLOPE.fn, rows).reshape(x.shape[1:])
+        return _flat_energy_density(spec, GAMMA_SLOPE, rows).reshape(x.shape[1:])
 
     blocked = sums()
     # the component-major blocks sum to the bits of the row-major oracle
@@ -277,16 +311,14 @@ def solved_probe():
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
     grid = recovery.probe_window_grid(spec)
     probe = recovery.build_probe(spec, grid)
-    sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe.field,
-                              initial=probe.field)
+    sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe, initial=probe)
     return spec, grid, probe, sol
 
 
 def test_remainder_split_sum_consistency(solved_probe):
     spec, grid, probe, sol = solved_probe
-    pairing = dnmap.flux_pairing(grid, GAMMA_SLOPE, 3.0, sol.field, probe.field)
-    lead, rem = recovery.remainder_split(grid, GAMMA_SLOPE, 3.0,
-                                         probe.field, sol.field)
+    pairing = dnmap.flux_pairing(grid, GAMMA_SLOPE, 3.0, sol.field, probe)
+    lead, rem = recovery.remainder_split(grid, GAMMA_SLOPE, 3.0, probe, sol.field)
     assert abs(lead + rem - pairing) <= 1e-10 * abs(pairing)
 
 
@@ -296,10 +328,8 @@ def test_remainder_fraction_shrinks_with_m(wolff3):
         spec = recovery.ProbeSpec(mode="complex", p=3.0, M=M)
         grid = recovery.probe_window_grid(spec)
         probe = recovery.build_probe(spec, grid)
-        sol = pde.solve_dirichlet(grid, GAMMA_ONE, 3.0, probe.field,
-                                  initial=probe.field)
-        lead, rem = recovery.remainder_split(grid, GAMMA_ONE, 3.0,
-                                             probe.field, sol.field)
+        sol = pde.solve_dirichlet(grid, GAMMA_ONE, 3.0, probe, initial=probe)
+        lead, rem = recovery.remainder_split(grid, GAMMA_ONE, 3.0, probe, sol.field)
         fracs.append(abs(rem) / lead)
     assert fracs[1] < fracs[0]
 
@@ -310,11 +340,9 @@ def test_p2_remainder_linear_oracle():
                               profile=special.solve_wolff_profile(2.0))
     grid = recovery.probe_window_grid(spec)
     probe = recovery.build_probe(spec, grid)
-    sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 2.0, probe.field,
-                              initial=probe.field)
-    lead, rem = recovery.remainder_split(grid, GAMMA_SLOPE, 2.0,
-                                         probe.field, sol.field)
-    diff = pde.PField(sol.field.values - probe.field.values, "real")
+    sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 2.0, probe, initial=probe)
+    lead, rem = recovery.remainder_split(grid, GAMMA_SLOPE, 2.0, probe, sol.field)
+    diff = pde.PField(sol.field.values - probe.values, "real")
     oracle = -pde.energy(grid, diff, GAMMA_SLOPE, 2.0)
     assert rem.real == pytest.approx(oracle, rel=1e-6, abs=1e-12)
     assert abs(rem.imag) <= 1e-14
@@ -448,10 +476,8 @@ def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
     grid = recovery.probe_window_grid(spec)
     probe = recovery.build_probe(spec, grid)
-    direct = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe.field,
-                                 initial=probe.field)
-    expected = dnmap.flux_pairing(grid, GAMMA_SLOPE, 3.0, direct.field,
-                                  probe.field).real
+    direct = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe, initial=probe)
+    expected = dnmap.flux_pairing(grid, GAMMA_SLOPE, 3.0, direct.field, probe).real
 
     solve, grids = recovery.solve_dirichlet, []
 
@@ -536,15 +562,12 @@ def test_probe_scaling_invariance_of_indicator(wolff3):
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
     grid = recovery.probe_window_grid(spec)
     probe = recovery.build_probe(spec, grid)
-    sol = pde.solve_dirichlet(grid, GAMMA_ONE, 3.0, probe.field,
-                              initial=probe.field)
+    sol = pde.solve_dirichlet(grid, GAMMA_ONE, 3.0, probe, initial=probe)
     base = recovery._correction_indicator(grid, spec, probe, sol.field)
     # scale datum and solution together (solver homogeneity): indicator of
     # the scaled pair divided by the scale^p matches
     t = 4.0
-    probe_t = recovery.ProbeFields(
-        field=pde.PField(t * probe.field.values, "complex"),
-        scale=t * probe.scale)
+    probe_t = pde.PField(t * probe.values, "complex")
     sol_t = pde.PField(t * sol.field.values, "complex")
     scaled = recovery._correction_indicator(grid, spec, probe_t, sol_t)
     assert scaled / t**3.0 == pytest.approx(base, rel=1e-12)
@@ -571,8 +594,7 @@ def test_hardy_ratio_bounded_over_probe_family():
         spec = recovery.ProbeSpec(mode="complex", p=3.0, M=M)
         grid = recovery.probe_window_grid(spec)
         probe = recovery.build_probe(spec, grid)
-        sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe.field,
-                                  initial=probe.field)
-        u1 = pde.PField(sol.field.values - probe.field.values, "complex")
+        sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 3.0, probe, initial=probe)
+        u1 = pde.PField(sol.field.values - probe.values, "complex")
         ratios.append(oracles.hardy_ratio(grid, u1, 3.0))
     assert all(0.0 < r < 20.0 for r in ratios)
