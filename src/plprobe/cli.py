@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +79,6 @@ def _rho_from_config(cfg: ExperimentConfig) -> special.BoundaryDefiningFunction:
         return special.BoundaryDefiningFunction()
     g = parse_expression(d.bottom)  # on points of one coordinate, x2 = 0
     return special.BoundaryDefiningFunction(g, g.derivative("x1"))
-
-
-def _solver_settings(cfg: ExperimentConfig) -> pde.SolverSettings:
-    s = cfg.solver
-    return pde.SolverSettings(eps_final=s.eps_final, outer_tol=s.outer_tol,
-                              residual_tol=s.residual_tol, max_iter=int(s.max_iter),
-                              init=s.init, seed=int(s.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     gamma, rho, cutoff, profile = _recovery_ingredients(
         cfg, special.solve_wolff_profile if probe_datum else None, mode, p,
         cfg.physics.gamma)
-    settings = _solver_settings(cfg)
+    settings = pde.SolverSettings(**asdict(cfg.solver))
     d = cfg.domain
 
     if probe_datum:
@@ -196,8 +189,9 @@ def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
     d = cfg.domain
     return recovery.recover_boundary_value(
         gamma, p, mode, list(cfg.probe.m_list), s=cfg.probe.s,
-        settings=_solver_settings(cfg), cutoff=cutoff, rho=rho, profile=profile,
-        nodes_per_wavelength=d.nodes_per_wavelength, max_nodes=int(d.max_nodes))
+        settings=pde.SolverSettings(**asdict(cfg.solver)), cutoff=cutoff,
+        rho=rho, profile=profile, nodes_per_wavelength=d.nodes_per_wavelength,
+        max_nodes=int(d.max_nodes))
 
 
 def _report_rows(report: recovery.RecoveryReport):

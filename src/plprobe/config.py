@@ -27,10 +27,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .pde import SolverSettings
 from .special import BoundaryDefiningFunction
 
 __all__ = [
@@ -394,17 +395,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if pr.cutoff not in ("c1", "c2", "c3"):
         raise ConfigError(f"probe.cutoff: unknown smoothness {pr.cutoff!r}")
 
-    if not so.eps_final > 0:
-        raise ConfigError("solver.eps_final: must be positive")
-    if so.outer_tol <= 0 or so.residual_tol <= 0:
-        raise ConfigError("solver: tolerances must be positive")
-    if not (so.max_iter >= 1 and float(so.max_iter).is_integer()):
-        raise ConfigError("solver.max_iter: must be at least 1 and an integer, "
-                          f"got {so.max_iter:g}")
-    if so.init not in ("datum", "zero", "random"):
-        raise ConfigError(f"solver.init: unknown initialization {so.init!r}")
-    if not (so.seed >= 0 and float(so.seed).is_integer()):
-        raise ConfigError(f"solver.seed: must be a non-negative integer, got {so.seed:g}")
+    try:
+        SolverSettings(**asdict(so))
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from None
 
     for fmt in out.formats:
         if fmt not in ("csv", "json"):

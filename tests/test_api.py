@@ -61,6 +61,7 @@ def test_benchmark_traces_the_recovery_grid():
 
 # Defaulted parameters that only tests set, as "function.parameter".
 SET_BY_TESTS_ONLY = {
+    "energy.eps",
     "quadrature_limit.tol",
     "solve_wolff_profile.tol",
     "solve_wolff_profile.horizon",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from plprobe import special
+from plprobe import pde, special
 from plprobe.config import (ConfigError, ExperimentConfig, parse_config,
                             parse_expression)
 
@@ -215,6 +215,18 @@ def test_bottom_curve_verdict_is_the_boundary_functions(curve, valid):
         with pytest.raises(ConfigError) as cfg_exc:
             parse_config(text)
         assert str(cfg_exc.value) == f"domain.bottom: {exc.value}"
+
+
+@pytest.mark.parametrize("key,value", (
+    ("eps_final", "0"), ("outer_tol", "-1"), ("residual_tol", "nan"),
+    ("max_iter", "0"), ("max_iter", "1.5"), ("init", "bogus"), ("seed", "-1")))
+def test_solver_verdict_is_the_solver_settings(key, value):
+    # one check: the config message is SolverSettings' behind "solver."
+    with pytest.raises(ValueError) as exc:
+        pde.SolverSettings(**{key: value if key == "init" else float(value)})
+    with pytest.raises(ConfigError) as cfg_exc:
+        parse_config(f"[solver]\n{key} = {value}\n")
+    assert str(cfg_exc.value) == f"solver.{exc.value}"
 
 
 @pytest.mark.parametrize("value", ("-5", "0", "0.5", "nan"))

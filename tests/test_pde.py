@@ -282,12 +282,12 @@ def test_weak_residual_small_at_minimizer_large_before(nonlinear_setup):
 COLD_SOLVE_PINS = {
     ("rectangle", 1.5, "zero"): (9, 3.0968118119232484),
     ("rectangle", 1.5, "random"): (7, 3.096811811923249),
-    ("rectangle", 3.0, "zero"): (8, 31.218364262980614),
-    ("rectangle", 3.0, "random"): (14, 31.218364262980614),
+    ("rectangle", 3.0, "zero"): (7, 31.218364262980614),
+    ("rectangle", 3.0, "random"): (7, 31.218364262980614),
     ("half disc", 1.5, "zero"): (11, 2.9518754165801435),
     ("half disc", 1.5, "random"): (11, 2.9518754165801435),
-    ("half disc", 3.0, "zero"): (9, 30.823995581278375),
-    ("half disc", 3.0, "random"): (20, 30.823995581278368),
+    ("half disc", 3.0, "zero"): (8, 30.823995581278375),
+    ("half disc", 3.0, "random"): (8, 30.823995581278368),
 }
 
 
@@ -492,8 +492,9 @@ def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
 
 def test_p2_solve_takes_three_steps_on_two_factorizations(
         nonlinear_setup, scipy_openblas, monkeypatch):
-    # the quadratic energy is minimized by the first step; the second only
-    # confirms it, and the polish step reuses the second step's factor
+    # the quadratic energy is minimized by the first step, which falls by
+    # exactly its model's prediction and so is never lengthened; the second
+    # only confirms it, and the polish step reuses the second step's factor
     g, gam, f = nonlinear_setup
     factors = _record_factor_threads(monkeypatch, scipy_openblas)
     sol = pde.solve_dirichlet(g, gam, 2.0, f, pde.SolverSettings(init="zero"))
@@ -519,11 +520,70 @@ def test_final_energy_is_last_history_entry(nonlinear_setup):
 
 
 def test_failed_line_search_raises(nonlinear_setup, monkeypatch):
+    # with no trial step at all, the search fails before any expansion
     g, gam, f = nonlinear_setup
     monkeypatch.setattr(pde, "MAX_BACKTRACKS", 0)
     with pytest.raises(pde.SolverConvergenceError, match="line search failed") as err:
         pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
     assert err.value.residual > 0.0
+
+
+def test_p3_random_start_lengthens_its_first_step(nonlinear_setup, monkeypatch):
+    # far from the solution a full step only maps q -> q/2 at p = 3, so the
+    # energy falls faster than its quadratic model and the step is doubled
+    g, gam, f = nonlinear_setup
+    iterates, directions = [], []
+    linearize, band_solve = pde._FreeDofNewton.linearize, pde._band_solve
+
+    def recording_linearize(self, U, eps, band=True):
+        iterates.append(U.ravel()[self.dofs])
+        return linearize(self, U, eps, band)
+
+    def recording_solve(factor, b):
+        directions.append(band_solve(factor, b))
+        return directions[-1]
+
+    monkeypatch.setattr(pde._FreeDofNewton, "linearize", recording_linearize)
+    monkeypatch.setattr(pde, "_band_solve", recording_solve)
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="random", seed=1))
+    d = directions[0]
+    t = (iterates[1] - iterates[0]) @ d / (d @ d)
+    assert t >= 2.0
+    assert len(sol.energy_history) <= 8
+
+
+def test_half_disc_p8_random_start_converges():
+    # the unlengthened steps of this start reach a Newton matrix that is
+    # not numerically positive definite
+    g = pde.build_grid(pde.HalfDisc(1.0), 32.0)
+    beta = np.sqrt(7.0)
+    datum = pde.PField.from_function(
+        g, lambda x: np.exp(3.0 * (1j * beta * x[:, 0] - x[:, 1])))
+    gam = pde.ConductivityField.constant(1.0)
+    cold = pde.solve_dirichlet(g, gam, 8.0, datum, pde.SolverSettings(init="random", seed=1))
+    zero = pde.solve_dirichlet(g, gam, 8.0, datum, pde.SolverSettings(init="zero"))
+    assert cold.energy == pytest.approx(zero.energy, rel=1e-10)
+
+
+@pytest.mark.parametrize("key,value,message", (
+    ("eps_final", 0.0, "eps_final: must be positive"),
+    ("outer_tol", float("nan"), "outer_tol: must be positive"),
+    ("residual_tol", -1.0, "residual_tol: must be positive"),
+    ("max_iter", 0, "max_iter: must be at least 1 and an integer, got 0"),
+    ("max_iter", -3, "max_iter: must be at least 1 and an integer, got -3"),
+    ("max_iter", 1.5, "max_iter: must be at least 1 and an integer, got 1.5"),
+    ("init", "bogus", "init: unknown initialization 'bogus'"),
+    ("seed", -1, "seed: must be a non-negative integer, got -1")))
+def test_solver_settings_reject_bad_values_at_construction(key, value, message):
+    with pytest.raises(ValueError) as err:
+        pde.SolverSettings(**{key: value})
+    assert str(err.value) == message
+
+
+def test_solver_settings_store_integral_counts_as_ints():
+    settings = pde.SolverSettings(max_iter=7.0, seed=3.0)
+    assert (settings.max_iter, settings.seed) == (7, 3)
+    assert type(settings.max_iter) is int and type(settings.seed) is int
 
 
 def test_newton_setup_memory_is_bounded():
