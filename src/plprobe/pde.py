@@ -7,8 +7,9 @@ are constant, so affine fields are reproduced exactly and the p-energy
 density is integrated by the midpoint rule per element.  Element data is
 stored and computed component-major: one contiguous length-nel vector per
 (hat, direction) of the geometry and per (direction, component) of a
-gradient, so one contraction kernel (gradients and hat dots) and one scatter
-serve the energy, the Newton step, the residual and the pairings.
+gradient, so one contraction kernel (gradients and hat dots) serves the
+energy, the Newton step, the residual and the pairings, and the Newton step
+and the residual share one element-to-node scatter, the gradient's.
 
 The Dirichlet problem div(gamma |grad u|^(p-2) grad u) = 0, u = f on the
 boundary, is solved as the minimization of the regularized convex energy
@@ -30,7 +31,9 @@ it assembles only the gradient and back-solves (dpbtrs) with the factor of
 the step before it.
 Only the lower triangle of each symmetric element block is formed (21 of
 36 entries for complex data, 6 of 9 for real); the slot of every entry and
-the hat p-norms of the residual are computed once per solve.  Complex
+the hat p-norms of the residual are computed once per solve.  The dual
+residual is the Newton gradient over p, normalized, so each iterate forms
+its flux weight and node sums once.  Complex
 data is handled as a coupled two-component real field with density
 (|grad u_re|^2 + |grad u_im|^2 + eps^2)^(p/2); stationarity in each
 component reproduces the complex weak form.  The Newton weight
@@ -67,7 +70,6 @@ __all__ = [
     "SolverSettings",
     "SolveResult",
     "SolverConvergenceError",
-    "energy",
     "solve_dirichlet",
     "weak_residual",
 ]
@@ -123,15 +125,6 @@ class DomainGrid:
     def h(self) -> float:
         """Grid spacing (cells per unit resolution)."""
         return 1.0 / self.resolution
-
-    def scatter(self, el_values: np.ndarray) -> np.ndarray:
-        """Sum per-element hat values, shape (3, ..., nel), onto the nodes:
-        shape (..., npt).  Each node adds its terms in element order."""
-        idx = self.tri.ravel()
-        vals = el_values.reshape(3, -1, el_values.shape[-1])
-        out = np.stack([np.bincount(idx, weights=vals[:, k].T.ravel(), minlength=self.npt)
-                        for k in range(vals.shape[1])])
-        return out.reshape(el_values.shape[1:-1] + (self.npt,))
 
 
 def build_grid(shape, resolution: float) -> DomainGrid:
@@ -346,42 +339,11 @@ def _energy(grid: DomainGrid, U: np.ndarray, gamma_c, p: float, eps: float) -> f
                      gamma_c, eps)
 
 
-def energy(grid: DomainGrid, u: PField, gamma: ConductivityField, p: float,
-           eps: float = 0.0) -> float:
-    """E_eps(u) = sum_T area gamma(centroid) (|grad u|^2 + eps^2)^(p/2)."""
-    if not p > 1:
-        raise ValueError("p must be > 1")
-    return _energy(grid, u.components(), gamma(grid.centroid), p, eps)
-
-
-def _hat_p_norms(grid: DomainGrid, p: float) -> np.ndarray:
-    """||grad phi_i||_p for the hat of every node, shape (npt,)."""
-    G = grid.grad
-    return grid.scatter(grid.area * (G[:, 0]**2 + G[:, 1]**2) ** (p / 2.0)) ** (1.0 / p)
-
-
-def _dual_residual(grid, gamma_c, p, U, eps, phinorm):
-    """max_i |int gamma w grad u . grad phi_i| / (||grad u||_p^(p-1) ||grad phi_i||_p)
-    over interior hats, with `phinorm` from `_hat_p_norms`; w = (|q|^2 +
-    eps^2)^((p-2)/2) (eps = 0 gives the unregularized weak form, with the
-    flux extended by 0 where grad u = 0)."""
-    q = _element_gradients(grid, U)
-    q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
-    unorm = _p_energy(grid, q2, p) ** (1.0 / p)
-    if unorm == 0.0:
-        return 0.0
-    coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
-    r = grid.scatter(_hat_dots(grid, q) * coef)
-    rnorm = np.sqrt((r**2).sum(axis=0))
-    interior = ~grid.boundary
-    return float(np.max(rnorm[interior] / (unorm ** (p - 1.0) * phinorm[interior])))
-
-
 def weak_residual(grid: DomainGrid, gamma: ConductivityField, p: float,
                   u: PField) -> float:
     """Normalized dual-norm defect of the weak form (eps = 0)."""
-    return _dual_residual(grid, gamma(grid.centroid), p, u.components(), 0.0,
-                          _hat_p_norms(grid, p))
+    newton = _FreeDofNewton(grid, gamma(grid.centroid), p, u.ncomp)
+    return newton.residual(u.components(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +505,10 @@ class _FreeDofNewton:
     vector; a pair lands in the lower band at (max, min) of its two free
     numbers.  The slot of every gradient and band entry is built once, in
     element-major order, so each node and band entry adds its terms in
-    element order; the hat p-norms of the dual residual are also computed
-    once.  Each linearization is then one bincount for the gradient and one
-    for the band.  Entries touching a fixed dof go to a discarded extra slot.
+    element order; the hat p-norms of the dual residual are summed once
+    through the gradient's slots.  Each linearization is then one bincount
+    for the gradient and one for the band, and the residual reads the same
+    gradient.  Entries touching a fixed dof go to a discarded extra slot.
     """
 
     def __init__(self, grid, gamma_c, p, ncomp):
@@ -572,7 +535,11 @@ class _FreeDofNewton:
         G = grid.grad
         hat_i, hat_j = np.tril_indices(3)
         self.bb = G[hat_i, 0] * G[hat_j, 0] + G[hat_i, 1] * G[hat_j, 1]
-        self.phinorm = _hat_p_norms(grid, p)
+        # ||grad phi_i||_p of every free node (the first of its dofs' sums)
+        hat_p = np.repeat((grid.area * (G[:, 0]**2 + G[:, 1]**2) ** (p / 2.0)).T,
+                          ncomp, axis=1)
+        self.phinorm = np.bincount(self.vec_slot, weights=hat_p.ravel(),
+                                   minlength=nfree + 1)[:nfree:ncomp] ** (1.0 / p)
 
         # kd is the widest spread of free numbers within one element
         spread = np.where(fdof < nfree, fdof, -1).max(axis=0) - fdof.min(axis=0)
@@ -591,17 +558,13 @@ class _FreeDofNewton:
     def energy(self, U, eps):
         return _energy(self.grid, U, self.gamma_c, self.p, eps)
 
-    def residual(self, U, eps):
-        return _dual_residual(self.grid, self.gamma_c, self.p, U, eps, self.phinorm)
-
-    def linearize(self, U, eps, band=True):
-        """(E_eps(U), free gradient, lower band of the free Newton matrix,
-        shape (kd + 1, nfree) in Fortran order); with band=False, (E_eps(U),
-        free gradient) only, and no band is assembled."""
+    def _gradient(self, U, eps):
+        """Per element |q|^2, the weight p area gamma w and the hat dots,
+        and the free gradient of E_eps at U; w = (|q|^2 + eps^2)^((p-2)/2)
+        is the flux weight, 0 where |q|^2 + eps^2 = 0."""
         grid, p = self.grid, self.p
         q = _element_gradients(grid, U)
         q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
-        E = _p_energy(grid, q2, p, self.gamma_c, eps)
         coef = grid.area * self.gamma_c * p * _pow_or_zero(q2 + eps * eps,
                                                           (p - 2.0) / 2.0)
         iq = _hat_dots(grid, q).reshape(-1, q.shape[-1])  # row a = ncomp i + c
@@ -612,8 +575,31 @@ class _FreeDofNewton:
         np.multiply(iq, coef, out=gw.T)
         g = np.bincount(self.vec_slot, weights=gw.ravel(),
                         minlength=self.nfree + 1)[:self.nfree]
+        return q2, coef, iq, g
+
+    def residual(self, U, eps):
+        """max over free nodes i of |int gamma w grad u . grad phi_i| /
+        (||grad u||_p^(p-1) ||grad phi_i||_p), the free gradient over p
+        normalized; the norm of a complex node's two components is taken.
+        eps = 0 gives the unregularized weak form, with the flux extended by
+        0 where grad u = 0; a field with grad u = 0 gives 0."""
+        p = self.p
+        q2, _, _, g = self._gradient(U, eps)
+        unorm = _p_energy(self.grid, q2, p) ** (1.0 / p)
+        if unorm == 0.0:
+            return 0.0
+        gnorm = np.sqrt((g.reshape(-1, U.shape[1]) ** 2).sum(axis=1))
+        return float(np.max(gnorm / (p * unorm ** (p - 1.0) * self.phinorm)))
+
+    def linearize(self, U, eps, band=True):
+        """(E_eps(U), free gradient, lower band of the free Newton matrix,
+        shape (kd + 1, nfree) in Fortran order); with band=False, (E_eps(U),
+        free gradient) only, and no band is assembled."""
+        q2, coef, iq, g = self._gradient(U, eps)
+        E = _p_energy(self.grid, q2, self.p, self.gamma_c, eps)
         if not band:
             return E, g
+        p, nel = self.p, q2.size
         coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
         H, t = np.empty((nel, len(self.pairs))), np.empty(nel)
         cbb = coef * self.bb

@@ -77,32 +77,20 @@ class CutoffProfile:
         if self.smoothness not in _SMOOTHSTEP_COEFFS:
             raise ValueError(f"unknown cutoff smoothness {self.smoothness!r}")
 
-    def _step(self, s):
-        c = _SMOOTHSTEP_COEFFS[self.smoothness]
-        return np.polynomial.polynomial.polyval(s, c)
-
-    def _step_deriv(self, s):
-        c = _SMOOTHSTEP_COEFFS[self.smoothness]
-        dc = c[1:] * np.arange(1, len(c))
-        return np.polynomial.polynomial.polyval(s, dc)
-
-    # The smoothstep is evaluated on the shoulder 1/2 < r < 1 only; elsewhere
-    # the values are exactly 1 or 0.  A scalar r gives a scalar.
-
-    def value_radial(self, r):
+    def radial(self, r):
+        """(eta(r), eta'(r)).  The smoothstep and its derivative are
+        evaluated on the shoulder 1/2 < r < 1 only; elsewhere the values are
+        exactly 1 or 0 and the slope 0.  A scalar r gives scalars."""
         r = np.asarray(r, dtype=float)
         plateau = r <= 0.5
-        out = np.where(plateau, 1.0, 0.0)
+        value, slope = np.where(plateau, 1.0, 0.0), np.zeros_like(r)
         shoulder = ~(plateau | (r >= 1.0))  # a NaN r stays NaN
-        out[shoulder] = 1.0 - self._step(2.0 * r[shoulder] - 1.0)
-        return out[()]
-
-    def deriv_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        shoulder = (r > 0.5) & (r < 1.0)
-        out[shoulder] = -2.0 * self._step_deriv(2.0 * r[shoulder] - 1.0)
-        return out[()]
+        s = 2.0 * r[shoulder] - 1.0
+        c = _SMOOTHSTEP_COEFFS[self.smoothness]
+        polyval = np.polynomial.polynomial.polyval
+        value[shoulder] = 1.0 - polyval(s, c)
+        slope[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
+        return value[()], slope[()]
 
     def slice_integral(self, p: float, n: int = 2) -> float:
         """Integral of eta(x', 0)^p over the (n-1)-dimensional slice.
@@ -121,11 +109,11 @@ class CutoffProfile:
         from scipy.integrate import quad
 
         if n == 2:
-            shoulder = quad(lambda r: self.value_radial(r) ** p, 0.5, 1.0,
+            shoulder = quad(lambda r: self.radial(r)[0] ** p, 0.5, 1.0,
                             epsabs=1e-13, epsrel=1e-12)[0]
             return 2.0 * (0.5 + shoulder)
         if n == 3:
-            shoulder = quad(lambda r: self.value_radial(r) ** p * r, 0.5, 1.0,
+            shoulder = quad(lambda r: self.radial(r)[0] ** p * r, 0.5, 1.0,
                             epsabs=1e-13, epsrel=1e-12)[0]
             return 2.0 * math.pi * (0.125 + shoulder)
         raise ValueError("slice integral implemented for n in {2, 3}")
@@ -150,17 +138,17 @@ class CutoffField:
         """eta(M x) at component-major points (n, ...) -> (...)."""
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts, axis=0))
-        return self.profile.value_radial(self.M * r)
+        return self.profile.radial(self.M * r)[0]
 
     def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """(value(pts), gradient(pts)) from one radius per point; the
         gradient is component-major like `pts`."""
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts, axis=0))
-        Mr = self.M * r
-        d = self.M * self.profile.deriv_radial(Mr)
+        value, slope = self.profile.radial(self.M * r)
+        slope *= self.M
         safe_r = np.where(r > 0, r, 1.0)
-        return self.profile.value_radial(Mr), d * pts / safe_r
+        return value, slope * pts / safe_r
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
   the profile integrated with V evaluated on 0-d arrays;
 * the Hardy ratio ||v / delta||_p / ||grad v||_p and the H1 error against
   an analytic gradient;
+* the dual-norm weak residual as the solver computed it before it read the
+  Newton gradient, with its own flux weight and node sums;
 * the config expression language's original tokenizer and
   recursive-descent parser, frozen as the reference for its trees.
 
@@ -273,6 +275,12 @@ def distance_to_boundary(grid: pde.DomainGrid) -> np.ndarray:
     return delta
 
 
+def _node_sums(grid: pde.DomainGrid, el_values: np.ndarray) -> np.ndarray:
+    """Per-element hat values (3, nel) summed onto the nodes, (npt,); each
+    node adds its terms in element order."""
+    return np.bincount(grid.tri.ravel(), weights=el_values.T.ravel(), minlength=grid.npt)
+
+
 def hardy_ratio(grid: pde.DomainGrid, v: pde.PField, p: float) -> float:
     """||v / delta||_p / ||grad v||_p for fields vanishing on the boundary,
     with the nodal p-norm weighted by the lumped node areas."""
@@ -287,10 +295,30 @@ def hardy_ratio(grid: pde.DomainGrid, v: pde.PField, p: float) -> float:
     if den == 0.0:
         raise ValueError("hardy_ratio undefined for a constant field")
     interior = ~grid.boundary
-    node_area = grid.scatter(np.broadcast_to(grid.area / 3.0, (3, grid.area.size)))
+    node_area = _node_sums(grid, np.broadcast_to(grid.area / 3.0, (3, grid.area.size)))
     ratio_terms = np.abs(vals[interior]) / distance_to_boundary(grid)[interior]
     num = float((node_area[interior] * ratio_terms**p).sum()) ** (1.0 / p)
     return num / den
+
+
+def dual_residual(grid: pde.DomainGrid, gamma_c, p: float, U: np.ndarray,
+                  eps: float) -> float:
+    """max_i |int gamma w grad u . grad phi_i| / (||grad u||_p^(p-1) ||grad phi_i||_p)
+    over interior hats, w = (|q|^2 + eps^2)^((p-2)/2) extended by 0 where
+    grad u = 0; 0 for a field with grad u = 0."""
+    G = grid.grad
+    phinorm = _node_sums(grid, grid.area * (G[:, 0]**2 + G[:, 1]**2) ** (p / 2.0)) ** (1.0 / p)
+    q = pde._element_gradients(grid, U)
+    q2 = _norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
+    unorm = pde._p_energy(grid, q2, p) ** (1.0 / p)
+    if unorm == 0.0:
+        return 0.0
+    coef = grid.area * gamma_c * _pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
+    dots = pde._hat_dots(grid, q) * coef                # (3, ncomp, nel)
+    r = np.stack([_node_sums(grid, dots[:, c]) for c in range(U.shape[1])])
+    rnorm = np.sqrt((r**2).sum(axis=0))
+    interior = ~grid.boundary
+    return float(np.max(rnorm[interior] / (unorm ** (p - 1.0) * phinorm[interior])))
 
 
 def h1_relative_error(grid: pde.DomainGrid, u: pde.PField, grad_exact) -> float:

@@ -61,7 +61,6 @@ def test_benchmark_traces_the_recovery_grid():
 
 # Defaulted parameters that only tests set, as "function.parameter".
 SET_BY_TESTS_ONLY = {
-    "energy.eps",
     "quadrature_limit.tol",
     "solve_wolff_profile.tol",
     "solve_wolff_profile.horizon",
@@ -133,3 +132,20 @@ def test_every_defaulted_parameter_is_set_by_the_program():
                 if not any(_sets(c, positional, param) for c in calls.get(fn.name, [])):
                     unset.append(f"{fn.name}.{param}")
     assert unset == []
+
+
+def test_bincount_only_in_the_free_dof_newton():
+    # one element-to-node scatter: the package sums element terms onto nodes
+    # only through the slots of pde._FreeDofNewton, which fix the order
+    inside, outside = [], []
+    for path in sorted((ROOT / "src" / "plprobe").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "pde":
+            newton = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                          and node.name == "_FreeDofNewton")
+            allowed = {id(node) for node in ast.walk(newton)}
+        for call in _calls_by_name([tree]).get("bincount", []):
+            where = f"{path.name}:{call.lineno}"
+            (inside if id(call) in allowed else outside).append(where)
+    assert inside and outside == []

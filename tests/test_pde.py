@@ -48,16 +48,6 @@ def test_grid_delta_values():
     assert np.all(delta >= 0.0)
 
 
-@pytest.mark.parametrize("trailing", [(), (2,)])
-def test_scatter_equals_sequential_add(trailing):
-    # the element-to-node sum is exactly the in-order accumulation
-    g = pde.build_grid(pde.HalfDisc(radius=1.0), 12)
-    vals = np.random.default_rng(3).standard_normal(g.tri.shape + trailing)
-    ref = np.zeros((g.npt,) + trailing)
-    np.add.at(ref, g.tri.ravel(), vals.reshape((-1,) + trailing))
-    assert np.array_equal(g.scatter(np.moveaxis(vals, 0, -1)), np.moveaxis(ref, 0, -1))
-
-
 @pytest.mark.parametrize("ncomp", (1, 2))
 @pytest.mark.parametrize("shape", ("window", "half disc"))
 def test_gradient_kernels_equal_einsum(shape, ncomp):
@@ -144,25 +134,29 @@ def test_conductivity_validation(unit_rect):
 
 def test_energy_constant_is_zero(unit_rect):
     u = pde.PField.from_function(unit_rect, lambda x: np.full(x.shape[0], 3.3), "real")
-    assert pde.energy(unit_rect, u, pde.ConductivityField.constant(1.0), 2.0) == 0.0
+    one = pde.ConductivityField.constant(1.0)
+    assert pde._energy(unit_rect, u.components(), one(unit_rect.centroid), 2.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
 def test_energy_unit_gradient(unit_rect, p):
     u = pde.PField.from_function(unit_rect, lambda x: x[:, 1], "real")
-    val = pde.energy(unit_rect, u, pde.ConductivityField.constant(1.0), p)
+    one = pde.ConductivityField.constant(1.0)
+    val = pde._energy(unit_rect, u.components(), one(unit_rect.centroid), p, 0.0)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_energy_weighted_closed_form(unit_rect):
     u = pde.PField.from_function(unit_rect, lambda x: x[:, 1], "real")
     gam = pde.ConductivityField(lambda x: 1.0 + x[:, 1])
-    assert pde.energy(unit_rect, u, gam, 3.0) == pytest.approx(1.5, rel=1e-12)
+    val = pde._energy(unit_rect, u.components(), gam(unit_rect.centroid), 3.0, 0.0)
+    assert val == pytest.approx(1.5, rel=1e-12)
 
 
 def test_energy_regularization_floor(unit_rect):
     u = pde.PField(np.zeros(unit_rect.npt), "real")
-    val = pde.energy(unit_rect, u, pde.ConductivityField.constant(2.0), 3.0, eps=0.1)
+    two = pde.ConductivityField.constant(2.0)
+    val = pde._energy(unit_rect, u.components(), two(unit_rect.centroid), 3.0, 0.1)
     assert val == pytest.approx(2.0 * 0.1**3, rel=1e-12)
 
 
@@ -215,9 +209,10 @@ def test_two_initialization_uniqueness(nonlinear_setup):
     s1 = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
     s2 = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="random", seed=99))
     assert abs(s1.energy - s2.energy) / s1.energy <= 1e-8
-    h1 = np.sqrt(pde.energy(g, pde.PField(s1.field.values - s2.field.values, "real"),
-                            pde.ConductivityField.constant(1.0), 2.0))
-    ref = np.sqrt(pde.energy(g, s1.field, pde.ConductivityField.constant(1.0), 2.0))
+    one = pde.ConductivityField.constant(1.0)(g.centroid)
+    diff = pde.PField(s1.field.values - s2.field.values, "real")
+    h1 = np.sqrt(pde._energy(g, diff.components(), one, 2.0, 0.0))
+    ref = np.sqrt(pde._energy(g, s1.field.components(), one, 2.0, 0.0))
     assert h1 / ref <= 1e-4
 
 
@@ -448,6 +443,46 @@ def test_newton_matrix_is_derivative_of_gradient(mode, p):
         assert np.linalg.norm(_band_matrix(ab) @ v - dg) <= 1e-7 * np.linalg.norm(dg)
 
 
+@pytest.mark.parametrize("ncomp", (1, 2))
+def test_free_gradient_equals_sequential_add(ncomp):
+    # the element-to-node sum of the gradient is exactly the in-order
+    # accumulation: each free dof adds its element terms in element order
+    g = pde.build_grid(pde.HalfDisc(radius=1.0), 12)
+    rng = np.random.default_rng(3)
+    U = rng.standard_normal((g.npt, ncomp))
+    gamma_c = 1.0 + rng.uniform(size=g.tri.shape[0])
+    p, eps = 3.0, 1e-3
+    newton = pde._FreeDofNewton(g, gamma_c, p, ncomp)
+    q = pde._element_gradients(g, U)
+    q2 = vecp._norm_sq(q.reshape(-1, q.shape[-1]), axis=0)
+    coef = g.area * gamma_c * p * vecp._pow_or_zero(q2 + eps * eps, (p - 2.0) / 2.0)
+    terms = np.moveaxis(pde._hat_dots(g, q) * coef, -1, 0)    # (nel, 3, ncomp)
+    number = np.full(g.npt * ncomp, newton.nfree)
+    number[newton.dofs] = np.arange(newton.nfree)
+    ref = np.zeros(newton.nfree + 1)
+    np.add.at(ref, number[g.tri[:, :, None] * ncomp + np.arange(ncomp)].ravel(),
+              terms.ravel())
+    assert newton.linearize(U, eps, band=False)[1].tobytes() == ref[:-1].tobytes()
+
+
+@pytest.mark.parametrize("ncomp", (1, 2))
+@pytest.mark.parametrize("shape", ("rectangle", "half disc"))
+def test_residual_equals_frozen_dual_residual(shape, ncomp):
+    # the residual read from the Newton gradient agrees to round-off with
+    # the dual residual summed by its own scatter, on random fields
+    g = pde.build_grid(pde.Rectangle(1.0, 1.0) if shape == "rectangle"
+                       else pde.HalfDisc(1.0), 16)
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal((g.npt, ncomp))
+    gamma_c = 1.0 + rng.uniform(size=g.tri.shape[0])
+    for p in (1.5, 2.0, 3.0, 8.0):
+        newton = pde._FreeDofNewton(g, gamma_c, p, ncomp)
+        for eps in (0.0, 1e-3):
+            ref = oracles.dual_residual(g, gamma_c, p, U, eps)
+            assert abs(newton.residual(U, eps) - ref) <= 1e-14 * ref
+        assert newton.residual(np.zeros_like(U), 0.0) == 0.0
+
+
 def test_indefinite_band_raises_from_factor():
     ab = np.asfortranarray([[4.0, 4.0, -1.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
     with pytest.raises(pde.SolverConvergenceError, match="not positive definite"):
@@ -516,7 +551,8 @@ def test_final_energy_is_last_history_entry(nonlinear_setup):
     g, gam, f = nonlinear_setup
     sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
     assert sol.energy == sol.energy_history[-1][1]
-    assert sol.energy == pde.energy(g, sol.field, gam, 3.0, sol.eps_final_abs)
+    assert sol.energy == pde._energy(g, sol.field.components(), gam(g.centroid), 3.0,
+                                     sol.eps_final_abs)
 
 
 def test_failed_line_search_raises(nonlinear_setup, monkeypatch):

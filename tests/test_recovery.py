@@ -343,7 +343,7 @@ def test_p2_remainder_linear_oracle():
     sol = pde.solve_dirichlet(grid, GAMMA_SLOPE, 2.0, probe, initial=probe)
     lead, rem = recovery.remainder_split(grid, GAMMA_SLOPE, 2.0, probe, sol.field)
     diff = pde.PField(sol.field.values - probe.values, "real")
-    oracle = -pde.energy(grid, diff, GAMMA_SLOPE, 2.0)
+    oracle = -pde._energy(grid, diff.components(), GAMMA_SLOPE(grid.centroid), 2.0, 0.0)
     assert rem.real == pytest.approx(oracle, rel=1e-6, abs=1e-12)
     assert abs(rem.imag) <= 1e-14
 

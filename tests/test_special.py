@@ -58,7 +58,7 @@ def test_cutoff_plateau_and_support():
 def test_cutoff_monotone_on_shoulder():
     eta = special.CutoffField(1.0)
     r = np.linspace(0.5, 1.0, 200)
-    vals = eta.profile.value_radial(r)
+    vals = eta.profile.radial(r)[0]
     assert np.all(np.diff(vals) <= 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
@@ -75,15 +75,13 @@ def test_cutoff_radial_equals_polynomial_formula(smoothness):
         on = 0.5 < r < 1.0
         value = 1.0 - polyval(2.0 * r - 1.0, c) if on else float(r <= 0.5)
         deriv = -2.0 * polyval(2.0 * r - 1.0, dc) if on else 0.0
-        assert isinstance(prof.value_radial(r), float)
-        assert isinstance(prof.deriv_radial(r), float)
-        assert prof.value_radial(r) == value
-        assert prof.deriv_radial(r) == deriv
+        got = prof.radial(r)
+        assert all(isinstance(x, float) for x in got)
+        assert got == (value, deriv)
     arr = np.array(rs)
-    assert np.array_equal(prof.value_radial(arr),
-                          [prof.value_radial(r) for r in rs])
-    assert np.array_equal(prof.deriv_radial(arr.reshape(7, 1)).ravel(),
-                          [prof.deriv_radial(r) for r in rs])
+    assert np.array_equal(prof.radial(arr)[0], [prof.radial(r)[0] for r in rs])
+    assert np.array_equal(prof.radial(arr.reshape(7, 1))[1].ravel(),
+                          [prof.radial(r)[1] for r in rs])
 
 
 @pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
@@ -101,7 +99,7 @@ def test_cutoff_value_and_gradient_equal_separate_calls(smoothness):
     pts3 = np.stack([pts2[:, 0], 0.5 * pts2[:, 1], 0.75 * pts2[:, 1]], axis=-1)
     for pts in (pts2, pts3.reshape(3, 3, 3)):
         r = np.sqrt(special._norm_sq(pts))
-        d = M * eta.profile.deriv_radial(M * r)
+        d = M * eta.profile.radial(M * r)[1]
         grad = d[..., None] * pts / np.where(r > 0, r, 1.0)[..., None]
         cm = np.moveaxis(pts, -1, 0)
         value, gradient = eta.value_and_gradient(cm)
@@ -119,7 +117,7 @@ def test_cutoff_gradient_bound():
     r = np.linspace(0.0, 1.2 / M, 400)
     pts = np.stack([r, np.zeros_like(r)])
     gn = np.sqrt((eta.value_and_gradient(pts)[1] ** 2).sum(axis=0))
-    sup_profile = np.max(np.abs(eta.profile.deriv_radial(np.linspace(0, 1, 2001))))
+    sup_profile = np.max(np.abs(eta.profile.radial(np.linspace(0, 1, 2001))[1]))
     assert np.max(gn) <= M * sup_profile * (1.0 + 1e-12)
 
 
@@ -166,7 +164,7 @@ def test_cutoff_dilation_scaling():
     # Replacing eta by eta(./2) doubles the 1D slice integral.
     cp = special.CutoffProfile("c3")
     base = cp.slice_integral(3.0, 2)
-    dilated = 2.0 * quad(lambda t: cp.value_radial(t / 2.0) ** 3, 0.0, 2.0,
+    dilated = 2.0 * quad(lambda t: cp.radial(t / 2.0)[0] ** 3, 0.0, 2.0,
                          epsabs=1e-13, epsrel=1e-12)[0]
     assert dilated == pytest.approx(2.0 * base, rel=1e-10)
 
