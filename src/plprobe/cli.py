@@ -95,8 +95,6 @@ def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
         "lambda": prof.lam,
         "K": prof.K,
         "a_mean": prof.a_mean,
-        "ode_tolerance": prof.ode_tol,
-        "period_return_drift": prof.period_return_drift,
     }
     rows = [(t, a, ap) for t, a, ap in zip(prof.t, prof.a, prof.aprime)]
     write_csv(out / "wolff.csv", ("t", "a", "a_prime"), rows, meta)

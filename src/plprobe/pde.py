@@ -503,17 +503,18 @@ class _FreeDofNewton:
     block is symmetric, so only its 3 ncomp (3 ncomp + 1) / 2 local pairs
     b <= a (`pairs`: 21 complex, 6 real) are formed, each as one length-nel
     vector; a pair lands in the lower band at (max, min) of its two free
-    numbers.  The slot of every gradient and band entry is built once, in
-    element-major order, so each node and band entry adds its terms in
-    element order; the hat p-norms of the dual residual are summed once
-    through the gradient's slots.  Each linearization is then one bincount
-    for the gradient and one for the band, and the residual reads the same
-    gradient.  Entries touching a fixed dof go to a discarded extra slot.
+    numbers.  The slot of every gradient and band entry is built once (the
+    band's on the first band assembly), in element-major order, so each
+    node and band entry adds its terms in element order; the hat p-norms
+    of the dual residual are summed once through the gradient's slots.
+    Each linearization is then one bincount for the gradient and one for
+    the band, and the residual reads the same gradient.  Entries touching a
+    fixed dof go to a discarded extra slot.
     """
 
     def __init__(self, grid, gamma_c, p, ncomp):
         self.grid, self.gamma_c, self.p = grid, gamma_c, p
-        nel, nloc = grid.tri.shape[0], 3 * ncomp
+        nloc = 3 * ncomp
         lattice = np.arange(grid.npt).reshape(grid.ny + 1, grid.nx + 1)
         order = (lattice.T if grid.nx >= grid.ny else lattice).ravel()
         nodes = order[~grid.boundary[order]]
@@ -522,7 +523,6 @@ class _FreeDofNewton:
         number = np.full(grid.npt * ncomp, nfree)
         number[self.dofs] = np.arange(nfree)
         self.vec_slot = number[grid.tri[:, :, None] * ncomp + np.arange(ncomp)].ravel()
-        fdof = self.vec_slot.reshape(nel, nloc).T
 
         # the local pairs (a, b), b <= a, with the index m of their hat pair
         # in `bb` when a and b are one component (m = -1 otherwise)
@@ -541,11 +541,22 @@ class _FreeDofNewton:
         self.phinorm = np.bincount(self.vec_slot, weights=hat_p.ravel(),
                                    minlength=nfree + 1)[:nfree:ncomp] ** (1.0 / p)
 
-        # kd is the widest spread of free numbers within one element
-        spread = np.where(fdof < nfree, fdof, -1).max(axis=0) - fdof.min(axis=0)
-        kd = self.kd = int(spread.max(initial=0))
+    # kd and the band slots are built on the first band assembly; the weak
+    # residual reads the gradient only
+
+    @functools.cached_property
+    def kd(self) -> int:
+        # the widest spread of free numbers within one element
+        fdof = self.vec_slot.reshape(self.grid.tri.shape[0], -1).T
+        spread = np.where(fdof < self.nfree, fdof, -1).max(axis=0) - fdof.min(axis=0)
+        return int(spread.max(initial=0))
+
+    @functools.cached_property
+    def mat_slot(self) -> np.ndarray:
         # a local pair of free numbers row >= col has band slot row + kd col
-        mat_slot = np.empty((nel, len(self.pairs)), dtype=np.intp)
+        fdof = self.vec_slot.reshape(self.grid.tri.shape[0], -1).T
+        nfree, kd = self.nfree, self.kd
+        mat_slot = np.empty((fdof.shape[1], len(self.pairs)), dtype=np.intp)
         for k, (a, b, _) in enumerate(self.pairs):
             row = np.maximum(fdof[a], fdof[b])
             slot = np.minimum(fdof[a], fdof[b])
@@ -553,7 +564,7 @@ class _FreeDofNewton:
             slot += row
             slot[row >= nfree] = nfree * (kd + 1)
             mat_slot[:, k] = slot
-        self.mat_slot = mat_slot.ravel()
+        return mat_slot.ravel()
 
     def energy(self, U, eps):
         return _energy(self.grid, U, self.gamma_c, self.p, eps)
@@ -595,6 +606,8 @@ class _FreeDofNewton:
         """(E_eps(U), free gradient, lower band of the free Newton matrix,
         shape (kd + 1, nfree) in Fortran order); with band=False, (E_eps(U),
         free gradient) only, and no band is assembled."""
+        # the band slots are built, once, before this step's transients
+        mat_slot = self.mat_slot if band else None
         q2, coef, iq, g = self._gradient(U, eps)
         E = _p_energy(self.grid, q2, self.p, self.gamma_c, eps)
         if not band:
@@ -610,7 +623,7 @@ class _FreeDofNewton:
                 t += cbb[m]
             H[:, k] = t
         nband = self.nfree * (self.kd + 1)
-        ab = np.bincount(self.mat_slot, weights=H.ravel(),
+        ab = np.bincount(mat_slot, weights=H.ravel(),
                          minlength=nband + 1)[:nband]
         return E, g, ab.reshape(self.nfree, self.kd + 1).T
 

@@ -27,7 +27,6 @@ aligned to the cutoff kinks and to half-periods of the oscillation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -171,36 +170,6 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> PField:
 # ---------------------------------------------------------------------------
 
 
-# Gauss order of every panel.
-_ORDER = 10
-
-
-@functools.cache
-def _gauss_rule():
-    """The Gauss-Legendre rule of order `_ORDER` on [-1, 1], built once, on
-    first use: numpy builds it with LAPACK, whose buffers (about 0.9 MiB) a
-    process that integrates no probe energy need not hold."""
-    return np.polynomial.legendre.leggauss(_ORDER)
-
-
-def _gauss_panels(breaks: np.ndarray):
-    """Composite Gauss-Legendre nodes/weights on the given panel breaks."""
-    x, w = _gauss_rule()
-    a, b = breaks[:-1], breaks[1:]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _subdivide(breaks: np.ndarray, max_width: float) -> np.ndarray:
-    out = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        k = max(1, int(math.ceil((b - a) / max_width)))
-        out.extend(a + (b - a) * np.arange(1, k + 1) / k)
-    return np.asarray(out)
-
-
 def _layer_breaks(p: float) -> np.ndarray:
     # graded toward 0; e^(-p y) tail beyond 44/p is ~1e-19 of the peak
     return np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
@@ -215,7 +184,7 @@ def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
         # resolve the oscillation: at most half a period per panel
         period = spec.profile.lam * spec.M / spec.N
         width = min(width, period / (2.0 * 2**level))
-    return _subdivide(base, width)
+    return special._subdivide(base, width)
 
 
 def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
@@ -262,8 +231,7 @@ def _energy_density(spec: ProbeSpec, gamma: ConductivityField,
         mag2 = _norm_sq(vec, axis=0) + eta**2 * (p - 1.0)
     else:
         tau = N * x[0, :, :1]
-        a = spec.profile.a_at(tau)
-        ap = spec.profile.aprime_at(tau)
+        a, ap = spec.profile.values_at(tau)
         # rho.gradient takes and returns point lists (m, n); this is
         # (n, n_perp, 1), one value per perpendicular node
         grad_rho = spec.rho.gradient(x[:, :, 0].T).T[..., None]
@@ -294,15 +262,15 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
     points, which bounds the working set and changes no bit.
     """
-    layer_nodes, layer_w = _gauss_panels(
-        _subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level))
-    perp1_nodes, perp1_w = _gauss_panels(_perp_breaks(spec, level))
+    layer_nodes, layer_w = special._gauss_panels(
+        special._subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level))
+    perp1_nodes, perp1_w = special._gauss_panels(_perp_breaks(spec, level))
     if spec.n == 2:
         y_perp = perp1_nodes[:, None]
         w_perp = perp1_w
     else:
-        t_breaks = _subdivide(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 0.25 / 2**level)
-        t_nodes, t_w = _gauss_panels(t_breaks)
+        t_nodes, t_w = special._gauss_panels(special._subdivide(
+            np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 0.25 / 2**level))
         Y1, Y2 = np.meshgrid(perp1_nodes, t_nodes, indexing="ij")
         y_perp = np.column_stack([Y1.ravel(), Y2.ravel()])
         w_perp = (perp1_w[:, None] * t_w[None, :]).ravel()

@@ -2,8 +2,8 @@
 
 * the classical inequalities of the flux nonlinearity |z|^(p-2) z;
 * the period-average limit of the real probe's oscillatory integral;
-* the Wolff profile's ODE residual and the drift of its running mean, and
-  the profile integrated with V evaluated on 0-d arrays;
+* the Wolff potential V, the profile's ODE residual and the drift of its
+  running mean, and its period and K from the phase-plane quadrature;
 * the Hardy ratio ||v / delta||_p / ||grad v||_p and the H1 error against
   an analytic gradient;
 * the dual-norm weak residual as the solver computed it before it read the
@@ -18,11 +18,9 @@ package itself runs none of them.
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
-import scipy.integrate
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from plprobe import pde, recovery, special
 from plprobe.config import ConfigError
@@ -192,14 +190,15 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
     lhs = M^(n-1) N int eta(Mx)^2 e^(-p N rho) a(N x_1)^2 dx,
     rhs = (mean of a^2 over one period / p) * int eta(x', 0)^2 dx'.
     Both sides are computed by independent quadratures (panel tensor rule
-    vs. profile period average + adaptive slice quadrature).
+    vs. profile period average + the cutoff's slice integral).
     """
     if spec.mode != "real":
         raise ValueError("oscillatory average check applies to real-mode probes")
     eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
 
     def integrand(x):
-        return eta_field.value(x) ** 2 * spec.profile.a_at(spec.N * x[0, :, :1]) ** 2
+        a = spec.profile.values_at(spec.N * x[0, :, :1])[0]
+        return eta_field.value(x) ** 2 * a**2
 
     lhs = recovery._refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
@@ -212,33 +211,58 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
 # ---------------------------------------------------------------------------
 
 
+def wolff_potential(a, aprime, p: float):
+    """V(a, a') = ((2p-3) a'^2 + (p-1) a^2) / ((p-1) a'^2 + a^2), elementwise."""
+    ap2, a2 = aprime * aprime, a * a
+    return ((2.0 * p - 3.0) * ap2 + (p - 1.0) * a2) / ((p - 1.0) * ap2 + a2)
+
+
 def ode_residual_max(profile: special.WolffProfile) -> float:
     """max_t |a'' + V(a, a') a| / scale over the stored samples.
 
-    a'' is recovered by differentiating the a' spline, independently of
-    the relation a'' = -V a used during integration.
+    a'' is the exact derivative of the trigonometric interpolant of the a'
+    samples, independent of the relation a'' = -V a.  (A periodic cubic
+    spline's derivative is off by O(h^3) in itself: 2.4e-7 of max |a''| at
+    p = 20, where the spectral derivative reads 1.7e-12.)
     """
-    a2 = profile._spline_ap.derivative()(profile.t)
-    res = a2 + special.wolff_potential(profile.a, profile.aprime, profile.p) * profile.a
+    n = profile.t.size
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=profile.lam / n)
+    a2 = np.fft.irfft(1j * k * np.fft.rfft(profile.aprime), n)
+    res = a2 + wolff_potential(profile.a, profile.aprime, profile.p) * profile.a
     scale = float(np.max(np.abs(a2))) or 1.0
     return float(np.max(np.abs(res))) / scale
 
 
-def wolff_profile_array_rhs(p: float) -> special.WolffProfile:
-    """`solve_wolff_profile(p)` with the ODE right-hand side evaluated on
-    0-d numpy arrays, V's squares taken as x**2."""
+# The potential V is 0-homogeneous in (a, a'), so in polar phase-plane
+# coordinates (a, a') = r (cos th, sin th) the angular speed depends on th
+# alone: dth/dt = -(p-1) / D(th), D = (p-1) sin^2 th + cos^2 th.  The period
+# is a plain 1D quadrature and r(th) solves a non-oscillatory scalar ODE,
+# giving K by quadrature: numerically, from the ODE, and independent of the
+# closed form the package evaluates.
 
-    def array_rhs(t, y):
-        a = np.asarray(y[0], dtype=float)
-        ap = np.asarray(y[1], dtype=float)
-        V = ((2.0 * p - 3.0) * ap**2 + (p - 1.0) * a**2) / ((p - 1.0) * ap**2 + a**2)
-        return (ap, -V * a)
 
-    def integrate(fun, *args, **kwargs):
-        return solve_ivp(array_rhs, *args, **kwargs)
+def oracle_period(p):
+    return quad(lambda th: ((p - 1) * np.sin(th) ** 2 + np.cos(th) ** 2) / (p - 1),
+                0.0, 2.0 * np.pi, epsabs=1e-13, epsrel=1e-13)[0]
 
-    with mock.patch.object(scipy.integrate, "solve_ivp", integrate):
-        return special.solve_wolff_profile(p)
+
+def oracle_K(p):
+    def D(th):
+        return (p - 1) * np.sin(th) ** 2 + np.cos(th) ** 2
+
+    def V(th):
+        return ((2 * p - 3) * np.sin(th) ** 2 + (p - 1) * np.cos(th) ** 2) / D(th)
+
+    def dlnr(th, y):
+        return [np.cos(th) * np.sin(th) * (1.0 - V(th)) * (-D(th) / (p - 1))]
+
+    th0 = np.pi / 2
+    sol = solve_ivp(dlnr, (th0, th0 - 2 * np.pi), [0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    lam = oracle_period(p)
+    val = quad(lambda th: np.exp(p * sol.sol(th)[0]) * D(th) / (p - 1),
+               th0 - 2 * np.pi, th0, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
+    return val / lam
 
 
 def running_mean_drift(profile: special.WolffProfile,
@@ -248,7 +272,7 @@ def running_mean_drift(profile: special.WolffProfile,
     m = profile.t.size
     for t0 in offsets:
         ts = t0 + profile.lam * np.arange(m) / m
-        worst = max(worst, abs(float(np.mean(profile.a_at(ts)))))
+        worst = max(worst, abs(float(np.mean(profile.values_at(ts)[0]))))
     return worst
 
 

@@ -41,16 +41,14 @@ def test_criterion_1_wolff_trivial_case():
 
 def test_criterion_2_wolff_self_consistency():
     t0 = time.time()
-    tol = 1e-10
     details = []
     ok = True
     for p in (1.5, 3.0, 4.0):
-        prof = special.solve_wolff_profile(p, tol=tol)
+        prof = special.solve_wolff_profile(p)
         res = oracles.ode_residual_max(prof)
-        ok &= res <= 10.0 * tol
-        tight = special.solve_wolff_profile(p, tol=tol / 10.0)
-        d_lam = abs(prof.lam - tight.lam) / prof.lam
-        d_K = abs(prof.K - tight.K) / prof.K
+        ok &= res <= 10.0 * 1e-10
+        d_lam = abs(prof.lam - oracles.oracle_period(p)) / prof.lam
+        d_K = abs(prof.K - oracles.oracle_K(p)) / prof.K
         ok &= d_lam <= 1e-8 and d_K <= 1e-8
         fld = special.WolffField(prof, N=2.0)
         rng = np.random.default_rng(3)
@@ -227,10 +225,13 @@ CRITERION_8_NEWTON_STEPS = {
 # included: one per Armijo trial, plus one per doubling tried after a full
 # step that beat its quadratic model.  The p = 3 rows take the same steps
 # as without the expansion; their rejected doublings are its cost.  A
-# change to the backtracking or expansion rule shows here.
+# change to the backtracking or expansion rule shows here, and so can a
+# change in the last bits of the probe: c_p's fixed Gauss rule, one ulp
+# from adaptive quadrature's value at p = 3, takes complex p = 3 from 36
+# calls to 34 with the same steps.
 CRITERION_8_ENERGY_CALLS = {
     ("complex", 1.5): 33,
-    ("complex", 3.0): 36,
+    ("complex", 3.0): 34,
     ("real", 1.5): 32,
     ("real", 3.0): 49,
 }

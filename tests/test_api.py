@@ -62,8 +62,6 @@ def test_benchmark_traces_the_recovery_grid():
 # Defaulted parameters that only tests set, as "function.parameter".
 SET_BY_TESTS_ONLY = {
     "quadrature_limit.tol",
-    "solve_wolff_profile.tol",
-    "solve_wolff_profile.horizon",
     "solve_wolff_profile.initial_slope",
     "make_complex_exponential.direction",
 }

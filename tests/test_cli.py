@@ -210,8 +210,8 @@ def test_solve_expression_datum_builds_no_wolff_profile(tmp_path, monkeypatch):
                 == (tmp_path / "eager" / name).read_bytes())
 
 
-# scipy subpackages that `special` loads on first use only: quad, solve_ivp
-# (with scipy.optimize behind scipy.integrate) and CubicSpline
+# scipy subpackages that no command loads: the Wolff profile is in closed
+# form and c_p's slice integral is a fixed Gauss rule
 DEFERRED_SCIPY = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
 
 
@@ -243,6 +243,16 @@ def test_solve_expression_datum_loads_no_deferred_scipy(tmp_path):
     loaded = _fresh_imports(["-m", "plprobe", "solve", "--config", cfg,
                              "--out", tmp_path], tmp_path)
     assert "plprobe.pde" in loaded and (tmp_path / "solution.csv").exists()
+    assert not loaded & DEFERRED_SCIPY
+
+
+@pytest.mark.parametrize("command", (
+    ["probe-check", "--config", PROBE_CHECK_DEMO],  # real mode
+    ["recover", "--config", RECOVER_DEMO],  # complex mode
+    ["wolff", "--p", "3"]), ids=("probe-check", "recover", "wolff"))
+def test_probe_commands_load_no_deferred_scipy(tmp_path, command):
+    loaded = _fresh_imports(["-m", "plprobe", *command, "--out", tmp_path], tmp_path)
+    assert "plprobe.special" in loaded and any(tmp_path.glob("*.csv"))
     assert not loaded & DEFERRED_SCIPY
 
 

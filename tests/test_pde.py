@@ -632,11 +632,35 @@ def test_newton_setup_memory_is_bounded():
     tracemalloc.start()
     try:
         newton = pde._FreeDofNewton(g, gamma_c, 3.0, 2)
+        newton.mat_slot
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert newton.mat_slot.nbytes == 21 * 8 * g.tri.shape[0]
     assert peak <= 5 * 2**20
+
+
+def test_weak_residual_builds_no_band_slots(monkeypatch):
+    # the residual reads the gradient alone; the band's layout is built on
+    # the first band assembly
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+    g = recovery.probe_window_grid(spec)
+    built = []
+    init = pde._FreeDofNewton.__init__
+
+    def keep(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(pde._FreeDofNewton, "__init__", keep)
+    u = recovery.build_probe(spec, g)
+    gamma = pde.ConductivityField.constant(1.0)
+    assert pde.weak_residual(g, gamma, 3.0, u) > 0.0
+    newton, = built
+    assert not {"kd", "mat_slot"} & set(vars(newton))
+    E, grad, ab = newton.linearize(u.components(), 1e-3)
+    assert {"kd", "mat_slot"} <= set(vars(newton))
+    assert ab.shape == (newton.kd + 1, newton.nfree)
 
 
 def test_warm_started_solve_runs_single_final_stage():

@@ -218,8 +218,7 @@ def _flat_energy_density(spec, gamma_fn, x):
         mag2 = (vec**2).sum(axis=1) + eta**2 * (p - 1.0)
     else:
         tau = N * x[:, 0]
-        a = spec.profile.a_at(tau)
-        ap = spec.profile.aprime_at(tau)
+        a, ap = spec.profile.values_at(tau)
         grad_rho = spec.rho.gradient(x)
         vec = (M / N) * geta * a[:, None] - eta[:, None] * a[:, None] * grad_rho
         vec[:, 0] += eta * ap

@@ -2,46 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 import oracles
 from plprobe import special
-
-# ---------------------------------------------------------------------------
-# Independent oracle for the oscillatory profile: the potential V is
-# 0-homogeneous in (a, a'), so in polar phase-plane coordinates
-# (a, a') = r (cos th, sin th) the angular speed depends on th alone:
-#   dth/dt = -(p-1) / D(th),  D = (p-1) sin^2 th + cos^2 th.
-# The period is a plain 1D quadrature and r(th) solves a non-oscillatory
-# scalar ODE, giving K by quadrature.  Entirely independent of the event
-# detection / resampling route used by the implementation.
-# ---------------------------------------------------------------------------
-
-
-def oracle_period(p):
-    return quad(lambda th: ((p - 1) * np.sin(th) ** 2 + np.cos(th) ** 2) / (p - 1),
-                0.0, 2.0 * np.pi, epsabs=1e-13, epsrel=1e-13)[0]
-
-
-def oracle_K(p):
-    def D(th):
-        return (p - 1) * np.sin(th) ** 2 + np.cos(th) ** 2
-
-    def V(th):
-        return ((2 * p - 3) * np.sin(th) ** 2 + (p - 1) * np.cos(th) ** 2) / D(th)
-
-    def dlnr(th, y):
-        return [np.cos(th) * np.sin(th) * (1.0 - V(th)) * (-D(th) / (p - 1))]
-
-    th0 = np.pi / 2
-    sol = solve_ivp(dlnr, (th0, th0 - 2 * np.pi), [0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    lam = oracle_period(p)
-    val = quad(lambda th: np.exp(p * sol.sol(th)[0]) * D(th) / (p - 1),
-               th0 - 2 * np.pi, th0, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-    return val / lam
-
 
 # ---------------------------------------------------------------------------
 # Cutoff
@@ -149,15 +113,32 @@ def test_cutoff_slice_integral_once_per_profile(monkeypatch):
     cp = special.CutoffProfile("c3")
     first = cp.slice_integral(3.0, 2)
 
-    def no_quad(*args, **kwargs):
+    def no_rule(p):
         raise AssertionError("slice integral recomputed")
 
-    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    monkeypatch.setattr(special, "_shoulder_rule", no_rule)
     assert cp.slice_integral(3.0, 2) == first
     fresh = special.CutoffProfile("c3")
     assert fresh == cp and hash(fresh) == hash(cp)
     with pytest.raises(AssertionError):
         fresh.slice_integral(3.0, 2)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
+@pytest.mark.parametrize("p", (1.1, 1.5, 3.0, 8.0))
+def test_cutoff_slice_rule_matches_adaptive_quadrature(smoothness, p):
+    # the fixed Gauss rule against quad on the shoulder, split where eta^p
+    # is a power of (1 - r); the plateau is exact in both
+    cp = special.CutoffProfile(smoothness)
+    points = 1.0 - 0.5 ** np.arange(2, 30)
+    for n, weight, plateau, scale in ((2, lambda r: 1.0, 0.5, 2.0),
+                                      (3, lambda r: r, 0.125, 2.0 * math.pi)):
+        shoulder = quad(lambda r: max(cp.radial(r)[0], 0.0) ** p * weight(r),
+                        0.5, 1.0, points=points, limit=500,
+                        epsabs=1e-16, epsrel=1e-14)[0]
+        ref = scale * (plateau + shoulder)
+        assert abs(cp.slice_integral(p, n) - ref) <= 1e-15 * ref, n
 
 
 def test_cutoff_dilation_scaling():
@@ -268,14 +249,14 @@ def test_wolff_trivial_p2():
     assert abs(prof.a_mean) <= 1e-12
     # a = sin at p = 2
     taus = np.linspace(0.0, 2 * np.pi, 17)
-    assert np.allclose(prof.a_at(taus), np.sin(taus), atol=1e-9)
+    assert np.allclose(prof.values_at(taus)[0], np.sin(taus), atol=1e-9)
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_wolff_against_phase_plane_oracle(p):
     prof = special.solve_wolff_profile(p)
-    assert prof.lam == pytest.approx(oracle_period(p), rel=1e-9)
-    assert prof.K == pytest.approx(oracle_K(p), rel=1e-8)
+    assert prof.lam == pytest.approx(oracles.oracle_period(p), rel=1e-9)
+    assert prof.K == pytest.approx(oracles.oracle_K(p), rel=1e-8)
 
 
 def test_wolff_frozen_goldens():
@@ -289,32 +270,29 @@ def test_wolff_frozen_goldens():
     assert prof4.K == pytest.approx(0.6624800222267955, abs=1e-8)
 
 
-@pytest.mark.parametrize("p", (1.2, 1.5, 2.0, 3.0, 5.0))
-def test_wolff_profile_equals_array_rhs(p):
-    # V on Python floats does the IEEE arithmetic of V on 0-d arrays
-    prof = special.solve_wolff_profile(p)
-    ref = oracles.wolff_profile_array_rhs(p)
-    for name in ("lam", "t", "a", "aprime", "K"):
-        assert (np.asarray(getattr(prof, name)).tobytes()
-                == np.asarray(getattr(ref, name)).tobytes()), name
+CLOSED_FORM_P = (1.05, 1.1, 1.5, 2.0, 3.0, 4.0, 8.0, 20.0)
 
 
-@pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+@pytest.mark.parametrize("p", CLOSED_FORM_P)
 def test_wolff_residual_and_tolerance_stability(p):
-    tol = 1e-10
-    prof = special.solve_wolff_profile(p, tol=tol)
-    assert oracles.ode_residual_max(prof) <= 10.0 * tol
-    tight = special.solve_wolff_profile(p, tol=tol / 10.0)
-    assert abs(prof.lam - tight.lam) / prof.lam <= 1e-8
-    assert abs(prof.K - tight.K) / prof.K <= 1e-8
+    # the closed form solves the ODE, its period is pi p / (p - 1) and
+    # agrees with the phase-plane oracle's, and so does K
+    prof = special.solve_wolff_profile(p)
+    assert oracles.ode_residual_max(prof) <= 10.0 * 1e-10
+    assert abs(prof.lam - math.pi * p / (p - 1.0)) <= 2.0 * math.ulp(prof.lam)
+    assert abs(prof.lam - oracles.oracle_period(p)) / prof.lam <= 1e-8
+    assert abs(prof.K - oracles.oracle_K(p)) / prof.K <= 1e-11
 
 
 def test_wolff_periodicity_and_mean_drift():
     prof = special.solve_wolff_profile(3.0)
     taus = np.linspace(0.0, prof.lam, 50)
-    assert np.allclose(prof.a_at(taus + prof.lam), prof.a_at(taus), atol=1e-10)
+    assert np.allclose(prof.values_at(taus + prof.lam)[0], prof.values_at(taus)[0],
+                       atol=1e-10)
     assert oracles.running_mean_drift(prof) <= 1e-10
-    assert prof.period_return_drift <= 1e-8
+    # the phase closes the period: (a, a') returns to (0, 1) as t -> lam
+    a, ap = prof.values_at(np.nextafter(prof.lam, 0.0))
+    assert math.hypot(a, ap - 1.0) <= 1e-8
     assert prof.K > 0.0
 
 
@@ -326,9 +304,36 @@ def test_wolff_scale_invariance_of_period():
     assert scaled.K == pytest.approx(2.0**3.0 * base.K, rel=1e-8)
 
 
-def test_wolff_period_detection_failure():
-    with pytest.raises(special.PeriodDetectionError):
-        special.solve_wolff_profile(3.0, horizon=1.0)
+@pytest.mark.parametrize("p", (1.002, 1.05, 20.0, 1000.0))
+def test_wolff_values_at_invert_the_closed_form(p):
+    # the phase psi = atan2(a, a') of every value returns its tau through
+    # t(psi), and |(a, a')| is r(psi), also where |e| = |p - 2| / p is so
+    # close to 1 (0.996, 0.998) that Newton's method from u = M diverges
+    prof = special.solve_wolff_profile(p)
+    tau = np.linspace(0.0, prof.lam, 20_001)[:-1]
+    a, ap = prof.values_at(tau)
+    psi = np.mod(np.arctan2(a, ap), 2.0 * np.pi)
+    t = (p * psi / 2.0 + (p - 2.0) * np.sin(2.0 * psi) / 4.0) / (p - 1.0)
+    gap = np.abs(np.mod(t - tau + prof.lam / 2.0, prof.lam) - prof.lam / 2.0)
+    assert gap.max() <= 1e-14 * prof.lam
+    r = np.exp(-(p - 2.0) * np.sin(psi) ** 2 / (2.0 * (p - 1.0)))
+    assert np.abs(np.hypot(a, ap) / r - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_P)
+def test_wolff_values_at_is_pointwise(p):
+    # one phase solve per point: a tau gives the same bits alone as inside
+    # a block of 10^4 points of every sign and size
+    prof = special.solve_wolff_profile(p)
+    rng = np.random.default_rng(5)
+    taus = np.concatenate([[0.0, prof.lam, -prof.lam / 2.0], prof.t[::9],
+                           rng.uniform(-3.0, 3.0, 10_000) * prof.lam])[:10_000]
+    a, ap = prof.values_at(taus)
+    for k in range(0, taus.size, 97):
+        one = prof.values_at(taus[k])
+        assert (one[0].tobytes(), one[1].tobytes()) == (a[k].tobytes(), ap[k].tobytes())
+    block = prof.values_at(taus.reshape(100, 100))
+    assert block[0].tobytes() == a.tobytes() and block[1].tobytes() == ap.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def test_wolff_field_modulus_law():
     pts = np.array([[0.2, 0.15], [0.4, 0.3]])
     rv = pts[:, 1] + 0.1 * pts[:, 0] ** 2
     assert np.allclose(np.abs(fld.value(pts)),
-                       np.exp(-5.0 * rv) * np.abs(prof.a_at(5.0 * pts[:, 0])),
+                       np.exp(-5.0 * rv) * np.abs(prof.values_at(5.0 * pts[:, 0])[0]),
                        rtol=1e-10)
 
 
