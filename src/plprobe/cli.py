@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,25 +105,25 @@ def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _recovery_ingredients(cfg: ExperimentConfig, get_profile, mode, p, gamma_text):
-    """(gamma, rho, cutoff, profile) of one probe family of the config; the
-    Wolff profile is built only in real mode, and never with get_profile
-    None."""
-    return (_gamma_field(gamma_text), _rho_from_config(cfg),
-            special.CutoffProfile(cfg.probe.cutoff),
-            get_profile(p) if mode == "real" and get_profile else None)
+def _probe_family(cfg: ExperimentConfig, get_profile, mode, p) -> recovery.ProbeSpec:
+    """The config's probe family (mode, p) at M = m_list[0]; the Wolff
+    profile is built, through get_profile, in real mode only."""
+    return recovery.ProbeSpec(
+        mode=mode, p=p, M=float(cfg.probe.m_list[0]), s=cfg.probe.s,
+        cutoff=special.CutoffProfile(cfg.probe.cutoff),
+        profile=get_profile(p) if mode == "real" else None,
+        rho=_rho_from_config(cfg))
 
 
 def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
     mode, p = cfg.probe.mode, cfg.physics.p
-    gamma, rho, cutoff, profile = _recovery_ingredients(
-        cfg, special.solve_wolff_profile, mode, p, cfg.physics.gamma)
+    gamma = _gamma_field(cfg.physics.gamma)
+    family = _probe_family(cfg, special.solve_wolff_profile, mode, p)
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
     rows = []
     errs = []
     for M in cfg.probe.m_list:
-        spec = recovery.ProbeSpec(mode=mode, p=p, M=float(M), s=cfg.probe.s,
-                                  cutoff=cutoff, profile=profile, rho=rho)
+        spec = replace(family, M=float(M))
         est = recovery.quadrature_limit(gamma, spec)
         errs.append(abs(est - gamma0))
         rows.append((M, spec.N, est, abs(est - gamma0)))
@@ -138,17 +138,12 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     mode, p = cfg.probe.mode, cfg.physics.p
-    probe_datum = cfg.physics.boundary_data == "probe"
-    gamma, rho, cutoff, profile = _recovery_ingredients(
-        cfg, special.solve_wolff_profile if probe_datum else None, mode, p,
-        cfg.physics.gamma)
+    gamma = _gamma_field(cfg.physics.gamma)
     settings = pde.SolverSettings(**asdict(cfg.solver))
     d = cfg.domain
 
-    if probe_datum:
-        M = float(cfg.probe.m_list[0])
-        spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=cfg.probe.s,
-                                  cutoff=cutoff, profile=profile, rho=rho)
+    if cfg.physics.boundary_data == "probe":
+        spec = _probe_family(cfg, special.solve_wolff_profile, mode, p)
         grid = recovery.probe_window_grid(
             spec, nodes_per_wavelength=d.nodes_per_wavelength,
             max_nodes=int(d.max_nodes))
@@ -159,7 +154,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
             shape = pde.HalfDisc(radius=d.radius)
         else:
             shape = pde.Rectangle(half_width=d.half_width, height=d.height,
-                                  bottom=rho)
+                                  bottom=_rho_from_config(cfg))
         grid = pde.build_grid(shape, d.resolution)
         vals = expr(grid.pts).astype(np.complex128)
         datum = pde.PField(vals if mode == "complex" else vals.real.astype(complex),
@@ -182,14 +177,11 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
-    gamma, rho, cutoff, profile = _recovery_ingredients(cfg, get_profile, mode,
-                                                        p, gamma_text)
     d = cfg.domain
     return recovery.recover_boundary_value(
-        gamma, p, mode, list(cfg.probe.m_list), s=cfg.probe.s,
-        settings=pde.SolverSettings(**asdict(cfg.solver)), cutoff=cutoff,
-        rho=rho, profile=profile, nodes_per_wavelength=d.nodes_per_wavelength,
-        max_nodes=int(d.max_nodes))
+        _gamma_field(gamma_text), _probe_family(cfg, get_profile, mode, p),
+        cfg.probe.m_list, settings=pde.SolverSettings(**asdict(cfg.solver)),
+        nodes_per_wavelength=d.nodes_per_wavelength, max_nodes=int(d.max_nodes))
 
 
 def _report_rows(report: recovery.RecoveryReport):

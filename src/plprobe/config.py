@@ -382,7 +382,6 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     if not ph.p > 1.0:
         raise ConfigError("physics.p: must exceed 1")
-    _check_positive("physics.gamma", ph.gamma, d)
 
     if pr.mode not in ("complex", "real"):
         raise ConfigError(f"probe.mode: unknown mode {pr.mode!r}")
@@ -419,6 +418,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("probe.mode: complex probes require a flat bottom "
                               "(use real mode on curved boundaries)")
 
+    _check_positive("physics.gamma", ph.gamma, d)
     for pv in cfg.sweep.p_list:
         if not pv > 1.0:
             raise ConfigError("sweep.p_list: entries must exceed 1")
@@ -430,8 +430,10 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _check_positive(key: str, gamma_text: str, d: DomainConfig) -> None:
-    """Sample the conductivity on a 41 x 41 lattice of the box of the
-    domain shape; the error names `key` and the least sampled value."""
+    """Sample the conductivity on a 41 x 41 lattice of the domain: the box
+    of a rectangle, stretched above a curved bottom as `build_grid`
+    stretches it, or the box of a half disc, masked to the disc.  The error
+    names `key` and the least sampled value."""
     if d.shape == "rectangle":
         xs = np.linspace(-d.half_width, d.half_width, 41)
         ys = np.linspace(0.0, d.height, 41)
@@ -439,7 +441,12 @@ def _check_positive(key: str, gamma_text: str, d: DomainConfig) -> None:
         xs = np.linspace(-d.radius, d.radius, 41)
         ys = np.linspace(0.0, d.radius, 41)
     X, Y = np.meshgrid(xs, ys)
+    if d.bottom:
+        g = parse_expression(d.bottom)(xs[:, None])[None, :]
+        Y = g + Y * (d.height - g) / d.height
     samples = np.column_stack([X.ravel(), Y.ravel()])
+    if d.shape == "half_disc":
+        samples = samples[np.hypot(samples[:, 0], samples[:, 1]) <= d.radius]
     vals = parse_expression(gamma_text)(samples)
     if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
         k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))

@@ -28,7 +28,7 @@ aligned to the cutoff kinks and to half-periods of the oscillation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -372,34 +372,38 @@ def _lattice_interpolate(coarse: DomainGrid, values: np.ndarray,
     return (rows[j] * (1.0 - fj) + rows[j + 1] * fj).ravel()
 
 
-def _two_level_start(spec: ProbeSpec, grid: DomainGrid, probe: PField,
-                     gamma, settings, nodes_per_wavelength: float,
-                     max_nodes: int) -> PField:
-    """The start of the probe-window solve on `grid`: the probe plus the
-    correction u_c - v_c of the solve on the half-resolution window,
-    interpolated in lattice coordinates.
+def _window_solve(spec: ProbeSpec, gamma, settings, nodes_per_wavelength: float,
+                  max_nodes: int, two_level: bool = True):
+    """(grid, probe, solve) of the probe-window solve of `spec`.
 
-    The coarse level is used only where the probe is still resolved at half
-    the resolution, by `build_probe`'s own floors (8 cells per wavelength
-    and 8 across the support), so that both windows are set by the
-    wavelength and the coarse one has exactly half the resolution.  Where
-    it is not, or where the coarse solve fails, the start is the probe.
-    All coarse arrays are released on return.
+    Where the probe is still resolved at half the resolution, by
+    `build_probe`'s own floors (8 cells per wavelength and 8 across the
+    support), both windows are set by the wavelength and the coarse one has
+    exactly half the resolution.  There the solve starts from the probe plus
+    the correction u_c - v_c of the same solve on the half-resolution window
+    (one level, `two_level=False`), interpolated in lattice coordinates, and
+    the coarse arrays are released before the full solve.  Elsewhere, or
+    where the coarse solve fails, it starts from the probe.
     """
-    coarse_npw = nodes_per_wavelength / 2.0
-    if not (coarse_npw >= 8.0 and coarse_npw / spec.wavelength >= 8.0 * spec.M):
-        return probe
-    coarse = probe_window_grid(spec, nodes_per_wavelength=coarse_npw,
-                               max_nodes=max_nodes)
-    coarse_probe = build_probe(spec, coarse)
-    try:
-        sol = solve_dirichlet(coarse, gamma, spec.p, coarse_probe, settings,
-                              initial=coarse_probe)
-    except SolverConvergenceError:
-        return probe
-    correction = _lattice_interpolate(coarse, sol.field.values - coarse_probe.values,
-                                      grid)
-    return PField(values=probe.values + correction, mode=spec.mode)
+    # looked up at call time, so a tracer can swap the module attributes
+    grid = probe_window_grid(spec, nodes_per_wavelength=nodes_per_wavelength,
+                             max_nodes=max_nodes)
+    probe = build_probe(spec, grid)
+    start = probe
+    half = nodes_per_wavelength / 2.0
+    if two_level and half >= 8.0 and half / spec.wavelength >= 8.0 * spec.M:
+        try:
+            coarse, coarse_probe, coarse_sol = _window_solve(
+                spec, gamma, settings, half, max_nodes, two_level=False)
+        except SolverConvergenceError:
+            pass
+        else:
+            start = PField(values=probe.values + _lattice_interpolate(
+                coarse, coarse_sol.field.values - coarse_probe.values, grid),
+                mode=spec.mode)
+            del coarse, coarse_probe, coarse_sol
+    return grid, probe, solve_dirichlet(grid, gamma, spec.p, probe, settings,
+                                        initial=start)
 
 
 # ---------------------------------------------------------------------------
@@ -489,68 +493,54 @@ def _correction_indicator(grid, spec: ProbeSpec, probe: PField,
     return spec.c_p() * _p_energy(grid, _norm_sq(qd), spec.p)
 
 
-def recover_boundary_value(gamma: ConductivityField, p: float, mode: str, M_list,
-                           *, s: float = 2.0,
+def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
                            settings: SolverSettings | None = None,
-                           cutoff: special.CutoffProfile | None = None,
-                           rho: special.BoundaryDefiningFunction = (
-                               special.BoundaryDefiningFunction()),
-                           profile: special.WolffProfile | None = None,
                            nodes_per_wavelength: float = 16.0,
                            max_nodes: int = 1_500_000) -> RecoveryReport:
-    """Run the probe sequence and report per-M DN self-pairings.
+    """Run the probe family `spec` along `M_list` and report per-M DN
+    self-pairings; row M probes with `replace(spec, M=M)`.
 
-    Each M is solved on its `probe_window_grid`, which receives
-    `nodes_per_wavelength` and `max_nodes`.  Where the probe is resolved
-    at half that resolution, the solve starts from the probe plus the
-    correction of the same solve on the half-resolution window (a
-    two-level start); otherwise, or if that coarse solve fails, it starts
-    from the probe.  `newton_iterations` counts the steps of the full
-    resolution solve only.  A per-M solver, resolution, quadrature or
-    grid-budget failure is recorded in its row and the run continues; any
-    other exception propagates.  The extrapolated value adds the last step
+    Each row is one `_window_solve`, on the `probe_window_grid` that
+    receives `nodes_per_wavelength` and `max_nodes`, with its two-level
+    start.  `newton_iterations` counts the steps of the full resolution
+    solve only.  A per-M solver, resolution, quadrature or grid-budget
+    failure is recorded in its row and the run continues; any other
+    exception propagates.  The extrapolated value adds the last step
     between the two final estimates once more.
     """
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
-    cutoff = cutoff or special.CutoffProfile()
-    if mode == "real" and profile is None:
-        profile = special.solve_wolff_profile(p)
-
     M_list = list(M_list)
     if any(b <= a for a, b in zip(M_list[:-1], M_list[1:])):
         raise ValueError("M list must be strictly increasing")
 
     rows = []
     for M in M_list:
-        spec = ProbeSpec(mode=mode, p=p, M=float(M), s=s, cutoff=cutoff,
-                         profile=profile if mode == "real" else None,
-                         rho=rho)
-        row = RecoveryRow(M=float(M), N=spec.N, ok=False)
+        row_spec = replace(spec, M=float(M))
+        row = RecoveryRow(M=float(M), N=row_spec.N, ok=False)
         try:
-            # looked up at call time, so a tracer can swap the module attribute
-            grid = probe_window_grid(spec, nodes_per_wavelength=nodes_per_wavelength,
-                                     max_nodes=max_nodes)
-            probe = build_probe(spec, grid)
-            start = _two_level_start(spec, grid, probe, gamma, settings,
-                                     nodes_per_wavelength, max_nodes)
-            sol = solve_dirichlet(grid, gamma, p, probe, settings, initial=start)
-            pairing = flux_pairing(grid, gamma, p, sol.field, probe)
-            leading, remainder = remainder_split(grid, gamma, p, probe, sol.field)
+            grid, probe, sol = _window_solve(row_spec, gamma, settings,
+                                             nodes_per_wavelength, max_nodes)
+            # looked up at call time, so a tracer can swap the module attributes
+            pairing = flux_pairing(grid, gamma, spec.p, sol.field, probe)
+            leading, remainder = remainder_split(grid, gamma, spec.p, probe, sol.field)
             row.ok = True
             row.estimate = pairing.real
             row.pairing_imag = abs(pairing.imag)
             row.leading = leading
             row.remainder = remainder
-            row.correction = _correction_indicator(grid, spec, probe, sol.field)
+            row.correction = _correction_indicator(grid, row_spec, probe, sol.field)
             row.newton_iterations = len(sol.energy_history)
             row.weak_residual = sol.weak_residual
-            row.quad_estimate = quadrature_limit(gamma, spec)
+            # the window's arrays are not held through the next row's solve
+            del grid, probe, sol
+            row.quad_estimate = quadrature_limit(gamma, row_spec)
         except (SolverConvergenceError, UnderResolvedProbeError,
                 QuadratureError, GridBudgetError) as exc:
             row.message = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
-    report = RecoveryReport(mode=mode, p=p, s=s, gamma0=gamma0, rows=rows)
+    report = RecoveryReport(mode=spec.mode, p=spec.p, s=spec.s, gamma0=gamma0,
+                            rows=rows)
     good = [r for r in rows if r.ok]
     if len(good) >= 2:
         e_prev, e_last = good[-2].estimate, good[-1].estimate

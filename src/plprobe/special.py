@@ -74,7 +74,9 @@ class CutoffProfile:
     def radial(self, r):
         """(eta(r), eta'(r)).  The smoothstep and its derivative are
         evaluated on the shoulder 1/2 < r < 1 only; elsewhere the values are
-        exactly 1 or 0 and the slope 0.  A scalar r gives scalars."""
+        exactly 1 or 0 and the slope 0.  1 - smoothstep, which rounds below
+        0 next to r = 1, is clamped at 0, so eta^p is defined for every p.
+        A scalar r gives scalars."""
         r = np.asarray(r, dtype=float)
         plateau = r <= 0.5
         value, slope = np.where(plateau, 1.0, 0.0), np.zeros_like(r)
@@ -82,7 +84,7 @@ class CutoffProfile:
         s = 2.0 * r[shoulder] - 1.0
         c = _SMOOTHSTEP_COEFFS[self.smoothness]
         polyval = np.polynomial.polynomial.polyval
-        value[shoulder] = 1.0 - polyval(s, c)
+        value[shoulder] = np.maximum(1.0 - polyval(s, c), 0.0)
         slope[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
         return value[()], slope[()]
 
@@ -101,8 +103,7 @@ class CutoffProfile:
 
     def _slice_integral(self, p: float, n: int) -> float:
         r, w = _shoulder_rule(p)
-        # 1 - smoothstep may round below 0 next to r = 1
-        eta_p = np.maximum(self.radial(r)[0], 0.0) ** p
+        eta_p = self.radial(r)[0] ** p
         if n == 2:
             return 2.0 * (0.5 + float(w @ eta_p))
         if n == 3:
@@ -365,10 +366,16 @@ class WolffProfile:
             raise ValueError("initial slope must be positive")
         self.lam = math.pi * self.p / (self.p - 1.0)
         self.t = np.linspace(0.0, self.lam, 8192, endpoint=False)
-        self.a, self.aprime = self.values_at(self.t)
-        # the plain mean of uniform periodic samples is the spectrally
-        # accurate trapezoid rule
-        self.K = float(np.mean((self.a**2 + self.aprime**2) ** (self.p / 2.0)))
+        # the amplitude grows like exp(1 / (2 (p - 1))) as p -> 1: the
+        # samples or K overflow for p <= 1.0014 at slope 1
+        with np.errstate(over="ignore"):
+            self.a, self.aprime = self.values_at(self.t)
+            # the plain mean of uniform periodic samples is the spectrally
+            # accurate trapezoid rule
+            self.K = float(np.mean((self.a**2 + self.aprime**2) ** (self.p / 2.0)))
+        if not math.isfinite(self.K):  # also where a sample overflowed
+            raise ValueError(f"the Wolff profile overflows at p = {self.p} "
+                             f"(slope {self.slope:g}): K is not finite")
         self.a_mean = float(np.mean(self.a))
 
     def values_at(self, tau):

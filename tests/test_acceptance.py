@@ -253,7 +253,9 @@ def test_criterion_8_headline_recovery(monkeypatch):
     for mode in ("complex", "real"):
         for p in (1.5, 3.0):
             calls.clear()
-            rep = recovery.recover_boundary_value(gam, p, mode, [4, 8, 16], s=2.0)
+            family = recovery.ProbeSpec(mode=mode, p=p, M=4.0, s=2.0, profile=(
+                special.solve_wolff_profile(p) if mode == "real" else None))
+            rep = recovery.recover_boundary_value(gam, family, [4, 8, 16])
             steps = [r.newton_iterations for r in rep.rows]
             assert steps == CRITERION_8_NEWTON_STEPS[mode, p], (mode, p, steps)
             assert len(calls) == CRITERION_8_ENERGY_CALLS[mode, p], (mode, p, len(calls))

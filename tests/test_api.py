@@ -8,7 +8,9 @@ not change it.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +51,40 @@ def test_benchmark_reads_solve_result():
 
 
 def test_benchmark_traces_the_recovery_grid():
-    # recover_boundary_value must look probe_window_grid up at call time
+    # recover_boundary_value must look its layers up at call time, at both
+    # grid levels of a two-level row
+    gamma = pde.ConductivityField.constant(1.0)
+    family = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
     tracer = spans.Tracer()
     with tracer.installed():
-        rep = recovery.recover_boundary_value(
-            pde.ConductivityField.constant(1.0), 3.0, "complex", [4])
+        rep = recovery.recover_boundary_value(gamma, family, [4])
     assert rep.rows[0].ok
     grids = [s for s in tracer.spans if s.name == "recovery.probe_window_grid"]
     assert len(grids) == 1
+
+    # complex p = 3 at M = 8 starts from the half-resolution solve
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rep = recovery.recover_boundary_value(gamma, family, [8])
+    assert rep.rows[0].ok
+
+    def named(name):
+        return [s for s in tracer.spans if s.name == name]
+
+    assert len(named("recovery.probe_window_grid")) == 2
+    assert len(named("recovery.build_probe")) == 2
+    coarse, full = (s.solve[0].nx for s in named("pde.solve_dirichlet"))
+    assert coarse == full // 2
+    assert len(named("dnmap.flux_pairing")) == 1
+    assert len(named("recovery.remainder_split")) == 1
+
+
+def test_recovery_takes_the_probe_family_as_one_spec():
+    # the family's fields live in ProbeSpec alone; the driver restates none
+    fields = {f.name for f in dataclasses.fields(recovery.ProbeSpec)}
+    params = set(inspect.signature(recovery.recover_boundary_value).parameters)
+    assert "spec" in params and len(params) <= 6
+    assert params & fields == set()
 
 
 # Defaulted parameters that only tests set, as "function.parameter".

@@ -39,6 +39,19 @@ def test_wolff_rejects_bad_p(tmp_path):
     assert run(["wolff", "--p", "1", "--out", tmp_path]) == 1
 
 
+def test_wolff_overflow_near_p1_exits_1(tmp_path, capsys):
+    # K overflows for p <= 1.0014: building the profile is an error
+    assert run(["wolff", "--p", "1.001", "--out", tmp_path / "wolff"]) == 1
+    assert "p = 1.001 " in capsys.readouterr().err
+    assert not (tmp_path / "wolff" / "wolff.csv").exists()
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text("[physics]\np = 1.001\ngamma = 1 + x2\n"
+                   "[probe]\nmode = real\nm_list = 8, 16, 32\n")
+    assert run(["probe-check", "--config", cfg, "--out", tmp_path / "pc"]) == 1
+    assert "p = 1.001 " in capsys.readouterr().err
+    assert not (tmp_path / "pc" / "probe_check.csv").exists()
+
+
 def test_missing_config_is_an_error(tmp_path):
     assert run(["recover", "--config", tmp_path / "nope.cfg",
                 "--out", tmp_path]) == 1
@@ -186,28 +199,30 @@ SOLVE_EXPRESSION = ("[domain]\nshape = half_disc\nresolution = 16\n"
 
 
 def test_solve_expression_datum_builds_no_wolff_profile(tmp_path, monkeypatch):
-    # only the probe datum needs the real-mode Wolff profile; building it
-    # anyway leaves every output byte as it is
+    # only the probe datum needs the probe family and its real-mode Wolff
+    # profile; the expression datum builds neither
     cfg = tmp_path / "solve.cfg"
     cfg.write_text(SOLVE_EXPRESSION)
     calls = []
-    build = special.solve_wolff_profile
+    build, family = special.solve_wolff_profile, cli._probe_family
 
     def counting(p, *args, **kwargs):
         calls.append(p)
         return build(p, *args, **kwargs)
 
+    def counting_family(*args):
+        calls.append("family")
+        return family(*args)
+
     monkeypatch.setattr(special, "solve_wolff_profile", counting)
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "lazy"]) == 0
+    monkeypatch.setattr(cli, "_probe_family", counting_family)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "expression"]) == 0
     assert calls == []
-    ingredients = cli._recovery_ingredients
-    monkeypatch.setattr(cli, "_recovery_ingredients", lambda cfg, _, *args:
-                        ingredients(cfg, special.solve_wolff_profile, *args))
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "eager"]) == 0
-    assert calls == [3.0]
-    for name in ("config_echo.cfg", "solution.csv", "convergence.csv"):
-        assert ((tmp_path / "lazy" / name).read_bytes()
-                == (tmp_path / "eager" / name).read_bytes())
+    probe = tmp_path / "probe.cfg"
+    probe.write_text(SOLVE_EXPRESSION.replace("boundary_data = x1 + x2^2",
+                                              "boundary_data = probe"))
+    assert run(["solve", "--config", probe, "--out", tmp_path / "probe"]) == 0
+    assert calls == ["family", 3.0]
 
 
 # scipy subpackages that no command loads: the Wolff profile is in closed

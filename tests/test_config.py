@@ -174,6 +174,21 @@ def test_gamma_positivity_names_the_point():
         parse_config("[physics]\ngamma = x2 - 0.5\n")
 
 
+def test_gamma_positivity_is_checked_on_the_domain():
+    # a half disc: the corners of its box lie outside it
+    cfg = parse_config("[domain]\nshape = half_disc\n"
+                       "[physics]\ngamma = 1.5 - x1^2 - x2^2\n")
+    assert cfg.physics.gamma == "1.5 - x1^2 - x2^2"
+    with pytest.raises(ConfigError, match=r"gamma\(x1=0, x2=0\) = -0\.1"):
+        parse_config("[domain]\nshape = half_disc\n"
+                     "[physics]\ngamma = x1^2 + x2^2 - 0.1\n")
+    # a curved bottom: the domain reaches down to x2 = g(x1) = -1/2
+    bottom = "[domain]\nbottom = -x1^2/2\n[probe]\nmode = real\n"
+    parse_config(bottom + "[physics]\ngamma = 1 + x2\n")
+    with pytest.raises(ConfigError, match=r"gamma\(x1=-1, x2=-0\.5\) = -0\.25"):
+        parse_config(bottom + "[physics]\ngamma = 1 + 2.5*x2\n")
+
+
 def test_probe_invariant_s_rejected():
     with pytest.raises(ConfigError, match="M/N"):
         parse_config("[probe]\ns = 1\n")

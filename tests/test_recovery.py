@@ -28,6 +28,14 @@ GAMMA_RAMP = pde.ConductivityField(lambda x: 1.0 + x[:, 1])
 GAMMA_ONE = pde.ConductivityField.constant(1.0)
 
 
+def _family(mode, p, profile=None):
+    """The default probe family (mode, p) at M = 4; real mode builds its
+    Wolff profile unless one is given."""
+    if mode == "real" and profile is None:
+        profile = special.solve_wolff_profile(p)
+    return recovery.ProbeSpec(mode=mode, p=p, M=4.0, profile=profile)
+
+
 # ---------------------------------------------------------------------------
 # ProbeSpec and probe construction
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def test_p2_remainder_linear_oracle():
 def test_recover_constant_gamma_p2():
     c0 = 2.5
     gam = pde.ConductivityField.constant(c0)
-    rep = recovery.recover_boundary_value(gam, 2.0, "complex", [4, 8])
+    rep = recovery.recover_boundary_value(gam, _family("complex", 2.0), [4, 8])
     assert rep.gamma0 == c0
     errs = [abs(r.estimate - c0) / c0 for r in rep.rows]
     assert all(r.ok for r in rep.rows)
@@ -366,7 +374,7 @@ def test_recover_constant_gamma_p2():
 
 
 def test_recover_monotone_trajectory_small():
-    rep = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "real", [4, 8])
+    rep = recovery.recover_boundary_value(GAMMA_SLOPE, _family("real", 3.0), [4, 8])
     assert rep.monotone_contract()
     assert all(r.ok for r in rep.rows)
     errs = rep.errors()
@@ -377,15 +385,15 @@ def test_recover_monotone_trajectory_small():
 
 def test_recover_mode_independence():
     # both constructions estimate the same boundary value
-    rc = recovery.recover_boundary_value(GAMMA_SLOPE, 1.5, "complex", [4, 8])
-    rr = recovery.recover_boundary_value(GAMMA_SLOPE, 1.5, "real", [4, 8])
+    rc = recovery.recover_boundary_value(GAMMA_SLOPE, _family("complex", 1.5), [4, 8])
+    rr = recovery.recover_boundary_value(GAMMA_SLOPE, _family("real", 1.5), [4, 8])
     assert abs(rc.rows[-1].estimate - rr.rows[-1].estimate) <= 0.1
     assert abs(rc.rows[-1].estimate - 1.0) <= 0.1
     assert abs(rr.rows[-1].estimate - 1.0) <= 0.1
 
 
 def test_recover_rows_carry_diagnostics():
-    rep = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [4])
+    rep = recovery.recover_boundary_value(GAMMA_SLOPE, _family("complex", 3.0), [4])
     row = rep.rows[0]
     assert row.ok
     assert row.newton_iterations > 0
@@ -397,8 +405,8 @@ def test_recover_rows_carry_diagnostics():
 
 def test_recover_failure_rows_recorded():
     # the window grids need ~1,750 nodes at M = 4 and ~6,800 at M = 8
-    rep = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [4, 8],
-                                          max_nodes=3000)
+    rep = recovery.recover_boundary_value(GAMMA_SLOPE, _family("complex", 3.0),
+                                          [4, 8], max_nodes=3000)
     assert rep.rows[0].ok
     assert not rep.rows[1].ok
     assert rep.rows[1].message.startswith("GridBudgetError: grid would need ~")
@@ -451,10 +459,23 @@ class _CoarseLevel(Exception):
 
 def test_two_level_start_runs_where_half_resolution_resolves(monkeypatch,
                                                               wolff15, wolff3):
-    def coarse_window(*args, **kwargs):
-        raise _CoarseLevel
+    # stand-ins that build nothing: the coarse level is the second window
+    # asked for, at half of the 16 nodes per wavelength
+    def window(spec, nodes_per_wavelength, max_nodes):
+        if nodes_per_wavelength != 16.0:
+            assert nodes_per_wavelength == 8.0
+            raise _CoarseLevel
+        return "grid"
 
-    monkeypatch.setattr(recovery, "probe_window_grid", coarse_window)
+    starts = []
+
+    def solve(grid, gamma, p, probe, settings, initial):
+        starts.append(initial)
+        return "solve"
+
+    monkeypatch.setattr(recovery, "probe_window_grid", window)
+    monkeypatch.setattr(recovery, "build_probe", lambda spec, grid: "probe")
+    monkeypatch.setattr(recovery, "solve_dirichlet", solve)
     coarse = set()
     for mode in ("complex", "real"):
         for p, profile in ((1.5, wolff15), (3.0, wolff3)):
@@ -462,13 +483,15 @@ def test_two_level_start_runs_where_half_resolution_resolves(monkeypatch,
                 spec = recovery.ProbeSpec(mode=mode, p=p, M=M, profile=(
                     profile if mode == "real" else None))
                 try:
-                    assert recovery._two_level_start(
-                        spec, None, "probe", None, None, 16.0, 1_500_000) == "probe"
+                    assert recovery._window_solve(
+                        spec, None, None, 16.0, 1_500_000) == ("grid", "probe", "solve")
+                    assert starts.pop() == "probe"
                 except _CoarseLevel:
                     coarse.add((mode, p, M))
     assert coarse == {("complex", 3.0, 8.0), ("complex", 3.0, 16.0),
                       ("complex", 1.5, 16.0), ("real", 3.0, 8.0),
                       ("real", 3.0, 16.0), ("real", 1.5, 16.0)}
+    assert starts == []
 
 
 def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
@@ -487,7 +510,7 @@ def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
         return solve(grid, *args, **kwargs)
 
     monkeypatch.setattr(recovery, "solve_dirichlet", coarse_fails)
-    row = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [8]).rows[0]
+    row = recovery.recover_boundary_value(GAMMA_SLOPE, spec, [8]).rows[0]
     assert grids == [grid.nx // 2, grid.nx]
     assert row.ok, row.message
     assert row.estimate == pytest.approx(expected, rel=1e-12)
@@ -499,11 +522,11 @@ def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
 
 def test_recover_requires_increasing_m():
     with pytest.raises(ValueError):
-        recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [8, 4])
+        recovery.recover_boundary_value(GAMMA_SLOPE, _family("complex", 3.0), [8, 4])
 
 
 def test_extrapolation_one_geometric_step():
-    rep = recovery.recover_boundary_value(GAMMA_SLOPE, 3.0, "complex", [4, 8])
+    rep = recovery.recover_boundary_value(GAMMA_SLOPE, _family("complex", 3.0), [4, 8])
     e_prev, e_last = rep.rows[0].estimate, rep.rows[1].estimate
     assert rep.extrapolated == pytest.approx(2.0 * e_last - e_prev, rel=1e-12)
 
@@ -578,9 +601,8 @@ def test_normalization_consistency_leading_vs_quadrature(mode, p, wolff15):
     # quadrature are two independent routes to the same scaled probe
     # energy; they must agree to 1% once the mesh resolves the probe
     prof = wolff15 if mode == "real" else None
-    rep = recovery.recover_boundary_value(GAMMA_SLOPE, p, mode, [4, 8],
-                                          profile=prof,
-                                          nodes_per_wavelength=32.0)
+    rep = recovery.recover_boundary_value(GAMMA_SLOPE, _family(mode, p, prof),
+                                          [4, 8], nodes_per_wavelength=32.0)
     for r in rep.rows:
         assert r.ok
         assert abs(r.leading - r.quad_estimate) <= 1e-2 * r.quad_estimate

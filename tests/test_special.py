@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def test_cutoff_radial_equals_polynomial_formula(smoothness):
     assert np.array_equal(prof.radial(arr)[0], [prof.radial(r)[0] for r in rs])
     assert np.array_equal(prof.radial(arr.reshape(7, 1))[1].ravel(),
                           [prof.radial(r)[1] for r in rs])
+
+
+@pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
+def test_cutoff_radial_is_clamped_at_zero(smoothness):
+    # 1 - smoothstep cancels next to r = 1, where c2 and c3 round to
+    # -1.8e-15 and -1.2e-14 unclamped; eta^p must stay defined
+    r = 1.0 - np.geomspace(0.5, 1e-16, 200_001)
+    value = special.CutoffProfile(smoothness).radial(r)[0]
+    assert value.min() >= 0.0
+    assert np.isfinite(value ** 1.5).all()
 
 
 @pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
@@ -318,6 +329,18 @@ def test_wolff_values_at_invert_the_closed_form(p):
     assert gap.max() <= 1e-14 * prof.lam
     r = np.exp(-(p - 2.0) * np.sin(psi) ** 2 / (2.0 * (p - 1.0)))
     assert np.abs(np.hypot(a, ap) / r - 1.0).max() <= 1e-12
+
+
+def test_wolff_profile_overflow_near_p1_raises():
+    # the amplitude grows like exp(1 / (2 (p - 1))): at p = 1.001 K
+    # overflows, at p = 1.0007 the samples do; p = 1.0015 still builds
+    for p in (1.0007, 1.001, 1.0014):
+        with pytest.raises(ValueError, match=rf"overflows at p = {p}\b"):
+            special.solve_wolff_profile(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = special.solve_wolff_profile(1.0015)
+    assert math.isfinite(prof.K) and np.isfinite(prof.a).all()
 
 
 @pytest.mark.parametrize("p", CLOSED_FORM_P)
