@@ -2,11 +2,12 @@
 
 Commands: wolff, probe-check, solve, recover, verify, sweep.  Every run
 reads a config (defaults apply when none is given), echoes the validated
-config into the output directory, and writes CSV/JSON artifacts whose
-bytes are a pure function of config + seed on one machine and library
-stack.  Across machines only the last bits of floats may differ (BLAS
-kernel, which also runs the banded Cholesky; numpy SIMD loops).  Exit codes: 0 all contracts met,
-1 execution/config error, 2 a run contract was violated.
+config into the output directory, and writes each table in every format
+of `output.formats`, CSV and JSON as {"meta", "rows"}, with bytes that are
+a pure function of config + seed on one machine and library stack.
+Across machines only the last bits of floats may differ (BLAS kernel,
+which also runs the banded Cholesky; numpy SIMD loops).  Exit codes: 0 all
+contracts met, 1 execution/config error, 2 a run contract was violated.
 """
 
 from __future__ import annotations
@@ -17,44 +18,37 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dnmap, pde, recovery, special
-from .config import ConfigError, ExperimentConfig, parse_config, parse_expression
+from .config import (ConfigError, ExperimentConfig, bottom_curve, domain_shape,
+                     format_value, parse_config, parse_expression)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONTRACT = 2
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        if math.isnan(v):
-            return "nan"
-        return format(float(v), ".17g")
-    return str(v)
-
-
-def write_csv(path: Path, header, rows, meta=None) -> None:
-    lines = [f"# plprobe {__version__}"]
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}: {_fmt(val)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                               default=_fmt) + "\n")
+def write_table(cfg: ExperimentConfig, out: Path, name: str, header, rows,
+                meta: dict) -> None:
+    """Write the table `name` in each format of `output.formats`: CSV with
+    the tool version and the meta as `#` lines, and JSON as {"meta": {key:
+    value}, "rows": [{column: cell}]}.  The meta opens with the config's
+    sha256, and every value and cell is printed by `format_value`."""
+    meta = {key: format_value(val)
+            for key, val in {"config-sha256": cfg.sha256(), **meta}.items()}
+    cells = [list(map(format_value, row)) for row in rows]
+    if "csv" in cfg.output.formats:
+        lines = [f"# plprobe {__version__}", *(f"# {key}: {val}" for key, val in meta.items()),
+                 ",".join(header), *map(",".join, cells)]
+        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    if "json" in cfg.output.formats:
+        payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in cells]}
+        (out / f"{name}.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
@@ -73,14 +67,6 @@ def _gamma_field(expr_text: str) -> pde.ConductivityField:
     return pde.ConductivityField(expr)
 
 
-def _rho_from_config(cfg: ExperimentConfig) -> special.BoundaryDefiningFunction:
-    d = cfg.domain
-    if not d.bottom:
-        return special.BoundaryDefiningFunction()
-    g = parse_expression(d.bottom)  # on points of one coordinate, x2 = 0
-    return special.BoundaryDefiningFunction(g, g.derivative("x1"))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -89,17 +75,9 @@ def _rho_from_config(cfg: ExperimentConfig) -> special.BoundaryDefiningFunction:
 def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
     p = cfg.physics.p
     prof = special.solve_wolff_profile(p)
-    meta = {
-        "config-sha256": cfg.sha256(),
-        "p": p,
-        "lambda": prof.lam,
-        "K": prof.K,
-        "a_mean": prof.a_mean,
-    }
-    rows = [(t, a, ap) for t, a, ap in zip(prof.t, prof.a, prof.aprime)]
-    write_csv(out / "wolff.csv", ("t", "a", "a_prime"), rows, meta)
-    if "json" in cfg.output.formats:
-        write_json(out / "wolff.json", {k: _fmt(v) for k, v in meta.items()})
+    rows = list(zip(prof.t, prof.a, prof.aprime))
+    write_table(cfg, out, "wolff", ("t", "a", "a_prime"), rows,
+                {"p": p, "lambda": prof.lam, "K": prof.K, "a_mean": prof.a_mean})
     print(f"wolff: p = {p:g}, lambda = {prof.lam:.9g}, K = {prof.K:.9g}, "
           f"|a_mean| = {abs(prof.a_mean):.2e}")
     return EXIT_OK
@@ -112,7 +90,7 @@ def _probe_family(cfg: ExperimentConfig, get_profile, mode, p) -> recovery.Probe
         mode=mode, p=p, M=float(cfg.probe.m_list[0]), s=cfg.probe.s,
         cutoff=special.CutoffProfile(cfg.probe.cutoff),
         profile=get_profile(p) if mode == "real" else None,
-        rho=_rho_from_config(cfg))
+        rho=bottom_curve(cfg.domain))
 
 
 def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
@@ -128,9 +106,9 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
         errs.append(abs(est - gamma0))
         rows.append((M, spec.N, est, abs(est - gamma0)))
     ok = recovery.monotone_errors(errs)
-    write_csv(out / "probe_check.csv", ("M", "N", "estimate", "abs_error"), rows,
-              {"config-sha256": cfg.sha256(), "mode": mode, "p": p,
-               "gamma0-target": gamma0, "contract": "pass" if ok else "fail"})
+    write_table(cfg, out, "probe_check", ("M", "N", "estimate", "abs_error"), rows,
+                {"mode": mode, "p": p, "gamma0-target": gamma0,
+                 "contract": "pass" if ok else "fail"})
     print(f"probe-check: {len(rows)} rows, final error {errs[-1]:.3e}, "
           f"contract {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CONTRACT
@@ -139,7 +117,6 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     mode, p = cfg.probe.mode, cfg.physics.p
     gamma = _gamma_field(cfg.physics.gamma)
-    settings = pde.SolverSettings(**asdict(cfg.solver))
     d = cfg.domain
 
     if cfg.physics.boundary_data == "probe":
@@ -150,27 +127,21 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         datum = recovery.build_probe(spec, grid)
     else:
         expr = parse_expression(cfg.physics.boundary_data)
-        if d.shape == "half_disc":
-            shape = pde.HalfDisc(radius=d.radius)
-        else:
-            shape = pde.Rectangle(half_width=d.half_width, height=d.height,
-                                  bottom=_rho_from_config(cfg))
-        grid = pde.build_grid(shape, d.resolution)
+        grid = pde.build_grid(domain_shape(d), d.resolution)
         vals = expr(grid.pts).astype(np.complex128)
         datum = pde.PField(vals if mode == "complex" else vals.real.astype(complex),
                            mode)
 
-    sol = pde.solve_dirichlet(grid, gamma, p, datum, settings)
+    sol = pde.solve_dirichlet(grid, gamma, p, datum, cfg.solver)
     steps = len(sol.energy_history)
-    meta = {"config-sha256": cfg.sha256(), "mode": mode, "p": p,
-            "energy": sol.energy, "iterations": steps,
+    meta = {"mode": mode, "p": p, "energy": sol.energy, "iterations": steps,
             "weak_residual": sol.weak_residual,
             "regularized_residual": sol.regularized_residual}
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(grid.pts, sol.field.values)]
-    write_csv(out / "solution.csv", ("x", "y", "re", "im"), rows, meta)
+    write_table(cfg, out, "solution", ("x", "y", "re", "im"), rows, meta)
     conv = [(k, eps, E, dec) for k, (eps, E, dec) in enumerate(sol.energy_history)]
-    write_csv(out / "convergence.csv", ("iteration", "eps", "energy", "decrement"),
-              conv, {"config-sha256": cfg.sha256()})
+    write_table(cfg, out, "convergence", ("iteration", "eps", "energy", "decrement"),
+                conv, {})
     print(f"solve: {grid.npt} nodes, {steps} Newton steps, "
           f"energy {sol.energy:.9g}, residual {sol.weak_residual:.2e}")
     return EXIT_OK
@@ -180,7 +151,7 @@ def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
     d = cfg.domain
     return recovery.recover_boundary_value(
         _gamma_field(gamma_text), _probe_family(cfg, get_profile, mode, p),
-        cfg.probe.m_list, settings=pde.SolverSettings(**asdict(cfg.solver)),
+        cfg.probe.m_list, settings=cfg.solver,
         nodes_per_wavelength=d.nodes_per_wavelength, max_nodes=int(d.max_nodes))
 
 
@@ -204,17 +175,11 @@ def cmd_recover(cfg: ExperimentConfig, out: Path) -> int:
     report = _recover_one(cfg, cfg.probe.mode, cfg.physics.p,
                           cfg.physics.gamma, get_profile)
     ok = report.monotone_contract()
-    meta = {"config-sha256": cfg.sha256(), "mode": report.mode, "p": report.p,
-            "s": report.s, "gamma0-target": report.gamma0,
-            "extrapolated": report.extrapolated,
+    meta = {"mode": report.mode, "p": report.p, "s": report.s,
+            "gamma0-target": report.gamma0, "extrapolated": report.extrapolated,
             "final_relative_error": report.final_relative_error(),
             "contract": "pass" if ok else "fail"}
-    write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(report), meta)
-    if "json" in cfg.output.formats:
-        write_json(out / "report.json",
-                   {"meta": {k: _fmt(v) for k, v in meta.items()},
-                    "rows": [dict(zip(_REPORT_HEADER, map(_fmt, row)))
-                             for row in _report_rows(report)]})
+    write_table(cfg, out, "report", _REPORT_HEADER, _report_rows(report), meta)
     lines = [f"recovery of gamma at the base boundary point (target {report.gamma0:.9g})",
              f"mode {report.mode}, p = {report.p:g}, N = M^{report.s:g}"]
     for r in report.rows:
@@ -251,10 +216,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         rows.append((p, mode, gtxt, all(r.ok for r in rep.rows), est,
                      rep.gamma0, rep.final_relative_error(),
                      "pass" if ok else "fail", message))
-    write_csv(out / "sweep_summary.csv",
-              ("p", "mode", "gamma", "all_rows_ok", "final_estimate",
-               "gamma0_target", "final_relative_error", "contract", "message"),
-              rows, {"config-sha256": cfg.sha256(), "combos": len(combos)})
+    write_table(cfg, out, "sweep_summary",
+                ("p", "mode", "gamma", "all_rows_ok", "final_estimate",
+                 "gamma0_target", "final_relative_error", "contract", "message"),
+                rows, {"combos": len(combos)})
     print(f"sweep: {len(combos)} combos, contract "
           f"{'pass' if not any_contract_fail else 'FAIL'}")
     return EXIT_OK if not any_contract_fail else EXIT_CONTRACT
@@ -340,9 +305,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, suite: str) -> int:
         checks.extend(_dn_suite(cfg))
     rows = [(c.suite, c.name, c.passed, c.margin, c.detail) for c in checks]
     ok = all(c.passed for c in checks)
-    write_csv(out / "verify.csv", ("suite", "check", "passed", "margin", "detail"),
-              rows, {"config-sha256": cfg.sha256(),
-                     "contract": "pass" if ok else "fail"})
+    write_table(cfg, out, "verify", ("suite", "check", "passed", "margin", "detail"),
+                rows, {"contract": "pass" if ok else "fail"})
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.suite:8s} {c.name}  ({c.detail})")
     print(f"verify: {len(checks)} checks, "

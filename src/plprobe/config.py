@@ -17,9 +17,10 @@ with float() from its text.  ** itself, literals with _ or a base prefix,
 and every other Python construct are errors that give a column.
 
 Parsing returns an ExperimentConfig with every default materialized; its
-canonical echo re-parses to an equal config and its sha256 stamps every
-output file.  Validation failures name the offending key; a non-positive
-conductivity is reported with a violating sample point.
+[solver] section is `pde.SolverSettings`.  Its canonical echo re-parses to
+an equal config and its sha256 stamps every output file.  Validation
+failures name the offending key; a non-positive conductivity is reported
+with a violating sample point.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .pde import SolverSettings
+from .pde import HalfDisc, Rectangle, SolverSettings, lattice_points
 from .special import BoundaryDefiningFunction
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
     "parse_expression",
     "ExperimentConfig",
     "parse_config",
+    "format_value",
+    "bottom_curve",
+    "domain_shape",
 ]
 
 
@@ -238,16 +242,6 @@ class ProbeConfig:
 
 
 @dataclass
-class SolverConfig:
-    eps_final: float = 1e-6
-    outer_tol: float = 1e-11
-    residual_tol: float = 1e-7
-    max_iter: float = 60.0
-    init: str = "datum"
-    seed: float = 12345.0
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
     formats: tuple = ("csv",)           # csv and/or json
@@ -264,7 +258,7 @@ _SECTIONS = {
     "domain": DomainConfig,
     "physics": PhysicsConfig,
     "probe": ProbeConfig,
-    "solver": SolverConfig,
+    "solver": SolverSettings,
     "output": OutputConfig,
     "sweep": SweepConfig,
 }
@@ -281,24 +275,22 @@ class ExperimentConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverSettings = field(default_factory=SolverSettings)
     output: OutputConfig = field(default_factory=OutputConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
     def echo(self) -> str:
         """Canonical text: fixed section/key order, 17 significant digits."""
         lines = []
-        for sname in ("domain", "physics", "probe", "solver", "output", "sweep"):
+        for sname in _SECTIONS:
             sec = getattr(self, sname)
             lines.append(f"[{sname}]")
             for f in fields(sec):
                 val = getattr(sec, f.name)
                 if isinstance(val, tuple):
-                    txt = ",".join(_fmt_value(v) for v in val)
-                elif isinstance(val, float):
-                    txt = _fmt_value(val)
+                    txt = ",".join(format_value(v) for v in val)
                 else:
-                    txt = str(val)
+                    txt = format_value(val)
                 lines.append(f"{f.name} = {txt}")
             lines.append("")
         return "\n".join(lines)
@@ -307,10 +299,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.echo().encode()).hexdigest()
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17g")
+def format_value(v) -> str:
+    """The text of a config value or an output cell: true or false for a
+    bool, 17 significant digits for a number (an integer below 1e17 prints
+    as itself), the text of anything else."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
 
 
 def _parse_scalar(section, key, raw):
@@ -333,7 +330,7 @@ def _parse_scalar(section, key, raw):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values = {name: {} for name in _SECTIONS}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
@@ -353,19 +350,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: key outside of any [section]")
         key, _, raw = line.partition("=")
         key = key.strip().lower()
-        sec = getattr(cfg, section)
-        if not any(f.name == key for f in fields(sec)):
+        if not any(f.name == key for f in fields(_SECTIONS[section])):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         try:
-            setattr(sec, key, _parse_scalar(section, key, raw.strip()))
+            values[section][key] = _parse_scalar(section, key, raw.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
+    try:
+        # SolverSettings checks its own values
+        cfg = ExperimentConfig(**{name: cls(**values[name])
+                                  for name, cls in _SECTIONS.items()})
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from None
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    d, ph, pr, so, out = cfg.domain, cfg.physics, cfg.probe, cfg.solver, cfg.output
+    d, ph, pr, out = cfg.domain, cfg.physics, cfg.probe, cfg.output
 
     if d.shape not in ("rectangle", "half_disc"):
         raise ConfigError(f"domain.shape: unknown shape {d.shape!r}")
@@ -394,31 +396,23 @@ def _validate(cfg: ExperimentConfig) -> None:
     if pr.cutoff not in ("c1", "c2", "c3"):
         raise ConfigError(f"probe.cutoff: unknown smoothness {pr.cutoff!r}")
 
-    try:
-        SolverSettings(**asdict(so))
-    except ValueError as exc:
-        raise ConfigError(f"solver.{exc}") from None
-
+    if not out.formats:
+        raise ConfigError("output.formats: csv, json or both required")
     for fmt in out.formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
 
-    if d.bottom:
-        if d.shape == "half_disc":
-            raise ConfigError("domain.bottom: a curved bottom needs domain.shape = "
-                              "rectangle (a half_disc is meshed with a flat diameter)")
-        bexpr = parse_expression(d.bottom)
-        if "x2" in bexpr.variables:
-            raise ConfigError("domain.bottom: a bottom curve depends on x1 only")
-        try:
-            BoundaryDefiningFunction(bexpr, bexpr.derivative("x1"))
-        except ValueError as exc:
-            raise ConfigError(f"domain.bottom: {exc}") from None
-        if pr.mode == "complex":
-            raise ConfigError("probe.mode: complex probes require a flat bottom "
+    if d.bottom and d.shape == "half_disc":
+        raise ConfigError("domain.bottom: a curved bottom needs domain.shape = "
+                          "rectangle (a half_disc is meshed with a flat diameter)")
+    shape = domain_shape(d)
+    for key, modes in (("probe.mode", (pr.mode,)),
+                       ("sweep.mode_list", cfg.sweep.mode_list)):
+        if d.bottom and "complex" in modes:
+            raise ConfigError(f"{key}: complex probes require a flat bottom "
                               "(use real mode on curved boundaries)")
 
-    _check_positive("physics.gamma", ph.gamma, d)
+    _check_positive("physics.gamma", ph.gamma, shape)
     for pv in cfg.sweep.p_list:
         if not pv > 1.0:
             raise ConfigError("sweep.p_list: entries must exceed 1")
@@ -426,27 +420,35 @@ def _validate(cfg: ExperimentConfig) -> None:
         if mv not in ("complex", "real"):
             raise ConfigError(f"sweep.mode_list: unknown mode {mv!r}")
     for gtxt in cfg.sweep.gamma_list:
-        _check_positive(f"sweep.gamma_list entry {gtxt!r}", gtxt, d)
+        _check_positive(f"sweep.gamma_list entry {gtxt!r}", gtxt, shape)
 
 
-def _check_positive(key: str, gamma_text: str, d: DomainConfig) -> None:
-    """Sample the conductivity on a 41 x 41 lattice of the domain: the box
-    of a rectangle, stretched above a curved bottom as `build_grid`
-    stretches it, or the box of a half disc, masked to the disc.  The error
-    names `key` and the least sampled value."""
-    if d.shape == "rectangle":
-        xs = np.linspace(-d.half_width, d.half_width, 41)
-        ys = np.linspace(0.0, d.height, 41)
-    else:
-        xs = np.linspace(-d.radius, d.radius, 41)
-        ys = np.linspace(0.0, d.radius, 41)
-    X, Y = np.meshgrid(xs, ys)
-    if d.bottom:
-        g = parse_expression(d.bottom)(xs[:, None])[None, :]
-        Y = g + Y * (d.height - g) / d.height
-    samples = np.column_stack([X.ravel(), Y.ravel()])
+def bottom_curve(d: DomainConfig) -> BoundaryDefiningFunction:
+    """The boundary function of the [domain] bottom curve; flat when
+    `bottom` is empty."""
+    if not d.bottom:
+        return BoundaryDefiningFunction()
+    g = parse_expression(d.bottom)  # on points of one coordinate, x2 = 0
+    if "x2" in g.variables:
+        raise ConfigError("domain.bottom: a bottom curve depends on x1 only")
+    try:
+        return BoundaryDefiningFunction(g, g.derivative("x1"))
+    except ValueError as exc:
+        raise ConfigError(f"domain.bottom: {exc}") from None
+
+
+def domain_shape(d: DomainConfig):
+    """The [domain] shape: a half disc, or a rectangle above the bottom curve."""
     if d.shape == "half_disc":
-        samples = samples[np.hypot(samples[:, 0], samples[:, 1]) <= d.radius]
+        return HalfDisc(radius=d.radius)
+    return Rectangle(half_width=d.half_width, height=d.height, bottom=bottom_curve(d))
+
+
+def _check_positive(key: str, gamma_text: str, shape) -> None:
+    """Sample the conductivity at the nodes that `lattice_points` places on
+    40 x 40 cells of the shape.  The error names `key` and the least
+    sampled value."""
+    samples = lattice_points(shape, 40, 40)
     vals = parse_expression(gamma_text)(samples)
     if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
         k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))

@@ -64,6 +64,7 @@ __all__ = [
     "Rectangle",
     "HalfDisc",
     "DomainGrid",
+    "lattice_points",
     "build_grid",
     "ConductivityField",
     "PField",
@@ -127,6 +128,29 @@ class DomainGrid:
         return 1.0 / self.resolution
 
 
+def lattice_points(shape, nx: int, ny: int) -> np.ndarray:
+    """The (ny + 1) x (nx + 1) nodes of the shape's lattice, x1 running
+    fastest: the rectangle's box with its bottom row stretched onto a graph
+    bottom, or the half disc's box through the concentric map."""
+    if isinstance(shape, HalfDisc):
+        half_width = height = shape.radius
+    else:
+        half_width, height = shape.half_width, shape.height
+    xs = np.linspace(-half_width, half_width, nx + 1)
+    ys = np.linspace(0.0, height, ny + 1)
+    X, Y = np.meshgrid(xs, ys)
+    if isinstance(shape, HalfDisc):
+        # concentric map: reference L-inf radius s goes to euclidean radius s
+        s = np.maximum(np.abs(X), np.abs(Y))
+        r = np.hypot(X, Y)
+        scale = np.where(r > 0.0, s / np.where(r > 0.0, r, 1.0), 0.0)
+        X, Y = X * scale, Y * scale
+    elif not shape.bottom.flat:
+        g = shape.bottom.g(xs[:, None])
+        Y = g[None, :] + Y * (height - g[None, :]) / height
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def build_grid(shape, resolution: float) -> DomainGrid:
     """Mesh the shape at `resolution` cells per unit length.
 
@@ -140,33 +164,16 @@ def build_grid(shape, resolution: float) -> DomainGrid:
     if isinstance(shape, Rectangle):
         if shape.half_width <= 0 or shape.height <= 0:
             raise ValueError("degenerate rectangle")
-        nx = 2 * max(1, round(shape.half_width * resolution))
-        ny = max(2, round(shape.height * resolution))
-        xs = np.linspace(-shape.half_width, shape.half_width, nx + 1)
-        ys = np.linspace(0.0, shape.height, ny + 1)
-        X, Y = np.meshgrid(xs, ys)
-        if not shape.bottom.flat:
-            g = shape.bottom.g(xs[:, None])
-            # boundary-fitted stretching: bottom row follows the graph,
-            # the top row stays flat at height
-            Y = g[None, :] + Y * (shape.height - g[None, :]) / shape.height
-        pts = np.column_stack([X.ravel(), Y.ravel()])
+        half_width, height = shape.half_width, shape.height
     elif isinstance(shape, HalfDisc):
         if shape.radius <= 0:
             raise ValueError("degenerate half disc")
-        R = shape.radius
-        nx = 2 * max(1, round(R * resolution))
-        ny = max(2, round(R * resolution))
-        xs = np.linspace(-R, R, nx + 1)
-        ys = np.linspace(0.0, R, ny + 1)
-        X, Y = np.meshgrid(xs, ys)
-        # concentric map: reference L-inf radius s goes to euclidean radius s
-        s = np.maximum(np.abs(X), np.abs(Y))
-        r = np.hypot(X, Y)
-        scale = np.where(r > 0.0, s / np.where(r > 0.0, r, 1.0), 0.0)
-        pts = np.column_stack([(X * scale).ravel(), (Y * scale).ravel()])
+        half_width = height = shape.radius
     else:
         raise TypeError(f"unknown shape {shape!r}")
+    nx = 2 * max(1, round(half_width * resolution))
+    ny = max(2, round(height * resolution))
+    pts = lattice_points(shape, nx, ny)
 
     def node_id(i, j):
         return j * (nx + 1) + i

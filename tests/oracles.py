@@ -9,7 +9,9 @@
 * the dual-norm weak residual as the solver computed it before it read the
   Newton gradient, with its own flux weight and node sums;
 * the config expression language's original tokenizer and
-  recursive-descent parser, frozen as the reference for its trees.
+  recursive-descent parser, frozen as the reference for its trees;
+* the 41 x 41 lattice on which the config check sampled a rectangle's
+  conductivity before it read `pde.lattice_points`.
 
 They evaluate what `plprobe` computes with formulas of their own; the
 package itself runs none of them.
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from plprobe import pde, recovery, special
-from plprobe.config import ConfigError
+from plprobe.config import ConfigError, parse_expression
 from plprobe.vecp import _norm_sq, _pow_or_zero
 
 # Fixed seed of every randomized inequality battery.
@@ -493,3 +495,15 @@ def reference_expression_tree(text: str):
     p = _Parser(text)
     node = p.parse()
     return node, frozenset(p.vars)
+
+
+def positivity_lattice(half_width: float, height: float, bottom: str) -> np.ndarray:
+    """The rectangle's 41 x 41 box, stretched above the bottom curve `bottom`
+    (flat when empty) as the mesh is, x1 running fastest."""
+    xs = np.linspace(-half_width, half_width, 41)
+    ys = np.linspace(0.0, height, 41)
+    X, Y = np.meshgrid(xs, ys)
+    if bottom:
+        g = parse_expression(bottom)(xs[:, None])[None, :]
+        Y = g + Y * (height - g) / height
+    return np.column_stack([X.ravel(), Y.ravel()])

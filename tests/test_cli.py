@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -377,6 +378,49 @@ def test_config_echo_round_trip(recover_demo_run):
     cfg = parse_config(RECOVER_DEMO.read_text())
     assert parse_config(echo_text) == cfg
     assert f"# config-sha256: {cfg.sha256()}" in (out / "report.csv").read_text()
+
+
+TABLES = {"wolff": {"wolff"}, "probe-check": {"probe_check"},
+          "solve": {"solution", "convergence"}, "recover": {"report"},
+          "verify": {"verify"}, "sweep": {"sweep_summary"}}
+
+
+def _run_every_command(tmp_path, formats):
+    """Run each command on one small config with `output.formats = formats`;
+    the output directory of each."""
+    cfg = tmp_path / "tables.cfg"
+    cfg.write_text("[domain]\nresolution = 8\n"
+                   "[physics]\np = 3\ngamma = 1 + x2/2\nboundary_data = x1 + x2^2\n"
+                   f"[probe]\nmode = real\nm_list = 4\n[output]\nformats = {formats}\n")
+    dirs = {}
+    for command in TABLES:
+        dirs[command] = tmp_path / command
+        assert run([command, "--config", cfg, "--out", dirs[command]]) == 0, command
+    return dirs
+
+
+def _csv_table(path):
+    """{"meta", "rows"} of a CSV table, every value as its text."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# plprobe ")
+    meta = dict(l[2:].split(": ", 1) for l in lines[1:] if l.startswith("#"))
+    header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    return {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+
+
+def test_every_json_table_equals_its_csv(tmp_path):
+    for command, out in _run_every_command(tmp_path, "csv, json").items():
+        assert {f.stem for f in out.glob("*.csv")} == TABLES[command]
+        assert {f.stem for f in out.glob("*.json")} == TABLES[command]
+        for name in TABLES[command]:
+            table = json.loads((out / f"{name}.json").read_text())
+            assert table == _csv_table(out / f"{name}.csv"), name
+
+
+def test_json_format_alone_writes_no_csv(tmp_path):
+    for command, out in _run_every_command(tmp_path, "json").items():
+        assert {f.stem for f in out.glob("*.json")} == TABLES[command]
+        assert list(out.glob("*.csv")) == []
 
 
 def test_output_env_override(tmp_path, monkeypatch):

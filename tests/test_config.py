@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from plprobe import pde, special
+from plprobe import config, pde, special
 from plprobe.config import (ConfigError, ExperimentConfig, parse_config,
                             parse_expression)
 
@@ -189,6 +190,40 @@ def test_gamma_positivity_is_checked_on_the_domain():
         parse_config(bottom + "[physics]\ngamma = 1 + 2.5*x2\n")
 
 
+def _gamma_samples(monkeypatch, text, gamma):
+    """The points at which parsing `text` evaluates the conductivity `gamma`."""
+    samples, evaluate = [], config.Expression.__call__
+
+    def recording(expr, pts):
+        if expr.text == gamma:
+            samples.append(np.asarray(pts))
+        return evaluate(expr, pts)
+
+    monkeypatch.setattr(config.Expression, "__call__", recording)
+    parse_config(text + f"[physics]\ngamma = {gamma}\n")
+    (points,) = samples
+    return points
+
+
+@pytest.mark.parametrize("half_width, height, bottom", (
+    (0.75, 0.5, ""), (1.0, 1.0, "-x1^2/2")), ids=("flat", "curved"))
+def test_rectangle_positivity_samples_are_the_earlier_lattice(monkeypatch, half_width,
+                                                              height, bottom):
+    text = (f"[domain]\nhalf_width = {half_width}\nheight = {height}\nbottom = {bottom}\n"
+            "[probe]\nmode = real\n")
+    samples = _gamma_samples(monkeypatch, text, "1 + x2")
+    assert np.array_equal(samples, oracles.positivity_lattice(half_width, height, bottom))
+
+
+def test_half_disc_positivity_samples_are_points_of_the_disc(monkeypatch):
+    # the mesh's node placement on 40 x 40 cells, through the concentric map
+    samples = _gamma_samples(monkeypatch, "[domain]\nshape = half_disc\nradius = 2\n",
+                             "1 + x2")
+    assert np.array_equal(samples, pde.lattice_points(pde.HalfDisc(radius=2.0), 40, 40))
+    assert samples.shape == (41 * 41, 2) and np.all(samples[:, 1] >= 0.0)
+    assert np.hypot(samples[:, 0], samples[:, 1]).max() <= 2.0 * (1 + 1e-15)
+
+
 def test_probe_invariant_s_rejected():
     with pytest.raises(ConfigError, match="M/N"):
         parse_config("[probe]\ns = 1\n")
@@ -209,6 +244,16 @@ def test_bottom_curve_validation():
     with pytest.raises(ConfigError, match=r"domain\.bottom: .*domain\.shape = rectangle"):
         parse_config("[domain]\nshape = half_disc\nbottom = -x1^2/10\n"
                      "[probe]\nmode = real\n")
+
+
+def test_sweep_complex_mode_rejected_above_a_curved_bottom():
+    curved = "[domain]\nbottom = -x1^2/10\n[probe]\nmode = real\n"
+    assert parse_config(curved + "[sweep]\nmode_list = real\n").sweep.mode_list == ("real",)
+    with pytest.raises(ConfigError, match=r"^sweep\.mode_list: complex probes require "
+                                          r"a flat bottom"):
+        parse_config(curved + "[sweep]\nmode_list = real, complex\n")
+    # a flat bottom takes both modes
+    parse_config("[sweep]\nmode_list = real, complex\n")
 
 
 @pytest.mark.parametrize("curve, valid", (("5e-11*x1 - x1^2/10", True),
@@ -249,6 +294,31 @@ def test_max_nodes_validation(value):
     with pytest.raises(ConfigError, match="domain.max_nodes: must be at least 1"):
         parse_config(f"[domain]\nmax_nodes = {value}\n")
     assert parse_config("[domain]\nmax_nodes = 1\n").domain.max_nodes == 1
+
+
+def test_solver_section_is_the_solver_settings():
+    assert parse_config("").solver == pde.SolverSettings()
+    cfg = parse_config("[solver]\nmax_iter = 7\ninit = random\nseed = 3\n")
+    assert cfg.solver == pde.SolverSettings(max_iter=7, init="random", seed=3)
+    assert type(cfg.solver) is pde.SolverSettings
+    assert not hasattr(config, "SolverConfig")
+    solver_keys = {f.name for f in dataclasses.fields(pde.SolverSettings)}
+    for f in dataclasses.fields(cfg):
+        if f.name != "solver":
+            section = type(getattr(cfg, f.name))
+            assert not solver_keys & {g.name for g in dataclasses.fields(section)}, f.name
+
+
+def test_solver_errors_come_before_domain_and_probe_errors():
+    with pytest.raises(ConfigError, match=r"^solver\.init"):
+        parse_config("[domain]\nradius = -1\n[probe]\ns = 1\n[solver]\ninit = magic\n")
+
+
+def test_output_formats_required():
+    with pytest.raises(ConfigError, match="output.formats: csv, json or both required"):
+        parse_config("[output]\nformats =\n")
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        parse_config("[output]\nformats = csv, xml\n")
 
 
 def test_solver_validation():
@@ -297,3 +367,13 @@ def test_readme_reference_config_parses():
     cfg = parse_config(block)
     assert cfg.probe.m_list == (4.0, 8.0, 16.0)
     assert cfg.sweep.gamma_list == ("1 + x2/2",)
+    # the block lists every key of every section, as the section's type
+    # names them
+    listed, section = {}, None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = listed.setdefault(line.strip("[]"), set())
+        elif "=" in line and not line.startswith("#"):
+            section.add(line.partition("=")[0].strip())
+    assert listed == {f.name: {g.name for g in dataclasses.fields(getattr(cfg, f.name))}
+                      for f in dataclasses.fields(cfg)}

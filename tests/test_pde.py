@@ -97,6 +97,16 @@ def test_curved_bottom_grid():
     assert np.all(g.area > 0.0)
 
 
+@pytest.mark.parametrize("shape", (
+    pde.Rectangle(half_width=0.75, height=0.5),
+    pde.Rectangle(half_width=1.0, height=1.0, bottom=special.BoundaryDefiningFunction(
+        lambda x: -0.1 * x[..., 0] ** 2, lambda x: -0.2 * x[..., 0])),
+    pde.HalfDisc(radius=1.5)), ids=("flat", "curved", "half disc"))
+def test_lattice_points_are_the_grid_nodes(shape):
+    grid = pde.build_grid(shape, 12)
+    assert np.array_equal(pde.lattice_points(shape, grid.nx, grid.ny), grid.pts)
+
+
 def test_build_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         pde.build_grid(pde.Rectangle(half_width=1.0), 4)  # resolution < 8
