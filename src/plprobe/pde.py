@@ -620,7 +620,14 @@ class _FreeDofNewton:
         if not band:
             return E, g
         p, nel = self.p, q2.size
-        coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
+        # the rank-one weight goes like (|grad u|^2 + eps^2)^((p - 4)/2), so
+        # for p < 4 a datum scaled far below 1 can lift it past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef_rank1 = coef * (p - 2.0) / (q2 + eps * eps)
+        if not np.isfinite(coef_rank1).all():
+            raise SolverConvergenceError(
+                f"Newton weight overflows at eps = {eps:.3e}: "
+                "(|grad u|^2 + eps^2)^((p - 4)/2) is not finite")
         H, t = np.empty((nel, len(self.pairs))), np.empty(nel)
         cbb = coef * self.bb
         for k, (a, b, m) in enumerate(self.pairs):

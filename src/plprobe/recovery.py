@@ -170,10 +170,21 @@ def build_probe(spec: ProbeSpec, grid: DomainGrid) -> PField:
 # ---------------------------------------------------------------------------
 
 
-def _layer_breaks(p: float) -> np.ndarray:
-    # graded toward 0; e^(-p y) tail beyond 44/p is ~1e-19 of the peak
-    return np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
-                     11.0, 15.0, 20.0, 26.0, 33.0, 44.0]) / p
+# Breaks of the boundary layer in units of 1/p, graded toward 0; the
+# e^(-p y) tail beyond 44/p is ~1e-19 of the peak.  Refinement cuts only the
+# head, the panels up to 20/p: the tail beyond holds <= e^(-20) of the layer
+# weight, and 10-point Gauss on its base panels is exact well below 1e-16
+# of the total, so refining it would only add nodes.
+_LAYER_HEAD = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
+                        11.0, 15.0, 20.0])
+_LAYER_TAIL = np.array([26.0, 33.0, 44.0])
+
+
+def _layer_rule(p: float, level: int):
+    """Gauss nodes and weights of the boundary layer at refinement `level`:
+    head panels cut to width (4/p)/2^level, tail panels as they are."""
+    head = special._subdivide(_LAYER_HEAD / p, (4.0 / p) / 2**level)
+    return special._gauss_panels(np.concatenate([head, _LAYER_TAIL / p]))
 
 
 def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
@@ -251,7 +262,9 @@ _EVAL_POINTS = 1 << 15
 
 def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
-    support and boundary layer, by Gauss panels refined `level` times.
+    support and boundary layer, by Gauss panels refined `level` times: each
+    level halves the perpendicular panels and the layer's head panels up to
+    y_n = 20/p (`_layer_rule`); the layer's tail keeps its base panels.
 
     `integrand` maps a component-major (n, n_perp, n_layer) block of points,
     one row of layer nodes per perpendicular node, to values (n_perp,
@@ -262,8 +275,7 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
     points, which bounds the working set and changes no bit.
     """
-    layer_nodes, layer_w = special._gauss_panels(
-        special._subdivide(_layer_breaks(spec.p), (4.0 / spec.p) / 2**level))
+    layer_nodes, layer_w = _layer_rule(spec.p, level)
     perp1_nodes, perp1_w = special._gauss_panels(_perp_breaks(spec, level))
     if spec.n == 2:
         y_perp = perp1_nodes[:, None]
@@ -289,7 +301,11 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
 
 def _refined_quad(spec: ProbeSpec, integrand, tol: float, max_level: int) -> float:
     """_tensor_quad at levels 0, 1, ... until two successive levels agree
-    to `tol` relative; raises QuadratureError after `max_level`."""
+    to `tol` relative; raises QuadratureError after `max_level`, which
+    must be at least 1."""
+    if max_level < 1:
+        raise QuadratureError(
+            f"panel refinement needs at least 1 level to compare, got {max_level}")
     prev = _tensor_quad(spec, integrand, 0)
     for level in range(1, max_level + 1):
         cur = _tensor_quad(spec, integrand, level)
@@ -504,8 +520,8 @@ def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
     receives `nodes_per_wavelength` and `max_nodes`, with its two-level
     start.  `newton_iterations` counts the steps of the full resolution
     solve only.  A per-M solver, resolution, quadrature or grid-budget
-    failure is recorded in its row and the run continues; any other
-    exception propagates.  The extrapolated value adds the last step
+    failure is recorded in its row, which is not ok, and the run continues;
+    any other exception propagates.  The extrapolated value adds the last step
     between the two final estimates once more.
     """
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
@@ -523,7 +539,6 @@ def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
             # looked up at call time, so a tracer can swap the module attributes
             pairing = flux_pairing(grid, gamma, spec.p, sol.field, probe)
             leading, remainder = remainder_split(grid, gamma, spec.p, probe, sol.field)
-            row.ok = True
             row.estimate = pairing.real
             row.pairing_imag = abs(pairing.imag)
             row.leading = leading
@@ -534,6 +549,7 @@ def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
             # the window's arrays are not held through the next row's solve
             del grid, probe, sol
             row.quad_estimate = quadrature_limit(gamma, row_spec)
+            row.ok = True
         except (SolverConvergenceError, UnderResolvedProbeError,
                 QuadratureError, GridBudgetError) as exc:
             row.message = f"{type(exc).__name__}: {exc}"

@@ -71,22 +71,26 @@ class CutoffProfile:
         if self.smoothness not in _SMOOTHSTEP_COEFFS:
             raise ValueError(f"unknown cutoff smoothness {self.smoothness!r}")
 
-    def radial(self, r):
-        """(eta(r), eta'(r)).  The smoothstep and its derivative are
-        evaluated on the shoulder 1/2 < r < 1 only; elsewhere the values are
-        exactly 1 or 0 and the slope 0.  1 - smoothstep, which rounds below
-        0 next to r = 1, is clamped at 0, so eta^p is defined for every p.
-        A scalar r gives scalars."""
+    def radial(self, r, slope: bool = True):
+        """(eta(r), eta'(r)), or eta(r) alone when `slope` is false.  The
+        smoothstep and its derivative are evaluated on the shoulder
+        1/2 < r < 1 only; elsewhere the values are exactly 1 or 0 and the
+        slope 0.  1 - smoothstep, which rounds below 0 next to r = 1, is
+        clamped at 0, so eta^p is defined for every p.  A scalar r gives
+        scalars."""
         r = np.asarray(r, dtype=float)
         plateau = r <= 0.5
-        value, slope = np.where(plateau, 1.0, 0.0), np.zeros_like(r)
+        value = np.where(plateau, 1.0, 0.0)
         shoulder = ~(plateau | (r >= 1.0))  # a NaN r stays NaN
         s = 2.0 * r[shoulder] - 1.0
         c = _SMOOTHSTEP_COEFFS[self.smoothness]
         polyval = np.polynomial.polynomial.polyval
         value[shoulder] = np.maximum(1.0 - polyval(s, c), 0.0)
-        slope[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
-        return value[()], slope[()]
+        if not slope:
+            return value[()]
+        deriv = np.zeros_like(r)
+        deriv[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
+        return value[()], deriv[()]
 
     def slice_integral(self, p: float, n: int = 2) -> float:
         """Integral of eta(x', 0)^p over the (n-1)-dimensional slice.
@@ -103,7 +107,7 @@ class CutoffProfile:
 
     def _slice_integral(self, p: float, n: int) -> float:
         r, w = _shoulder_rule(p)
-        eta_p = self.radial(r)[0] ** p
+        eta_p = self.radial(r, slope=False) ** p
         if n == 2:
             return 2.0 * (0.5 + float(w @ eta_p))
         if n == 3:
@@ -180,7 +184,7 @@ class CutoffField:
         """eta(M x) at component-major points (n, ...) -> (...)."""
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(_norm_sq(pts, axis=0))
-        return self.profile.radial(self.M * r)[0]
+        return self.profile.radial(self.M * r, slope=False)
 
     def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """(value(pts), gradient(pts)) from one radius per point; the

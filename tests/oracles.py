@@ -11,7 +11,9 @@
 * the config expression language's original tokenizer and
   recursive-descent parser, frozen as the reference for its trees;
 * the 41 x 41 lattice on which the config check sampled a rectangle's
-  conductivity before it read `pde.lattice_points`.
+  conductivity before it read `pde.lattice_points`;
+* the probe quadrature's boundary-layer rule from before it stopped
+  refining the layer's tail.
 
 They evaluate what `plprobe` computes with formulas of their own; the
 package itself runs none of them.
@@ -507,3 +509,16 @@ def positivity_lattice(half_width: float, height: float, bottom: str) -> np.ndar
         g = parse_expression(bottom)(xs[:, None])[None, :]
         Y = g + Y * (height - g) / height
     return np.column_stack([X.ravel(), Y.ravel()])
+
+
+# ---------------------------------------------------------------------------
+# The boundary-layer rule of the probe quadrature before the tail beyond
+# 20/p kept its base panels, kept unchanged: every panel cut to width
+# (4/p)/2^level.  A drop-in for `recovery._layer_rule`.
+# ---------------------------------------------------------------------------
+
+
+def parent_layer_rule(p: float, level: int):
+    breaks = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
+                       11.0, 15.0, 20.0, 26.0, 33.0, 44.0]) / p
+    return special._gauss_panels(special._subdivide(breaks, (4.0 / p) / 2**level))

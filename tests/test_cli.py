@@ -473,6 +473,56 @@ def test_recover_line_search_failure_is_a_failed_row(tmp_path, monkeypatch):
     assert "M =     4: FAILED (SolverConvergenceError: line search failed" in summary
 
 
+UNCONVERGED_QUADRATURE = "QuadratureError: panel refinement did not converge"
+
+
+def _real_p15_m16(tmp_path):
+    # one refinement cannot bring this probe's quadrature to 1e-7
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text("[physics]\np = 1.5\ngamma = 1 + x2\n"
+                   "[probe]\nmode = real\nm_list = 16\n")
+    return cfg
+
+
+def test_recover_unconverged_quadrature_is_a_failed_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(recovery, "_MAX_LEVEL", 1)
+    assert run(["recover", "--config", _real_p15_m16(tmp_path),
+                "--out", tmp_path]) == 2
+    summary = (tmp_path / "summary.txt").read_text()
+    assert f"M =    16: FAILED ({UNCONVERGED_QUADRATURE}" in summary
+    row = _csv_rows(tmp_path / "report.csv")[0]
+    assert row["ok"] == "false" and row["quad_estimate"] == "nan"
+    assert row["message"].startswith(UNCONVERGED_QUADRATURE)
+
+
+def test_probe_check_unconverged_quadrature_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(recovery, "_MAX_LEVEL", 1)
+    assert run(["probe-check", "--config", _real_p15_m16(tmp_path),
+                "--out", tmp_path]) == 1
+    assert f"error: {UNCONVERGED_QUADRATURE} to 1e-07 within 1 levels" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "probe_check.csv").exists()
+
+
+def test_recover_overflowing_newton_weight_fails_its_rows(tmp_path, capsys):
+    # at p = 1.0015 the real probe's normalization scales the datum to about
+    # 1e-130, and (|grad u|^2 + eps^2)^((p - 4)/2) leaves the float range
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text("[physics]\np = 1.0015\ngamma = 1 + x2\n"
+                   "[probe]\nmode = real\nm_list = 8, 16, 32\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["recover", "--config", cfg, "--out", tmp_path]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    rows = _csv_rows(tmp_path / "report.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert row["ok"] == "false"
+        assert row["message"].startswith(
+            "SolverConvergenceError: Newton weight overflows at eps = ")
+
+
 def test_recover_programming_error_exits_1(tmp_path, monkeypatch, capsys):
     # only the solver, resolution, quadrature and grid-budget failures are
     # per-M rows; a bare ValueError is an execution error

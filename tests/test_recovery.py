@@ -297,7 +297,8 @@ def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
 
 
 def test_quadrature_limit_working_set_is_bounded(wolff3):
-    # evaluating a whole 4,096-row chunk at once peaks at about 94 MiB
+    # about 10 MiB; evaluating a whole 4,096-row chunk at once peaks at
+    # about 69 MiB
     spec = recovery.ProbeSpec(mode="real", p=3.0, M=256.0, profile=wolff3)
     tracemalloc.start()
     try:
@@ -305,7 +306,59 @@ def test_quadrature_limit_working_set_is_bounded(wolff3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("p", (1.1, 3.0, 8.0))
+def test_layer_rule_refines_only_the_head(p):
+    # the nodes beyond 20/p are the base panels' at every level
+    rules = [recovery._layer_rule(p, level) for level in range(5)]
+    tail = [(nodes[nodes > 20.0 / p], w[nodes > 20.0 / p]) for nodes, w in rules]
+    assert all(t[0].size == 30 for t in tail)
+    for nodes, w in tail[1:]:
+        assert nodes.tobytes() == tail[0][0].tobytes()
+        assert w.tobytes() == tail[0][1].tobytes()
+    # the head is the parent rule's head, bit for bit
+    for level, (nodes, w) in enumerate(rules):
+        old_nodes, old_w = oracles.parent_layer_rule(p, level)
+        head = old_nodes < 20.0 / p
+        assert nodes[:head.sum()].tobytes() == old_nodes[head].tobytes()
+        assert w[:head.sum()].tobytes() == old_w[head].tobytes()
+    if p == 3.0:
+        assert [nodes.size for nodes, _ in rules[:3]] == [160, 200, 290]
+
+
+GAMMA_TILT = pde.ConductivityField(lambda x: 1.0 + x[:, 0] ** 2 + x[:, -1] / 2.0)
+CURVED = special.BoundaryDefiningFunction(lambda x: -0.1 * x[..., 0] ** 2,
+                                          lambda x: -0.2 * x[..., 0])
+
+
+@pytest.mark.parametrize("mode, p, s, n, curved, M", [
+    ("complex", 1.1, 1.25, 2, False, 16.0),
+    ("complex", 3.0, 2.0, 2, False, 16.0),
+    ("complex", 8.0, 1.25, 3, False, 8.0),
+    ("real", 1.1, 2.0, 2, False, 16.0),
+    ("real", 3.0, 1.25, 2, True, 32.0),
+    ("real", 8.0, 2.0, 2, True, 16.0),
+    ("real", 3.0, 2.0, 3, False, 8.0)])
+def test_quadrature_limit_matches_the_frozen_layer_rule(monkeypatch, mode, p, s,
+                                                        n, curved, M, wolff3):
+    profile = None
+    if mode == "real":
+        profile = wolff3 if p == 3.0 else special.solve_wolff_profile(p)
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=s, n=n, profile=profile,
+                              rho=CURVED if curved else special.BoundaryDefiningFunction())
+    tol = 1e-4 if n == 3 else 1e-7
+    new = recovery.quadrature_limit(GAMMA_TILT, spec, tol=tol)
+    monkeypatch.setattr(recovery, "_layer_rule", oracles.parent_layer_rule)
+    old = recovery.quadrature_limit(GAMMA_TILT, spec, tol=tol)
+    assert abs(new - old) <= 1e-14 * abs(old)
+
+
+def test_refined_quad_needs_a_level_to_compare():
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
+    with pytest.raises(recovery.QuadratureError, match="at least 1 level"):
+        recovery._refined_quad(spec, lambda x: np.ones(x.shape[1:]), 1e-7, 0)
 
 
 # ---------------------------------------------------------------------------

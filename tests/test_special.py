@@ -45,6 +45,9 @@ def test_cutoff_radial_equals_polynomial_formula(smoothness):
         assert got == (value, deriv)
     arr = np.array(rs)
     assert np.array_equal(prof.radial(arr)[0], [prof.radial(r)[0] for r in rs])
+    # the value alone, without its slope, keeps its bits
+    assert prof.radial(arr, slope=False).tobytes() == prof.radial(arr)[0].tobytes()
+    assert [prof.radial(r, slope=False) for r in rs] == [prof.radial(r)[0] for r in rs]
     assert np.array_equal(prof.radial(arr.reshape(7, 1))[1].ravel(),
                           [prof.radial(r)[1] for r in rs])
 
