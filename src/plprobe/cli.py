@@ -102,15 +102,26 @@ def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
     errs = []
     for M in cfg.probe.m_list:
         spec = replace(family, M=float(M))
-        est = recovery.quadrature_limit(gamma, spec)
+        # an unconverged quadrature fails its row, as in `recover`
+        try:
+            est = recovery.quadrature_limit(gamma, spec)
+        except recovery.QuadratureError as exc:
+            rows.append((M, spec.N, False, math.nan, math.nan,
+                         f"{type(exc).__name__}: {exc}"))
+            continue
         errs.append(abs(est - gamma0))
-        rows.append((M, spec.N, est, abs(est - gamma0)))
-    ok = recovery.monotone_errors(errs)
-    write_table(cfg, out, "probe_check", ("M", "N", "estimate", "abs_error"), rows,
+        rows.append((M, spec.N, True, est, errs[-1], ""))
+    ok = len(errs) == len(rows) and recovery.monotone_errors(errs)
+    write_table(cfg, out, "probe_check",
+                ("M", "N", "ok", "estimate", "abs_error", "message"), rows,
                 {"mode": mode, "p": p, "gamma0-target": gamma0,
                  "contract": "pass" if ok else "fail"})
-    print(f"probe-check: {len(rows)} rows, final error {errs[-1]:.3e}, "
+    final = f"{errs[-1]:.3e}" if errs else "nan"
+    print(f"probe-check: {len(rows)} rows, final error {final}, "
           f"contract {'pass' if ok else 'FAIL'}")
+    for M, _, row_ok, _, _, message in rows:
+        if not row_ok:
+            print(f"  M = {M:5g}: FAILED ({message})")
     return EXIT_OK if ok else EXIT_CONTRACT
 
 
@@ -135,6 +146,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     sol = pde.solve_dirichlet(grid, gamma, p, datum, cfg.solver)
     steps = len(sol.energy_history)
     meta = {"mode": mode, "p": p, "energy": sol.energy, "iterations": steps,
+            "factorizations": sol.factorizations,
             "weak_residual": sol.weak_residual,
             "regularized_residual": sol.regularized_residual}
     rows = [(x, y, v.real, v.imag) for (x, y), v in zip(grid.pts, sol.field.values)]
@@ -142,8 +154,9 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     conv = [(k, eps, E, dec) for k, (eps, E, dec) in enumerate(sol.energy_history)]
     write_table(cfg, out, "convergence", ("iteration", "eps", "energy", "decrement"),
                 conv, {})
-    print(f"solve: {grid.npt} nodes, {steps} Newton steps, "
-          f"energy {sol.energy:.9g}, residual {sol.weak_residual:.2e}")
+    print(f"solve: {grid.npt} nodes, {steps} Newton steps on "
+          f"{sol.factorizations} factorizations, energy {sol.energy:.9g}, "
+          f"residual {sol.weak_residual:.2e}")
     return EXIT_OK
 
 

@@ -24,11 +24,13 @@ for p > 2, is doubled while that lowers the energy, up to 64 times the
 Newton step (the expansion phase of Nocedal & Wright, Numerical
 Optimization, 2nd ed., sec. 3.5).  The free dofs are numbered
 with the lattice's shorter side running fastest, so the free-dof Newton
-matrix is a band of half-width about ncomp times that side; each Newton
+matrix is a band of half-width about ncomp times that side; a factored
 step assembles its lower band and factors it by LAPACK banded Cholesky
-(dpbtrf) on one OpenBLAS thread.  The closing polish step is a chord step:
-it assembles only the gradient and back-solves (dpbtrs) with the factor of
-the step before it.
+(dpbtrf) on one OpenBLAS thread.  A factored step accepted at full length
+is followed by one chord step, which assembles only the gradient and
+back-solves (dpbtrs) with the same factor (Shamanskii's method; Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 5); the
+closing polish step is a chord step too.
 Only the lower triangle of each symmetric element block is formed (21 of
 36 entries for complex data, 6 of 9 for real); the slot of every entry and
 the hat p-norms of the residual are computed once per solve.  The dual
@@ -364,13 +366,15 @@ class SolverSettings:
 
     The solve runs damped Newton at eps = eps_final times the RMS gradient
     of the datum, which makes it exactly equivariant under scaling of the
-    datum.  Once a step's relative energy decrease is at most outer_tol and
-    the regularized dual residual is at most residual_tol, it takes one
-    more step, which brings the iterate to round-off, and stops; that
-    polish step reuses the factored Newton matrix of the step before it
-    (a chord step).  max_iter, an integer >= 1, bounds the steps taken
-    before the test passes.  Step lengths halve until the energy falls by
-    at least 1/4 of the step's decrement; a full step that beats its
+    datum.  A factored Newton step accepted at full length is followed by
+    one chord step on its factor.  Once a step's relative energy decrease
+    is at most outer_tol and the regularized dual residual is at most
+    residual_tol, it takes one more chord step on the current factor, the
+    polish, and stops; the polish takes the iterate about one contraction
+    of the chord iteration further, not to round-off.  max_iter, an
+    integer >= 1, bounds the steps taken before the test passes, chord
+    steps included.  Step lengths halve until the energy falls by at least
+    1/4 of the step's decrement; a full factored step that beats its
     quadratic model by the margin EXPANSION_MARGIN is doubled while the
     energy falls, up to length 64.  init is datum, zero or random; seed,
     an integer >= 0, seeds the random start.  Bad values raise ValueError
@@ -411,6 +415,7 @@ class SolveResult:
     field: PField
     energy: float
     energy_history: list          # (eps, E, decrement) per accepted step
+    factorizations: int           # band factorizations; steps minus chord steps
     weak_residual: float          # eps = 0 diagnostic
     regularized_residual: float   # dual residual at eps_final_abs
     eps_final_abs: float
@@ -643,30 +648,36 @@ class _FreeDofNewton:
 
 
 def _damped_newton(newton, U, eps, settings):
-    """Damped Newton at fixed eps from U; returns (last iterate, history).
+    """Damped Newton at fixed eps from U; returns (last iterate, history,
+    factorizations).
 
-    Each Newton step assembles the band and factors it.  Once a step's
+    A factored step assembles the band and factors it.  A factored step
+    accepted at full length (t = 1: not backtracked, not lengthened) is
+    followed by one chord step, which assembles only the gradient and
+    back-solves with the same factor (Shamanskii's method); the step after
+    it is factored again.  A chord step whose line search fails is dropped,
+    and a factored step is taken from the same iterate.  Once a step's
     relative energy decrease is at most outer_tol and the residual meets
     residual_tol (or the decrement reaches float resolution), one more
-    "polish" step is taken, which brings the iterate to round-off.  It is a
-    chord step: it assembles only the gradient and back-solves with the
-    factor of the step that passed the test.  Every accepted step appends
-    (eps, E, decrement) to the history, so a solve makes one factorization
-    fewer than it has history entries.
+    "polish" step is taken, also a chord step on the current factor.  Every
+    accepted step, chord steps included, appends (eps, E, decrement) to the
+    history and counts toward max_iter.
 
     The line search halves t from 1 until the Armijo test passes.  When it
-    accepts t = 1 on a Newton (not polish) step and the energy fell by more
-    than (1 + EXPANSION_MARGIN) decrement / 2, the quadratic model's
-    prediction, t doubles while E(U + 2t D) < E(U + t D), up to t = 64, and
-    the last step that lowered the energy is taken.
+    accepts t = 1 on a factored step and the energy fell by more than
+    (1 + EXPANSION_MARGIN) decrement / 2, the quadratic model's prediction,
+    t doubles while E(U + 2t D) < E(U + t D), up to t = 64, and the last
+    step that lowered the energy is taken.  Chord steps are not lengthened.
     """
-    history, polish = [], False
+    history, factorizations = [], 0
+    chord = polish = False
     while True:
-        if polish:
+        if chord or polish:
             E, g = newton.linearize(U, eps, band=False)
         else:
             E, g, ab = newton.linearize(U, eps)
             factor = _band_factor(ab)
+            factorizations += 1
             del ab  # only the factor keeps band-sized memory
         d = _band_solve(factor, -g)
         decrement = float(-g @ d)
@@ -683,9 +694,13 @@ def _damped_newton(newton, U, eps, settings):
                 break
             t *= 0.5
         else:
+            if chord:
+                chord = False
+                del factor
+                continue
             raise SolverConvergenceError(f"line search failed at eps = {eps:.3e}",
                                          residual=newton.residual(U, eps))
-        if (t == 1.0 and not polish
+        if (t == 1.0 and not (chord or polish)
                 and E - E_try > (1.0 + EXPANSION_MARGIN) * decrement / 2.0):
             while t < 64.0:
                 U_long = U + 2.0 * t * D
@@ -696,13 +711,15 @@ def _damped_newton(newton, U, eps, settings):
         U = U_try
         history.append((eps, E_try, decrement))
         if polish:
-            return U, history
+            return U, history, factorizations
         if (E - E_try) / max(abs(E_try), 1e-300) <= settings.outer_tol:
             polish = (newton.residual(U, eps) <= settings.residual_tol
                       or decrement <= 1e-28 * max(abs(E_try), 1e-300))
+        chord = not (chord or polish) and t == 1.0
         if not polish:
-            # the next step's band is assembled without this factor alive
-            del factor
+            if not chord:
+                # the next step's band is assembled without this factor alive
+                del factor
             if len(history) >= settings.max_iter:
                 raise SolverConvergenceError(
                     f"no convergence within {settings.max_iter} iterations "
@@ -760,7 +777,7 @@ def solve_dirichlet(grid: DomainGrid, gamma: ConductivityField, p: float,
     eps = settings.eps_final * (grad_rms if grad_rms > 0.0 else 1.0)
 
     newton = _FreeDofNewton(grid, gamma_c, p, ncomp)
-    U, history = _damped_newton(newton, U0, eps, settings)
+    U, history, factorizations = _damped_newton(newton, U0, eps, settings)
 
     res_reg = newton.residual(U, eps)
     if res_reg > settings.residual_tol:
@@ -770,6 +787,6 @@ def solve_dirichlet(grid: DomainGrid, gamma: ConductivityField, p: float,
 
     field = PField(values=_values_from_components(U), mode=mode)
     return SolveResult(field=field, energy=history[-1][1],
-                       energy_history=history,
+                       energy_history=history, factorizations=factorizations,
                        weak_residual=newton.residual(U, 0.0),
                        regularized_residual=res_reg, eps_final_abs=eps)

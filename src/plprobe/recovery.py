@@ -438,7 +438,7 @@ class RecoveryRow:
     leading: float = math.nan
     remainder: complex = complex(math.nan, 0.0)
     pairing_imag: float = math.nan
-    newton_iterations: int = 0
+    newton_iterations: int = 0   # steps of the full solve, chord steps included
     weak_residual: float = math.nan
     message: str = ""
 
@@ -519,9 +519,9 @@ def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
     Each row is one `_window_solve`, on the `probe_window_grid` that
     receives `nodes_per_wavelength` and `max_nodes`, with its two-level
     start.  `newton_iterations` counts the steps of the full resolution
-    solve only.  A per-M solver, resolution, quadrature or grid-budget
-    failure is recorded in its row, which is not ok, and the run continues;
-    any other exception propagates.  The extrapolated value adds the last step
+    solve only, chord steps included.  A per-M solver, resolution,
+    quadrature or grid-budget failure is recorded in its row, which is not
+    ok, and the run continues; any other exception propagates.  The extrapolated value adds the last step
     between the two final estimates once more.
     """
     gamma0 = float(gamma(np.zeros((1, 2)))[0])

@@ -104,7 +104,7 @@ def test_verify_dn_suite(tmp_path):
     assert "homogeneity" in text and "pairing_slope" in text
 
 
-def test_solve_command_writes_solution_and_log(tmp_path):
+def test_solve_command_writes_solution_and_log(tmp_path, capsys):
     cfg = tmp_path / "solve.cfg"
     cfg.write_text("[physics]\np = 3\ngamma = 1 + x2/2\n"
                    "[probe]\nmode = complex\nm_list = 4\n")
@@ -114,6 +114,11 @@ def test_solve_command_writes_solution_and_log(tmp_path):
     assert header == "x,y,re,im"
     conv = (tmp_path / "convergence.csv").read_text()
     assert "iteration,eps,energy,decrement" in conv
+    meta = dict(l[2:].split(": ", 1) for l in sol if l.startswith("# ") and ": " in l)
+    steps, factorizations = int(meta["iterations"]), int(meta["factorizations"])
+    assert 1 <= factorizations < steps
+    assert (f"{steps} Newton steps on {factorizations} factorizations"
+            in capsys.readouterr().out)
 
 
 def test_solve_rejects_non_finite_datum(tmp_path, capsys):
@@ -137,7 +142,8 @@ def _csv_rows(path):
 
 def test_recover_curved_bottom_pins_report(tmp_path):
     # real mode, p = 3, g = -x1^2/10, M = 4, 8; values recorded before the
-    # bottom boundary became one type
+    # bottom boundary became one type, except `correction`, which the chord
+    # steps moved by 7.7e-10 at M = 8
     assert run(["recover", "--config", REPO / "configs" / "recover_curved.cfg",
                 "--out", tmp_path]) == 0
     rows = _csv_rows(tmp_path / "report.csv")
@@ -146,14 +152,14 @@ def test_recover_curved_bottom_pins_report(tmp_path):
         "quad_estimate": (1.0136253589714497, 1.0148767628948479),
         "leading": (1.0311932505594532, 1.0388869177875859),
         "remainder_re": (-0.095105415703212834, -0.028347108286742063),
-        "correction": (0.0084217272572666268, 0.0025297707215101838),
+        "correction": (0.0084217272572986897, 0.0025297707234663309),
     }
     assert [r["M"] for r in rows] == ["4", "8"]
     for column, values in expected.items():
         for row, value in zip(rows, values):
             assert float(row[column]) == pytest.approx(value, rel=1e-12), column
     # M = 8 starts from its half-resolution solution, M = 4 from the probe
-    assert [r["newton_iterations"] for r in rows] == ["8", "5"]
+    assert [r["newton_iterations"] for r in rows] == ["11", "7"]
 
 
 def test_recover_curved_bottom_beyond_solve_rectangle(tmp_path):
@@ -495,13 +501,21 @@ def test_recover_unconverged_quadrature_is_a_failed_row(tmp_path, monkeypatch):
     assert row["message"].startswith(UNCONVERGED_QUADRATURE)
 
 
-def test_probe_check_unconverged_quadrature_exits_1(tmp_path, monkeypatch, capsys):
+def test_probe_check_unconverged_quadrature_is_a_failed_row(tmp_path, monkeypatch,
+                                                             capsys):
+    # as in `recover`: the row fails with its message, the converged rows
+    # are kept, and the run exits 2
     monkeypatch.setattr(recovery, "_MAX_LEVEL", 1)
-    assert run(["probe-check", "--config", _real_p15_m16(tmp_path),
-                "--out", tmp_path]) == 1
-    assert f"error: {UNCONVERGED_QUADRATURE} to 1e-07 within 1 levels" in (
-        capsys.readouterr().err)
-    assert not (tmp_path / "probe_check.csv").exists()
+    cfg = _real_p15_m16(tmp_path)
+    cfg.write_text(cfg.read_text().replace("m_list = 16", "m_list = 8, 16"))
+    assert run(["probe-check", "--config", cfg, "--out", tmp_path]) == 2
+    assert f"M =    16: FAILED ({UNCONVERGED_QUADRATURE}" in capsys.readouterr().out
+    assert "# contract: fail" in (tmp_path / "probe_check.csv").read_text()
+    converged, failed = _csv_rows(tmp_path / "probe_check.csv")
+    assert converged["ok"] == "true" and converged["message"] == ""
+    assert float(converged["estimate"]) == pytest.approx(0.97969566546402886, rel=1e-12)
+    assert failed["ok"] == "false" and failed["estimate"] == "nan"
+    assert failed["message"].startswith(f"{UNCONVERGED_QUADRATURE} to 1e-07 within 1 levels")
 
 
 def test_recover_overflowing_newton_weight_fails_its_rows(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -281,24 +282,25 @@ def test_weak_residual_small_at_minimizer_large_before(nonlinear_setup):
     assert pde.weak_residual(g, gam, 3.0, f) >= 1e-3
 
 
-# Newton steps and final energy of the cold solves of the exact exponential
-# exp(N (i sqrt(p - 1) x1 - x2)), N = 3, at resolution 32, recorded before the
-# element kernels moved to the component-major layout.
+# Newton steps, band factorizations and final energy of the cold solves of
+# the exact exponential exp(N (i sqrt(p - 1) x1 - x2)), N = 3, at resolution
+# 32; the energies were recorded before the element kernels moved to the
+# component-major layout, and before the chord steps.
 COLD_SOLVE_PINS = {
-    ("rectangle", 1.5, "zero"): (9, 3.0968118119232484),
-    ("rectangle", 1.5, "random"): (7, 3.096811811923249),
-    ("rectangle", 3.0, "zero"): (7, 31.218364262980614),
-    ("rectangle", 3.0, "random"): (7, 31.218364262980614),
-    ("half disc", 1.5, "zero"): (11, 2.9518754165801435),
-    ("half disc", 1.5, "random"): (11, 2.9518754165801435),
-    ("half disc", 3.0, "zero"): (8, 30.823995581278375),
-    ("half disc", 3.0, "random"): (8, 30.823995581278368),
+    ("rectangle", 1.5, "zero"): (12, 6, 3.0968118119232484),
+    ("rectangle", 1.5, "random"): (7, 4, 3.096811811923249),
+    ("rectangle", 3.0, "zero"): (9, 5, 31.218364262980614),
+    ("rectangle", 3.0, "random"): (11, 6, 31.218364262980614),
+    ("half disc", 1.5, "zero"): (13, 6, 2.9518754165801435),
+    ("half disc", 1.5, "random"): (12, 6, 2.9518754165801435),
+    ("half disc", 3.0, "zero"): (10, 5, 30.823995581278375),
+    ("half disc", 3.0, "random"): (12, 6, 30.823995581278368),
 }
 
 
 @pytest.mark.parametrize("shape,p,init", sorted(COLD_SOLVE_PINS))
 def test_cold_solve_pins_steps_and_energy(shape, p, init):
-    steps, energy = COLD_SOLVE_PINS[shape, p, init]
+    steps, factorizations, energy = COLD_SOLVE_PINS[shape, p, init]
     g = pde.build_grid(pde.Rectangle(1.0, 1.0) if shape == "rectangle"
                        else pde.HalfDisc(1.0), 32.0)
     beta = np.sqrt(p - 1.0)
@@ -307,6 +309,7 @@ def test_cold_solve_pins_steps_and_energy(shape, p, init):
     sol = pde.solve_dirichlet(g, pde.ConductivityField.constant(1.0), p, datum,
                               pde.SolverSettings(init=init, seed=1))
     assert len(sol.energy_history) == steps
+    assert sol.factorizations == factorizations
     assert sol.energy == pytest.approx(energy, rel=1e-12)
 
 
@@ -535,26 +538,111 @@ def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
     assert scipy_openblas.scipy_openblas_get_num_threads() == 2
 
 
-def test_p2_solve_takes_three_steps_on_two_factorizations(
+def _record_steps(monkeypatch):
+    """Wrap the linearization and the back-solve to record, per call, the
+    free iterate, whether a band was factored, the Newton direction and the
+    free numbering."""
+    steps = []
+    linearize, band_solve = pde._FreeDofNewton.linearize, pde._band_solve
+
+    def recording_linearize(self, U, eps, band=True):
+        steps.append({"U": U.ravel()[self.dofs], "factored": band, "dofs": self.dofs})
+        return linearize(self, U, eps, band)
+
+    def recording_solve(factor, b):
+        steps[-1]["d"] = band_solve(factor, b)
+        return steps[-1]["d"]
+
+    monkeypatch.setattr(pde._FreeDofNewton, "linearize", recording_linearize)
+    monkeypatch.setattr(pde, "_band_solve", recording_solve)
+    return steps
+
+
+def _step_lengths(steps, sol):
+    """The length t of each recorded step: the move to the next recorded
+    iterate (to the solution, for the last) along the step's direction."""
+    ends = [s["U"] for s in steps[1:]]
+    ends.append(sol.field.components().ravel()[steps[0]["dofs"]])
+    return [(end - s["U"]) @ s["d"] / (s["d"] @ s["d"]) for s, end in zip(steps, ends)]
+
+
+def test_p2_solve_takes_three_steps_on_one_factorization(
         nonlinear_setup, scipy_openblas, monkeypatch):
     # the quadratic energy is minimized by the first step, which falls by
-    # exactly its model's prediction and so is never lengthened; the second
-    # only confirms it, and the polish step reuses the second step's factor
+    # exactly its model's prediction and so is never lengthened; its Newton
+    # matrix is the Hessian everywhere, so the chord step after it and the
+    # polish step only confirm the minimizer on the same factor
     g, gam, f = nonlinear_setup
     factors = _record_factor_threads(monkeypatch, scipy_openblas)
     sol = pde.solve_dirichlet(g, gam, 2.0, f, pde.SolverSettings(init="zero"))
     assert len(sol.energy_history) == 3
-    assert len(factors) == 2
+    assert len(factors) == sol.factorizations == 1
 
 
 def test_polish_step_makes_no_factorization(nonlinear_setup, scipy_openblas,
                                             monkeypatch):
     g, gam, f = nonlinear_setup
+    steps = _record_steps(monkeypatch)
     factors = _record_factor_threads(monkeypatch, scipy_openblas)
     solves = _record_factor_threads(monkeypatch, scipy_openblas, "dpbtrs")
     sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
-    assert len(factors) == len(sol.energy_history) - 1
-    assert len(solves) == len(sol.energy_history)
+    factored = [s["factored"] for s in steps]
+    assert len(factors) == sol.factorizations == factored.count(True)
+    assert len(solves) == len(steps) == len(sol.energy_history)
+    assert not factored[-1]
+    assert sol.factorizations < len(sol.energy_history) - 1
+
+
+@pytest.mark.parametrize("p,init", ((3.0, "random"), (1.2, "zero")))
+def test_chord_step_follows_only_a_full_length_factored_step(
+        nonlinear_setup, monkeypatch, p, init):
+    # both starts lengthen their first step, and the p = 1.2 zero start
+    # backtracks several factored steps after it
+    g, gam, f = nonlinear_setup
+    steps = _record_steps(monkeypatch)
+    sol = pde.solve_dirichlet(g, gam, p, f, pde.SolverSettings(init=init, seed=1))
+    assert len(steps) == len(sol.energy_history)
+    factored = [s["factored"] for s in steps]
+    assert factored.count(True) == sol.factorizations
+    lengths = _step_lengths(steps, sol)
+    full = [abs(t - 1.0) <= 1e-9 for t in lengths]
+    assert lengths[0] >= 2.0
+    if p < 2.0:
+        assert any(t < 1.0 for t, fac in zip(lengths, factored) if fac)
+    for k in range(1, len(steps) - 1):
+        # a chord step follows every full-length factored step, and only those
+        assert (not factored[k]) == (factored[k - 1] and full[k - 1]), k
+        # and is never lengthened
+        assert factored[k] or lengths[k] <= 1.0 + 1e-9, k
+    # the last step is the polish, a chord step; its length is round-off
+    assert not factored[-1]
+
+
+def test_failed_chord_line_search_falls_back_to_a_factored_step(
+        nonlinear_setup, monkeypatch):
+    g, gam, f = nonlinear_setup
+    settings = pde.SolverSettings(init="zero")
+    reference = pde.solve_dirichlet(g, gam, 3.0, f, settings)
+    steps = _record_steps(monkeypatch)
+    energy = pde._FreeDofNewton.energy
+
+    def failing_first_chord(self, U, eps):
+        # every trial of the first chord step is rejected, so its search fails
+        factored = [s["factored"] for s in steps]
+        if factored.count(False) == 1 and not factored[-1]:
+            return math.inf
+        return energy(self, U, eps)
+
+    monkeypatch.setattr(pde._FreeDofNewton, "energy", failing_first_chord)
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, settings)
+    factored = [s["factored"] for s in steps]
+    k = factored.index(False)
+    # the failed chord step is dropped: a factored step from the same iterate
+    assert factored[k + 1] and np.array_equal(steps[k]["U"], steps[k + 1]["U"])
+    assert len(sol.energy_history) == len(steps) - 1
+    assert sol.factorizations == factored.count(True)
+    assert sol.energy == pytest.approx(reference.energy, rel=1e-12)
+    assert sol.regularized_residual <= settings.residual_tol
 
 
 def test_final_energy_is_last_history_entry(nonlinear_setup):
@@ -578,24 +666,13 @@ def test_p3_random_start_lengthens_its_first_step(nonlinear_setup, monkeypatch):
     # far from the solution a full step only maps q -> q/2 at p = 3, so the
     # energy falls faster than its quadratic model and the step is doubled
     g, gam, f = nonlinear_setup
-    iterates, directions = [], []
-    linearize, band_solve = pde._FreeDofNewton.linearize, pde._band_solve
-
-    def recording_linearize(self, U, eps, band=True):
-        iterates.append(U.ravel()[self.dofs])
-        return linearize(self, U, eps, band)
-
-    def recording_solve(factor, b):
-        directions.append(band_solve(factor, b))
-        return directions[-1]
-
-    monkeypatch.setattr(pde._FreeDofNewton, "linearize", recording_linearize)
-    monkeypatch.setattr(pde, "_band_solve", recording_solve)
+    steps = _record_steps(monkeypatch)
     sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="random", seed=1))
-    d = directions[0]
-    t = (iterates[1] - iterates[0]) @ d / (d @ d)
-    assert t >= 2.0
-    assert len(sol.energy_history) <= 8
+    assert _step_lengths(steps, sol)[0] >= 2.0
+    # the lengthened first step, 6 full-length factored steps each followed
+    # by a chord step, and the polish
+    assert len(sol.energy_history) <= 14
+    assert sol.factorizations <= 7
 
 
 def test_half_disc_p8_random_start_converges():

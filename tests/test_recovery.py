@@ -570,7 +570,18 @@ def test_failed_coarse_solve_falls_back_to_the_probe_start(monkeypatch):
     # the same row of the recover demo's golden, written before the
     # two-level start existed
     assert row.estimate == pytest.approx(1.0039390498376664, rel=1e-12)
-    assert row.newton_iterations == len(direct.energy_history) == 7
+    assert row.newton_iterations == len(direct.energy_history) == 9
+
+
+def test_reference_solve_from_the_conductivity_solution_factors_once():
+    # the gamma = 1 solve of the same window, started from u_gamma, as a
+    # calibrated estimator would run it: one factored step at full length,
+    # its chord step and the polish
+    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
+    grid, probe, sol = recovery._window_solve(spec, GAMMA_SLOPE, None, 16.0, 1_500_000)
+    ref = pde.solve_dirichlet(grid, GAMMA_ONE, 3.0, probe, initial=sol.field)
+    assert (len(ref.energy_history), ref.factorizations) == (3, 1)
+    assert ref.regularized_residual <= 1e-7
 
 
 def test_recover_requires_increasing_m():
