@@ -289,7 +289,7 @@ def _dn_suite(cfg: ExperimentConfig):
 def _special_suite():
     checks = []
     for p in (1.5, 2.0, 3.0):
-        fld = special.make_complex_exponential(p, n=2, N=3.0)
+        fld = special.make_complex_exponential(p, N=3.0)
         re_id, im_id = fld.identity_residual()
         dev = max(abs(re_id), abs(im_id))
         checks.append(SuiteCheck("special", f"exponential_identity[p={p:g}]",

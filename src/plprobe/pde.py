@@ -29,8 +29,9 @@ step assembles its lower band and factors it by LAPACK banded Cholesky
 (dpbtrf) on one OpenBLAS thread.  A factored step accepted at full length
 is followed by one chord step, which assembles only the gradient and
 back-solves (dpbtrs) with the same factor (Shamanskii's method; Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 5); the
-closing polish step is a chord step too.
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 5),
+unless its decrement exceeds the factored step's, when the iterate is
+factored again; the closing polish step is a chord step too.
 Only the lower triangle of each symmetric element block is formed (21 of
 36 entries for complex data, 6 of 9 for real); the slot of every entry and
 the hat p-norms of the residual are computed once per solve.  The dual
@@ -53,6 +54,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -438,13 +440,13 @@ EXPANSION_MARGIN = 0.05
 
 
 @functools.cache
-def _scipy_openblas():
-    """The OpenBLAS bundled with scipy, which runs dpbtrf, as a ctypes
-    library; None where it or its `openblas_set_num_threads_local` is not
-    found.  Looked up at the first factorization, not at import."""
-    import scipy
-
-    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+def _bundled_openblas(package: str):
+    """The OpenBLAS bundled with the wheel of `package` as a ctypes
+    library: scipy's runs dpbtrf, numpy's the probe quadrature's weighted
+    sums.  None where it or its `openblas_set_num_threads_local` is not
+    found.  Looked up at first use, not at import."""
+    module = importlib.import_module(package)
+    libs = Path(module.__file__).parent.parent / f"{package}.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -457,12 +459,16 @@ def _scipy_openblas():
     return None
 
 
-# In a pthreads OpenBLAS (scipy's wheels) the thread count is one number for
-# the whole process, although the setter is named "local": two solves pinning
-# it from different threads could restore each other's count out of order.
+# In a pthreads OpenBLAS (numpy's and scipy's wheels) the thread count is
+# one number for the whole process, although the setter is named "local":
+# two callers pinning it from different threads could restore each other's
+# count out of order.
 @contextlib.contextmanager
-def _one_openblas_thread():
-    lib = _scipy_openblas()
+def _one_openblas_thread(package: str):
+    """Run the block on one thread of `package`'s OpenBLAS, and give the
+    caller's count back on exit or error; where that library is not found,
+    on the library's own count."""
+    lib = _bundled_openblas(package)
     if lib is None:
         yield
         return
@@ -489,7 +495,7 @@ def _band_factor(ab):
     scipy."""
     from scipy.linalg.lapack import dpbtrf
 
-    with _one_openblas_thread():
+    with _one_openblas_thread("scipy"):
         factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise SolverConvergenceError(
@@ -501,7 +507,7 @@ def _band_solve(factor, b):
     """Solve H x = b with the band Cholesky factor of H from `_band_factor`."""
     from scipy.linalg.lapack import dpbtrs
 
-    with _one_openblas_thread():
+    with _one_openblas_thread("scipy"):
         return dpbtrs(factor, b, lower=1)[0]
 
 
@@ -655,13 +661,15 @@ def _damped_newton(newton, U, eps, settings):
     accepted at full length (t = 1: not backtracked, not lengthened) is
     followed by one chord step, which assembles only the gradient and
     back-solves with the same factor (Shamanskii's method); the step after
-    it is factored again.  A chord step whose line search fails is dropped,
-    and a factored step is taken from the same iterate.  Once a step's
-    relative energy decrease is at most outer_tol and the residual meets
-    residual_tol (or the decrement reaches float resolution), one more
-    "polish" step is taken, also a chord step on the current factor.  Every
-    accepted step, chord steps included, appends (eps, E, decrement) to the
-    history and counts toward max_iter.
+    it is factored again.  A chord step whose decrement exceeds that of the
+    factored step before it is dropped before its line search: the factor
+    no longer models the energy there.  A chord step whose line search
+    fails is dropped too.  Either way a factored step is taken from the
+    same iterate.  Once a step's relative energy decrease is at most
+    outer_tol and the residual meets residual_tol (or the decrement reaches
+    float resolution), one more "polish" step is taken, also a chord step
+    on the current factor.  Every accepted step, chord steps included,
+    appends (eps, E, decrement) to the history and counts toward max_iter.
 
     The line search halves t from 1 until the Armijo test passes.  When it
     accepts t = 1 on a factored step and the energy fell by more than
@@ -683,6 +691,12 @@ def _damped_newton(newton, U, eps, settings):
         decrement = float(-g @ d)
         if decrement < 0.0:
             raise SolverConvergenceError("Newton direction is not a descent direction")
+        if not (chord or polish):
+            factored_decrement = decrement
+        elif chord and decrement > factored_decrement:
+            chord = False
+            del factor
+            continue
 
         D = np.zeros_like(U)
         D.ravel()[newton.dofs] = d

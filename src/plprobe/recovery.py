@@ -1,28 +1,29 @@
 """Boundary-value recovery from localized oscillatory probes.
 
-A probe at scale M concentrates on B(0, 1/M) around the base boundary
-point (normalized to the origin, inward normal e_n) and oscillates at
-frequency N = M^s, s > 1, so M/N -> 0.  Normalized so that its DN
-self-pairing converges to gamma(0):
+A probe in the plane at scale M concentrates on B(0, 1/M) around the
+base boundary point (normalized to the origin, inward normal e_2) and
+oscillates at frequency N = M^s, s > 1, so M/N -> 0.  Normalized so that
+its DN self-pairing converges to gamma(0):
 
-    complex mode:  v_M = (M^(n-1) N^(1-p) / c_p)^(1/p) eta_M h_N,
+    complex mode:  v_M = (M N^(1-p) / c_p)^(1/p) eta_M h_N,
     real mode:     same scaling with the Wolff field e^(-N rho) a(N x_1),
 
 with c_p the mode's normalization constant.  Two independent routes
 estimate gamma(0):
 
 * quadrature_limit: grid-free adaptive panel quadrature of the closed-form
-  probe energy M^(n-1) N^(1-p) int gamma |grad u_0|^p / c_p (no PDE);
+  probe energy M N^(1-p) int gamma |grad u_0|^p / c_p (no PDE);
   isolates the pure-in-M convergence at machine quadrature accuracy.
 
 * recover_boundary_value: per-M PDE solves with datum v_M and self-pairing
-  <L(f_M), f_M>; the correction-decay indicator M^(n-1) N^(1-p)
+  <L(f_M), f_M>; the correction-decay indicator M N^(1-p)
   ||grad(u - u_0)||_p^p and the leading/remainder split of the pairing
   identity isolate how far the probe is from an exact solution.
 
-The scaled integrands live on y = (M x', N rho): boundary layer e^(-p y_n)
-times a bounded profile, oscillatory in y_1 only in real mode; panels are
-aligned to the cutoff kinks and to half-periods of the oscillation.
+The scaled integrands live on y = (M x_1, N rho): boundary layer
+e^(-p y_2) times a bounded profile, oscillatory in y_1 only in real mode;
+panels are aligned to the cutoff kinks and to half-periods of the
+oscillation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import special
 from .pde import (ConductivityField, DomainGrid, PField, Rectangle,
                   SolverSettings, SolverConvergenceError, _complex_gradients,
-                  _p_energy, build_grid, solve_dirichlet)
+                  _one_openblas_thread, _p_energy, build_grid, solve_dirichlet)
 from .dnmap import flux_pairing
 from .vecp import _norm_sq, _pow_or_zero
 
@@ -72,17 +73,16 @@ class ProbeSpec:
     """Localized probe: mode, exponent, scales and ingredient fields.
 
     N follows M through N = M^s with s > 1 (so M/N -> 0); the base point
-    is the origin with inward normal e_n.  Real mode needs a Wolff profile
-    and a boundary defining function (flat by default).  Complex mode uses
-    `special.make_complex_exponential`, which oscillates along e_1 with
-    |beta|^2 = p - 1.
+    is the origin of the plane with inward normal e_2.  Real mode needs a
+    Wolff profile and a boundary defining function (flat by default).
+    Complex mode uses `special.make_complex_exponential`, which oscillates
+    along e_1 with |beta|^2 = p - 1.
     """
 
     mode: str
     p: float
     M: float
     s: float = 2.0
-    n: int = 2
     cutoff: special.CutoffProfile = field(default_factory=special.CutoffProfile)
     profile: special.WolffProfile | None = None
     rho: special.BoundaryDefiningFunction = field(
@@ -97,8 +97,6 @@ class ProbeSpec:
             raise ValueError("M must be positive")
         if not self.s > 1:
             raise ValueError("N-rule exponent s must exceed 1 (M/N must vanish)")
-        if self.n not in (2, 3):
-            raise ValueError("n must be 2 or 3")
         if self.mode == "real" and self.profile is None:
             raise ValueError("real mode requires a Wolff profile")
         if self.mode == "real" and self.profile.p != self.p:
@@ -117,19 +115,19 @@ class ProbeSpec:
 
     def c_p(self) -> float:
         if self.mode == "complex":
-            return special.c_p_complex(self.p, self.cutoff, self.n)
-        return special.c_p_real(self.p, self.cutoff, self.profile, self.n)
+            return special.c_p_complex(self.p, self.cutoff)
+        return special.c_p_real(self.p, self.cutoff, self.profile)
 
     def normalization(self) -> float:
-        """(M^(n-1) N^(1-p) / c_p)^(1/p): makes the self-pairing -> gamma(0)."""
-        return (self.M ** (self.n - 1) * self.N ** (1.0 - self.p) / self.c_p()) ** (1.0 / self.p)
+        """(M N^(1-p) / c_p)^(1/p): makes the self-pairing -> gamma(0)."""
+        return (self.M * self.N ** (1.0 - self.p) / self.c_p()) ** (1.0 / self.p)
 
 
 def _probe_values(spec: ProbeSpec, pts: np.ndarray) -> np.ndarray:
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff)
     cut = eta.value(pts.T)
     if spec.mode == "complex":
-        h = special.make_complex_exponential(spec.p, spec.n, N=spec.N)
+        h = special.make_complex_exponential(spec.p, N=spec.N)
         return cut * h.value(pts)
     fld = special.WolffField(spec.profile, spec.N, spec.rho)
     return cut * fld.value(pts)
@@ -180,16 +178,29 @@ _LAYER_HEAD = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
 _LAYER_TAIL = np.array([26.0, 33.0, 44.0])
 
 
-def _layer_rule(p: float, level: int):
+def _layer_rule(spec: ProbeSpec, level: int):
     """Gauss nodes and weights of the boundary layer at refinement `level`:
-    head panels cut to width (4/p)/2^level, tail panels as they are."""
+    head panels cut to width (4/p)/2^level, tail panels as they are.
+
+    The head ends at y_2 = 20/p, a depth (20/p)/N in x_2.  Where that depth
+    is within the cutoff's plateau radius 1/(2M), that is where
+    (M/N)(20/p) <= `special.PLATEAU_RADIUS`, the head keeps its level-0
+    panels at every level: refining it there moved the probe energy by at
+    most 2.1e-13 relative over 462 cases (p from 1.1 to 8, s from 1.25 to
+    2, flat and curved bottoms), so the change from level to level is the
+    perpendicular panels'.  Elsewhere the head refines with the level.
+    """
+    p = spec.p
+    if (spec.M / spec.N) * (_LAYER_HEAD[-1] / p) <= special.PLATEAU_RADIUS:
+        level = 0
     head = special._subdivide(_LAYER_HEAD / p, (4.0 / p) / 2**level)
     return special._gauss_panels(np.concatenate([head, _LAYER_TAIL / p]))
 
 
 def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
     # cutoff kinks at +-1/2 and +-1 in the scaled variable
-    base = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    plateau = special.PLATEAU_RADIUS
+    base = np.array([-1.0, -plateau, 0.0, plateau, 1.0])
     width = 0.25 / 2**level
     if spec.mode == "real":
         # resolve the oscillation: at most half a period per panel
@@ -200,58 +211,57 @@ def _perp_breaks(spec: ProbeSpec, level: int) -> np.ndarray:
 
 def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
                    y_layer: np.ndarray) -> np.ndarray:
-    """Points x of the (y', y_n) tensor grid as a component-major
-    (n, n_perp, n_layer) block.
+    """Points x of the (y_1, y_2) tensor grid as a component-major
+    (2, n_perp, n_layer) block.
 
-    y' = M x' spans the cutoff support and y_n = N rho(x) the boundary layer.
+    y_1 = M x_1 spans the cutoff support and y_2 = N rho(x) the boundary
+    layer.
     """
-    M, N, n = spec.M, spec.N, spec.n
-    x = np.empty((n, y_perp.shape[0], y_layer.size))
-    x[0] = y_perp[:, 0][:, None] / M
-    if n == 3:
-        x[1] = y_perp[:, 1][:, None] / M
+    M, N = spec.M, spec.N
+    x = np.empty((2, y_perp.size, y_layer.size))
+    x[0] = (y_perp / M)[:, None]
     rho_val = (y_layer / N)[None, :]
-    # graph boundary: rho(x) = x_n - g(x_1), so x_n = rho + g(x_1);
+    # graph boundary: rho(x) = x_2 - g(x_1), so x_2 = rho + g(x_1);
     # the (x_1, rho) substitution is volume-preserving (unit jacobian).
     # x[0, :, :1] holds x_1 on the first layer, in g's (..., 1) shape.
     g = spec.rho.g
-    x[n - 1] = rho_val if g is None else rho_val + g(x[0, :, :1])[:, None]
+    x[1] = rho_val if g is None else rho_val + g(x[0, :, :1])[:, None]
     return x
 
 
 def _energy_density(spec: ProbeSpec, gamma: ConductivityField,
                     x: np.ndarray) -> np.ndarray:
-    """gamma(x) |G(x)/N|^p on a component-major (n, n_perp, n_layer) block of
-    scaled points, without the e^(-p y_n) layer factor, where G/N =
+    """gamma(x) |G(x)/N|^p on a component-major (2, n_perp, n_layer) block of
+    scaled points, without the e^(-p y_2) layer factor, where G/N =
     (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale field gradient);
     returns (n_perp, n_layer).
 
     Each vector component is one contiguous (n_perp, n_layer) array.
-    Factors of x' alone are evaluated once per perpendicular node, on the
+    Factors of x_1 alone are evaluated once per perpendicular node, on the
     block's first layer: a(N x_1), a'(N x_1) and grad rho, which depends on
-    x' only for the graph boundaries `_scaled_points` substitutes.
+    x_1 only for the graph boundaries `_scaled_points` substitutes.
     """
-    M, N, p, n = spec.M, spec.N, spec.p, spec.n
+    M, N, p = spec.M, spec.N, spec.p
     eta, geta = special.CutoffField(M=M, profile=spec.cutoff).value_and_gradient(x)
     geta /= M  # grad eta evaluated at Mx
 
     if spec.mode == "complex":
-        # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_n|^2 + eta^2 |beta|^2
+        # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_2|^2 + eta^2 |beta|^2
         vec = (M / N) * geta
-        vec[n - 1] -= eta
+        vec[1] -= eta
         mag2 = _norm_sq(vec, axis=0) + eta**2 * (p - 1.0)
     else:
         tau = N * x[0, :, :1]
         a, ap = spec.profile.values_at(tau)
-        # rho.gradient takes and returns point lists (m, n); this is
-        # (n, n_perp, 1), one value per perpendicular node
+        # rho.gradient takes and returns point lists (m, 2); this is
+        # (2, n_perp, 1), one value per perpendicular node
         grad_rho = spec.rho.gradient(x[:, :, 0].T).T[..., None]
         vec = (M / N) * geta * a - eta * a * grad_rho
         vec[0] += eta * ap
         mag2 = _norm_sq(vec, axis=0)
 
-    # gamma of the (m, n) point list, a view of the block
-    return gamma(x.reshape(n, -1).T).reshape(x.shape[1:]) * mag2 ** (p / 2.0)
+    # gamma of the (m, 2) point list, a view of the block
+    return gamma(x.reshape(2, -1).T).reshape(x.shape[1:]) * mag2 ** (p / 2.0)
 
 
 # Perpendicular rows per summation chunk, which fixes the order of the
@@ -261,41 +271,40 @@ _EVAL_POINTS = 1 << 15
 
 
 def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
-    """int int integrand(x) e^(-p y_n) dy' dy_n over the scaled cutoff
+    """int int integrand(x) e^(-p y_2) dy_1 dy_2 over the scaled cutoff
     support and boundary layer, by Gauss panels refined `level` times: each
-    level halves the perpendicular panels and the layer's head panels up to
-    y_n = 20/p (`_layer_rule`); the layer's tail keeps its base panels.
+    level halves the perpendicular panels, and the layer's head panels up
+    to y_2 = 20/p where the head reaches deeper than the cutoff's plateau
+    (`_layer_rule`); the layer's tail keeps its base panels.
 
-    `integrand` maps a component-major (n, n_perp, n_layer) block of points,
+    `integrand` maps a component-major (2, n_perp, n_layer) block of points,
     one row of layer nodes per perpendicular node, to values (n_perp,
     n_layer); component k of every point is the contiguous array x[k].  It
-    may evaluate factors of x' alone on x[:, :, :1] and broadcast them, and
+    may evaluate factors of x_1 alone on x[:, :, :1] and broadcast them, and
     must otherwise work point by point.  The perpendicular nodes are summed in
     chunks of `_CHUNK` rows, which fixes the order of the sums.  Inside a
     chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
     points, which bounds the working set and changes no bit.
+
+    The weighted sums run on one thread of numpy's OpenBLAS: each output
+    of the vector-matrix product is one dot product either way, so the
+    bits are the same, and a second thread bought no wall time on 2 cores
+    while it spun between the sums, and lost time where another process
+    held the other core.
     """
-    layer_nodes, layer_w = _layer_rule(spec.p, level)
-    perp1_nodes, perp1_w = special._gauss_panels(_perp_breaks(spec, level))
-    if spec.n == 2:
-        y_perp = perp1_nodes[:, None]
-        w_perp = perp1_w
-    else:
-        t_nodes, t_w = special._gauss_panels(special._subdivide(
-            np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 0.25 / 2**level))
-        Y1, Y2 = np.meshgrid(perp1_nodes, t_nodes, indexing="ij")
-        y_perp = np.column_stack([Y1.ravel(), Y2.ravel()])
-        w_perp = (perp1_w[:, None] * t_w[None, :]).ravel()
+    layer_nodes, layer_w = _layer_rule(spec, level)
+    y_perp, w_perp = special._gauss_panels(_perp_breaks(spec, level))
     decay = np.exp(-spec.p * layer_nodes)[None, :]
     rows = max(1, _EVAL_POINTS // layer_nodes.size)
     total = 0.0
-    for k in range(0, y_perp.shape[0], _CHUNK):
-        y_chunk = y_perp[k:k + _CHUNK]
-        vals = np.empty((y_chunk.shape[0], layer_nodes.size))
-        for b in range(0, y_chunk.shape[0], rows):
-            x = _scaled_points(spec, y_chunk[b:b + rows], layer_nodes)
-            vals[b:b + rows] = integrand(x) * decay
-        total += float(w_perp[k:k + _CHUNK] @ vals @ layer_w)
+    with _one_openblas_thread("numpy"):
+        for k in range(0, y_perp.size, _CHUNK):
+            y_chunk = y_perp[k:k + _CHUNK]
+            vals = np.empty((y_chunk.size, layer_nodes.size))
+            for b in range(0, y_chunk.size, rows):
+                x = _scaled_points(spec, y_chunk[b:b + rows], layer_nodes)
+                vals[b:b + rows] = integrand(x) * decay
+            total += float(w_perp[k:k + _CHUNK] @ vals @ layer_w)
     return total
 
 
@@ -324,7 +333,7 @@ _MAX_LEVEL = 4
 
 def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec,
                      tol: float = 1e-7) -> float:
-    """Grid-free estimate of gamma(0): M^(n-1) N^(1-p) int gamma |grad u_0|^p / c_p.
+    """Grid-free estimate of gamma(0): M N^(1-p) int gamma |grad u_0|^p / c_p.
 
     Adaptive panel refinement; raises QuadratureError if successive levels
     fail to agree to `tol` relative within `_MAX_LEVEL` refinements.
@@ -503,7 +512,7 @@ def remainder_split(grid: DomainGrid, gamma: ConductivityField, p: float,
 
 def _correction_indicator(grid, spec: ProbeSpec, probe: PField,
                           u: PField) -> float:
-    """M^(n-1) N^(1-p) ||grad(u - u_0)||_p^p for the unnormalized probe
+    """M N^(1-p) ||grad(u - u_0)||_p^p for the unnormalized probe
     (= c_p times the plain p-energy of the normalized correction)."""
     qd = _complex_gradients(grid, u.components() - probe.components())
     return spec.c_p() * _p_energy(grid, _norm_sq(qd), spec.p)

@@ -57,12 +57,17 @@ _SMOOTHSTEP_COEFFS = {
 }
 
 
+# Radius of the cutoff's plateau: eta = 1 on [0, PLATEAU_RADIUS], and the
+# smoothstep shoulder runs from there to 1.
+PLATEAU_RADIUS = 0.5
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Radial bump: 1 on [0, 1/2], polynomial smoothstep down to 0 at 1."""
 
     smoothness: str = "c3"
-    # slice integrals by (p, n), each computed once per profile: a command
+    # slice integrals by p, each computed once per profile: a command
     # builds one profile and needs the same c_p at every M
     _slices: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -79,7 +84,7 @@ class CutoffProfile:
         clamped at 0, so eta^p is defined for every p.  A scalar r gives
         scalars."""
         r = np.asarray(r, dtype=float)
-        plateau = r <= 0.5
+        plateau = r <= PLATEAU_RADIUS
         value = np.where(plateau, 1.0, 0.0)
         shoulder = ~(plateau | (r >= 1.0))  # a NaN r stays NaN
         s = 2.0 * r[shoulder] - 1.0
@@ -92,27 +97,22 @@ class CutoffProfile:
         deriv[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
         return value[()], deriv[()]
 
-    def slice_integral(self, p: float, n: int = 2) -> float:
-        """Integral of eta(x', 0)^p over the (n-1)-dimensional slice.
+    def slice_integral(self, p: float) -> float:
+        """Integral of eta(|t|)^p over the boundary line.
 
-        n = 2: integral of eta(|t|)^p over the line; n = 3: over the plane.
         The plateau contributes exactly; the shoulder takes the fixed
-        Gauss rule `_shoulder_rule(p)`, once per (p, n) for this profile.
+        Gauss rule `_shoulder_rule(p)`, once per p for this profile.
         """
         if p <= 0:
             raise ValueError("p must be positive")
-        if (p, n) not in self._slices:
-            self._slices[p, n] = self._slice_integral(p, n)
-        return self._slices[p, n]
+        if p not in self._slices:
+            self._slices[p] = self._slice_integral(p)
+        return self._slices[p]
 
-    def _slice_integral(self, p: float, n: int) -> float:
+    def _slice_integral(self, p: float) -> float:
         r, w = _shoulder_rule(p)
         eta_p = self.radial(r, slope=False) ** p
-        if n == 2:
-            return 2.0 * (0.5 + float(w @ eta_p))
-        if n == 3:
-            return 2.0 * math.pi * (0.125 + float(w @ (eta_p * r)))
-        raise ValueError("slice integral implemented for n in {2, 3}")
+        return 2.0 * (PLATEAU_RADIUS + float(w @ eta_p))
 
 
 def _shoulder_rule(p: float):
@@ -236,26 +236,15 @@ class ComplexExponentialField:
                 float(alpha @ self.beta))
 
 
-def make_complex_exponential(p: float, n: int = 2, direction=None,
+def make_complex_exponential(p: float,
                              N: float = 1.0) -> ComplexExponentialField:
-    """Oscillation along `direction` (unit vector orthogonal to e_n)."""
+    """The complex exponential of exponent p in the plane, oscillating
+    along e_1: beta = sqrt(p - 1) e_1."""
     if not p > 1:
         raise ValueError("p must be > 1")
     if not N > 0:
         raise ValueError("N must be positive")
-    if n not in (2, 3):
-        raise ValueError("n must be 2 or 3")
-    if direction is None:
-        direction = np.zeros(n)
-        direction[0] = 1.0
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (n,):
-        raise ValueError(f"direction must have shape ({n},)")
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    if abs(direction[-1]) > 1e-13:
-        raise ValueError("direction must be orthogonal to e_n")
-    beta = math.sqrt(p - 1.0) * direction
+    beta = np.array([math.sqrt(p - 1.0), 0.0])
     return ComplexExponentialField(p=float(p), N=float(N), beta=beta)
 
 
@@ -429,19 +418,18 @@ class WolffField:
 # ---------------------------------------------------------------------------
 
 
-def c_p_complex(p: float, eta: CutoffProfile, n: int = 2) -> float:
-    """p^((p-2)/2) * integral of eta(x', 0)^p over the boundary slice."""
+def c_p_complex(p: float, eta: CutoffProfile) -> float:
+    """p^((p-2)/2) * integral of eta(x_1, 0)^p over the boundary line."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    return p ** ((p - 2.0) / 2.0) * eta.slice_integral(p, n)
+    return p ** ((p - 2.0) / 2.0) * eta.slice_integral(p)
 
 
-def c_p_real(p: float, eta: CutoffProfile, profile: WolffProfile,
-             n: int = 2) -> float:
-    """(K / p) * integral of eta(x', 0)^p over the boundary slice."""
+def c_p_real(p: float, eta: CutoffProfile, profile: WolffProfile) -> float:
+    """(K / p) * integral of eta(x_1, 0)^p over the boundary line."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    return (profile.K / p) * eta.slice_integral(p, n)
+    return (profile.K / p) * eta.slice_integral(p)
 
 
 # ---------------------------------------------------------------------------

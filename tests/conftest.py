@@ -89,7 +89,7 @@ def scipy_openblas():
     pin to one thread shows whatever OPENBLAS_NUM_THREADS the suite runs
     under; the count is restored afterwards.  Skips where the library is
     not found, as the solver then factors without a pin."""
-    lib = pde._scipy_openblas()
+    lib = pde._bundled_openblas("scipy")
     if lib is None:
         pytest.skip("scipy's OpenBLAS not found")
     before = lib.scipy_openblas_get_num_threads()

@@ -206,7 +206,7 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
 
     lhs = recovery._refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
-    rhs = (c / spec.p) * spec.cutoff.slice_integral(2.0, spec.n)
+    rhs = (c / spec.p) * spec.cutoff.slice_integral(2.0)
     return {"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(rhs)}
 
 
@@ -522,3 +522,20 @@ def parent_layer_rule(p: float, level: int):
     breaks = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
                        11.0, 15.0, 20.0, 26.0, 33.0, 44.0]) / p
     return special._gauss_panels(special._subdivide(breaks, (4.0 / p) / 2**level))
+
+
+# ---------------------------------------------------------------------------
+# The boundary-layer rule before the head kept its level-0 panels where it
+# lies within the cutoff's plateau: the head, the panels up to 20/p, cut
+# to width (4/p)/2^level at every level for every spec, and the tail's
+# base panels as they are.  A drop-in for `recovery._layer_rule`.
+# ---------------------------------------------------------------------------
+
+
+def head_refining_layer_rule(spec, level: int):
+    p = spec.p
+    head = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
+                     11.0, 15.0, 20.0]) / p
+    tail = np.array([26.0, 33.0, 44.0]) / p
+    head = special._subdivide(head, (4.0 / p) / 2**level)
+    return special._gauss_panels(np.concatenate([head, tail]))

@@ -1,5 +1,5 @@
-"""Guards on the public surface: exported names, benchmark layers and
-defaulted parameters.
+"""Guards on the public surface: exported names, benchmark layers,
+defaulted parameters and defaulted dataclass fields.
 
 `perfbench/spans.py::LAYERS` traces each layer by replacing a module
 attribute, so a renamed or removed attribute would make that layer's
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from perfbench import spans
-from plprobe import pde, recovery
+from plprobe import config, pde, recovery
 
 MODULES = ("vecp", "special", "pde", "dnmap", "recovery", "config")
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +91,6 @@ def test_recovery_takes_the_probe_family_as_one_spec():
 SET_BY_TESTS_ONLY = {
     "quadrature_limit.tol",
     "solve_wolff_profile.initial_slope",
-    "make_complex_exponential.direction",
 }
 
 
@@ -134,14 +133,15 @@ def _sets(call, positional, param):
             or (param in positional and positional.index(param) < len(call.args)))
 
 
+def _parse(directory):
+    return [ast.parse(f.read_text()) for f in sorted(directory.glob("*.py"))]
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     # a default that no call of the package or of the benchmark overrides is
     # dead API; calls are matched to definitions by name
-    def parse(directory):
-        return [ast.parse(f.read_text()) for f in sorted(directory.glob("*.py"))]
-
-    src = parse(ROOT / "src" / "plprobe")
-    calls = _calls_by_name(src + parse(ROOT / "perfbench"))
+    src = _parse(ROOT / "src" / "plprobe")
+    calls = _calls_by_name(src + _parse(ROOT / "perfbench"))
     unset = []
     for tree in src:
         for fn, method in _function_defs(tree):
@@ -157,6 +157,76 @@ def test_every_defaulted_parameter_is_set_by_the_program():
                     continue
                 if not any(_sets(c, positional, param) for c in calls.get(fn.name, [])):
                     unset.append(f"{fn.name}.{param}")
+    assert unset == []
+
+
+def _dataclasses(tree):
+    """(name, init fields in order, defaulted init fields) of every
+    dataclass in the tree."""
+    def name_of(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and any(
+                name_of(getattr(d, "func", d)) == "dataclass"
+                for d in node.decorator_list)):
+            continue
+        ordered, defaulted = [], []
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and name_of(value.func) == "field":
+                keywords = {k.arg: k.value for k in value.keywords}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                default = "default" in keywords or "default_factory" in keywords
+            else:
+                default = value is not None
+            ordered.append(stmt.target.id)
+            if default:
+                defaulted.append(stmt.target.id)
+        out.append((node.name, ordered, defaulted))
+    return out
+
+
+def _assigned_attributes(trees):
+    """Every attribute name assigned to, as in `row.estimate = ...`."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign)
+                       else [])
+            names.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+    return names
+
+
+def test_every_defaulted_dataclass_field_is_set_by_the_program():
+    # a field default that the package and the benchmark never override, by
+    # a call of the class (matched by name), a `replace` or an attribute
+    # assignment, is dead API.  The config sections are exempt: the config
+    # parser builds them from the keys of the config file.
+    src = _parse(ROOT / "src" / "plprobe")
+    program = src + _parse(ROOT / "perfbench")
+    calls = _calls_by_name(program)
+    assigned = _assigned_attributes(program)
+    sections = {cls.__name__ for cls in config._SECTIONS.values()}
+    unset = []
+    for tree in src:
+        for name, ordered, defaulted in _dataclasses(tree):
+            if name in sections:
+                continue
+            for fld in defaulted:
+                set_by_program = (
+                    fld in assigned
+                    or any(_sets(c, ordered, fld) for c in calls.get(name, []))
+                    or any(_sets(c, [], fld) for c in calls.get("replace", [])))
+                if not set_by_program:
+                    unset.append(f"{name}.{fld}")
     assert unset == []
 
 

@@ -143,23 +143,25 @@ def _csv_rows(path):
 def test_recover_curved_bottom_pins_report(tmp_path):
     # real mode, p = 3, g = -x1^2/10, M = 4, 8; values recorded before the
     # bottom boundary became one type, except `correction`, which the chord
-    # steps moved by 7.7e-10 at M = 8
+    # steps moved by 7.7e-10 at M = 8, and the M = 4 `estimate`,
+    # `remainder_re` and `correction`, which dropping the stale chord step
+    # of its solve moved by 2.4e-12, 2.4e-11 and 1.0e-10
     assert run(["recover", "--config", REPO / "configs" / "recover_curved.cfg",
                 "--out", tmp_path]) == 0
     rows = _csv_rows(tmp_path / "report.csv")
     expected = {
-        "estimate": (0.93608783485624036, 1.0105398095008438),
+        "estimate": (0.9360878348539543, 1.0105398095008438),
         "quad_estimate": (1.0136253589714497, 1.0148767628948479),
         "leading": (1.0311932505594532, 1.0388869177875859),
-        "remainder_re": (-0.095105415703212834, -0.028347108286742063),
-        "correction": (0.0084217272572986897, 0.0025297707234663309),
+        "remainder_re": (-0.095105415705501711, -0.028347108286742063),
+        "correction": (0.008421727258164792, 0.0025297707234663309),
     }
     assert [r["M"] for r in rows] == ["4", "8"]
     for column, values in expected.items():
         for row, value in zip(rows, values):
             assert float(row[column]) == pytest.approx(value, rel=1e-12), column
     # M = 8 starts from its half-resolution solution, M = 4 from the probe
-    assert [r["newton_iterations"] for r in rows] == ["11", "7"]
+    assert [r["newton_iterations"] for r in rows] == ["10", "7"]
 
 
 def test_recover_curved_bottom_beyond_solve_rectangle(tmp_path):
@@ -322,6 +324,28 @@ def test_probe_check_matches_golden(tmp_path, golden_mismatches):
                                  GOLDEN / "probe_check_demo" / name) == []
 
 
+# Points at which `probe-check` on probe_check_demo.cfg (real, p = 1.5,
+# M = 8, 16, 32) evaluates the probe energy density, over every level its
+# quadratures try.  The M = 32 row's layer head lies within the cutoff's
+# plateau and keeps its level-0 panels (`recovery._layer_rule`); refining
+# it at every level made 426,400 points.
+PROBE_CHECK_DEMO_INTEGRAND_POINTS = 342_400
+
+
+def test_probe_check_demo_integrand_points(tmp_path, monkeypatch):
+    points = []
+    density = recovery._energy_density
+
+    def counting_density(spec, gamma, x):
+        points.append(x[0].size)
+        return density(spec, gamma, x)
+
+    monkeypatch.setattr(recovery, "_energy_density", counting_density)
+    assert run(["probe-check", "--config", PROBE_CHECK_DEMO,
+                "--out", tmp_path]) == 0
+    assert sum(points) == PROBE_CHECK_DEMO_INTEGRAND_POINTS
+
+
 def _edit_first_row(text, column, edit):
     lines = text.splitlines(keepends=True)
     header, row = [i for i, l in enumerate(lines) if not l.startswith("#")][:2]
@@ -438,7 +462,7 @@ def test_output_env_override(tmp_path, monkeypatch):
 def test_sweep_summary(tmp_path):
     # the Newton factorizations pin scipy's process-wide OpenBLAS thread
     # count; the sweep must leave the count as it found it
-    lib = pde._scipy_openblas()
+    lib = pde._bundled_openblas("scipy")
 
     def openblas_threads():
         return None if lib is None else lib.scipy_openblas_get_num_threads()

@@ -539,23 +539,42 @@ def test_factor_runs_on_one_openblas_thread(scipy_openblas, monkeypatch):
 
 
 def _record_steps(monkeypatch):
-    """Wrap the linearization and the back-solve to record, per call, the
-    free iterate, whether a band was factored, the Newton direction and the
-    free numbering."""
+    """Wrap the linearization, the back-solve and the energy to record, per
+    linearization, the free iterate, whether a band was factored, the
+    Newton direction, the decrement, the free numbering and the count of
+    energy evaluations that follow it."""
     steps = []
     linearize, band_solve = pde._FreeDofNewton.linearize, pde._band_solve
+    energy = pde._FreeDofNewton.energy
 
     def recording_linearize(self, U, eps, band=True):
-        steps.append({"U": U.ravel()[self.dofs], "factored": band, "dofs": self.dofs})
-        return linearize(self, U, eps, band)
+        out = linearize(self, U, eps, band)
+        steps.append({"U": U.ravel()[self.dofs], "factored": band,
+                      "dofs": self.dofs, "g": out[1], "energies": 0})
+        return out
 
     def recording_solve(factor, b):
         steps[-1]["d"] = band_solve(factor, b)
+        steps[-1]["decrement"] = float(-steps[-1]["g"] @ steps[-1]["d"])
         return steps[-1]["d"]
+
+    def counting_energy(self, U, eps):
+        if steps:
+            steps[-1]["energies"] += 1
+        return energy(self, U, eps)
 
     monkeypatch.setattr(pde._FreeDofNewton, "linearize", recording_linearize)
     monkeypatch.setattr(pde, "_band_solve", recording_solve)
+    monkeypatch.setattr(pde._FreeDofNewton, "energy", counting_energy)
     return steps
+
+
+def _dropped_chords(steps):
+    """Indices of the recorded chord steps that were dropped: a factored
+    step follows them from the same iterate."""
+    return [k for k in range(len(steps) - 1)
+            if not steps[k]["factored"] and steps[k + 1]["factored"]
+            and steps[k]["U"].tobytes() == steps[k + 1]["U"].tobytes()]
 
 
 def _step_lengths(steps, sol):
@@ -588,9 +607,33 @@ def test_polish_step_makes_no_factorization(nonlinear_setup, scipy_openblas,
     sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
     factored = [s["factored"] for s in steps]
     assert len(factors) == sol.factorizations == factored.count(True)
-    assert len(solves) == len(steps) == len(sol.energy_history)
+    # one back-solve per step, and one per dropped chord step
+    dropped = _dropped_chords(steps)
+    assert len(solves) == len(steps) == len(sol.energy_history) + len(dropped)
     assert not factored[-1]
     assert sol.factorizations < len(sol.energy_history) - 1
+
+
+def test_stale_chord_step_is_dropped_before_its_line_search(nonlinear_setup,
+                                                           monkeypatch):
+    # from the zero start at p = 3 the Newton weight moves so far in the
+    # first steps that a chord step's decrement outgrows its factor's
+    g, gam, f = nonlinear_setup
+    steps = _record_steps(monkeypatch)
+    sol = pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
+    dropped = _dropped_chords(steps)
+    assert dropped
+    last_factored = None
+    for k, step in enumerate(steps[:-1]):   # the last step is the polish
+        if step["factored"]:
+            last_factored = step["decrement"]
+        elif k in dropped:
+            # dropped unevaluated, and the iterate factored again
+            assert step["decrement"] > last_factored, k
+            assert step["energies"] == 0, k
+        else:
+            assert step["decrement"] <= last_factored, k
+    assert len(steps) == len(sol.energy_history) + len(dropped)
 
 
 @pytest.mark.parametrize("p,init", ((3.0, "random"), (1.2, "zero")))
@@ -626,20 +669,33 @@ def test_failed_chord_line_search_falls_back_to_a_factored_step(
     steps = _record_steps(monkeypatch)
     energy = pde._FreeDofNewton.energy
 
+    def searched_chords():
+        """Indices of the chord steps that reached their line search: those
+        whose decrement does not exceed the factored step's before them."""
+        out, factored_decrement = [], None
+        for k, step in enumerate(steps):
+            if step["factored"]:
+                factored_decrement = step["decrement"]
+            elif step["decrement"] <= factored_decrement:
+                out.append(k)
+        return out
+
     def failing_first_chord(self, U, eps):
-        # every trial of the first chord step is rejected, so its search fails
-        factored = [s["factored"] for s in steps]
-        if factored.count(False) == 1 and not factored[-1]:
+        # every trial of the first chord step that reaches its line search
+        # is rejected, so that search fails
+        if searched_chords() == [len(steps) - 1]:
             return math.inf
         return energy(self, U, eps)
 
     monkeypatch.setattr(pde._FreeDofNewton, "energy", failing_first_chord)
     sol = pde.solve_dirichlet(g, gam, 3.0, f, settings)
     factored = [s["factored"] for s in steps]
-    k = factored.index(False)
+    k = searched_chords()[0]
     # the failed chord step is dropped: a factored step from the same iterate
     assert factored[k + 1] and np.array_equal(steps[k]["U"], steps[k + 1]["U"])
-    assert len(sol.energy_history) == len(steps) - 1
+    # so is the stale chord step before it, unsearched
+    assert _dropped_chords(steps) == [factored.index(False), k]
+    assert len(sol.energy_history) == len(steps) - 2
     assert sol.factorizations == factored.count(True)
     assert sol.energy == pytest.approx(reference.energy, rel=1e-12)
     assert sol.regularized_residual <= settings.residual_tol

@@ -94,7 +94,7 @@ def test_build_probe_is_normalization_times_raw_probe(mode, wolff3):
     grid = recovery.probe_window_grid(spec, nodes_per_wavelength=8.0)
     eta = special.CutoffField(M=spec.M, profile=spec.cutoff).value(grid.pts.T)
     if mode == "complex":
-        raw = eta * special.make_complex_exponential(3.0, 2, N=spec.N).value(grid.pts)
+        raw = eta * special.make_complex_exponential(3.0, N=spec.N).value(grid.pts)
     else:
         raw = (eta * special.WolffField(wolff3, spec.N, spec.rho).value(grid.pts)).real
     probe = recovery.build_probe(spec, grid)
@@ -171,17 +171,6 @@ def test_quadrature_limit_monotone_ramp(mode, p, wolff15, wolff3):
     assert errs[-1] <= 0.02
 
 
-def test_quadrature_limit_n3_consistency(wolff3):
-    # 3D appears at the quadrature level only; gamma = 1 forces the limit 1.
-    # Looser quadrature tolerance: the assertion bands are percent-level.
-    spec = recovery.ProbeSpec(mode="complex", p=3.0, M=32.0, n=3)
-    assert recovery.quadrature_limit(GAMMA_ONE, spec, tol=1e-4) == pytest.approx(
-        1.0, abs=1e-2)
-    spec_r = recovery.ProbeSpec(mode="real", p=3.0, M=8.0, n=3, profile=wolff3)
-    assert recovery.quadrature_limit(GAMMA_ONE, spec_r, tol=1e-4) == pytest.approx(
-        1.0, abs=5e-2)
-
-
 def test_quadrature_limit_s_robustness(wolff3):
     # changing the N-rule exponent moves the estimate within the O(M/N) band
     est2 = recovery.quadrature_limit(
@@ -198,13 +187,6 @@ def test_oscillatory_average_cross_check(wolff15, wolff3):
         assert res["rel_diff"] <= 5e-3
 
 
-def test_oscillatory_average_check_n3(wolff3):
-    # the tensor rule runs over a 2-D perpendicular grid in n = 3
-    spec = recovery.ProbeSpec(mode="real", p=3.0, M=16.0, n=3, profile=wolff3)
-    res = oracles.oscillatory_average_check(spec, tol=1e-3)
-    assert res["rel_diff"] <= 5e-3
-
-
 def test_curved_boundary_quadrature_limit(wolff3):
     rho = special.BoundaryDefiningFunction(lambda x: -0.1 * x[..., 0] ** 2,
                                            lambda x: -0.2 * x[..., 0])
@@ -215,14 +197,14 @@ def test_curved_boundary_quadrature_limit(wolff3):
 
 def _flat_energy_density(spec, gamma_fn, x):
     """Reference: every factor evaluated at every point of a flat row-major
-    (m, n) array, with numpy's own sum for the squared norm."""
-    M, N, p, n = spec.M, spec.N, spec.p, spec.n
+    (m, 2) array, with numpy's own sum for the squared norm."""
+    M, N, p = spec.M, spec.N, spec.p
     eta_field = special.CutoffField(M=M, profile=spec.cutoff)
     eta = eta_field.value(x.T)
     geta = eta_field.value_and_gradient(x.T)[1].T / M
     if spec.mode == "complex":
         vec = (M / N) * geta
-        vec[:, n - 1] -= eta
+        vec[:, 1] -= eta
         mag2 = (vec**2).sum(axis=1) + eta**2 * (p - 1.0)
     else:
         tau = N * x[:, 0]
@@ -234,9 +216,10 @@ def _flat_energy_density(spec, gamma_fn, x):
     return np.asarray(gamma_fn(x), dtype=float) * mag2 ** (p / 2.0)
 
 
+# n, the dimension, is 2 in every case; the column keeps the cases' ids.
 @pytest.mark.parametrize("mode, p, n, curved", [
     ("complex", 3.0, 2, False), ("real", 1.5, 2, False),
-    ("real", 3.0, 2, True), ("real", 3.0, 3, False)])
+    ("real", 3.0, 2, True)])
 def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     # x'-only factors evaluated once per perpendicular node change no bit
     rho = special.BoundaryDefiningFunction()
@@ -244,10 +227,9 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
         rho = special.BoundaryDefiningFunction(lambda x: -x[..., 0] ** 2 / 10.0,
                                                lambda x: -x[..., 0] / 5.0)
     profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
-    spec = recovery.ProbeSpec(mode=mode, p=p, M=16.0, n=n, rho=rho,
-                              profile=profile)
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=16.0, rho=rho, profile=profile)
     rng = np.random.default_rng(5)
-    y_perp = rng.uniform(-1.1, 1.1, (40, n - 1))
+    y_perp = rng.uniform(-1.1, 1.1, 40)
     y_layer = np.sort(rng.uniform(0.0, 44.0 / spec.p, 30))
     x = recovery._scaled_points(spec, y_perp, y_layer)
     assert x.shape == (n, 40, 30)
@@ -265,8 +247,7 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     ("complex", 3.0, 2, False, 256.0, (0, 1, 2)),
     ("real", 1.5, 2, False, 256.0, (0, 1)),
     # level 1: 4,360 perpendicular nodes, two chunks, 109-row blocks
-    ("real", 3.0, 2, True, 256.0, (1,)),
-    ("real", 3.0, 3, False, 8.0, (0,))])
+    ("real", 3.0, 2, True, 256.0, (1,))])  # n as in the test above
 def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
                                                monkeypatch, wolff15, wolff3):
     rho = special.BoundaryDefiningFunction()
@@ -274,8 +255,7 @@ def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
         rho = special.BoundaryDefiningFunction(lambda x: -x[..., 0] ** 2 / 10.0,
                                                lambda x: -x[..., 0] / 5.0)
     profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
-    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, n=n, rho=rho,
-                              profile=profile)
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, rho=rho, profile=profile)
 
     def integrand(x):
         return recovery._energy_density(spec, GAMMA_SLOPE, x)
@@ -311,8 +291,10 @@ def test_quadrature_limit_working_set_is_bounded(wolff3):
 
 @pytest.mark.parametrize("p", (1.1, 3.0, 8.0))
 def test_layer_rule_refines_only_the_head(p):
-    # the nodes beyond 20/p are the base panels' at every level
-    rules = [recovery._layer_rule(p, level) for level in range(5)]
+    # the nodes beyond 20/p are the base panels' at every level; at M = 4,
+    # s = 2 the head reaches past the cutoff's plateau and refines
+    spec = recovery.ProbeSpec(mode="complex", p=p, M=4.0)
+    rules = [recovery._layer_rule(spec, level) for level in range(5)]
     tail = [(nodes[nodes > 20.0 / p], w[nodes > 20.0 / p]) for nodes, w in rules]
     assert all(t[0].size == 30 for t in tail)
     for nodes, w in tail[1:]:
@@ -328,31 +310,119 @@ def test_layer_rule_refines_only_the_head(p):
         assert [nodes.size for nodes, _ in rules[:3]] == [160, 200, 290]
 
 
+def _head_within_plateau(spec):
+    """Whether the layer's head, 20/p deep in y_2, lies within the cutoff's
+    plateau radius 1/(2M) in x_2 = y_2/N."""
+    return (spec.M / spec.N) * (20.0 / spec.p) <= 0.5
+
+
+@pytest.mark.parametrize("p, M, s, within", [
+    (3.0, 16.0, 2.0, True),      # (M/N)(20/p) = 0.42
+    (5.0, 8.0, 2.0, True),       # 0.5, on the threshold
+    (8.0, 1024.0, 1.25, True),   # 0.44
+    (3.0, 8.0, 2.0, False),      # 0.83
+    (2.5, 8.0, 2.0, False),      # 1: keeping the head here moves values
+    (1.1, 32.0, 2.0, False)])    # 0.57
+def test_layer_rule_keeps_the_head_within_the_cutoff_plateau(p, M, s, within):
+    spec = recovery.ProbeSpec(mode="complex", p=p, M=M, s=s)
+    assert _head_within_plateau(spec) == within
+    rules = [recovery._layer_rule(spec, level) for level in range(4)]
+    if within:
+        # the level-0 layer at every level
+        for nodes, w in rules[1:]:
+            assert nodes.tobytes() == rules[0][0].tobytes()
+            assert w.tobytes() == rules[0][1].tobytes()
+    else:
+        sizes = [nodes.size for nodes, _ in rules]
+        assert all(b > a for a, b in zip(sizes[:-1], sizes[1:]))
+    # level 0 is the head-refining rule's either way
+    assert rules[0][0].tobytes() == oracles.head_refining_layer_rule(spec, 0)[0].tobytes()
+
+
 GAMMA_TILT = pde.ConductivityField(lambda x: 1.0 + x[:, 0] ** 2 + x[:, -1] / 2.0)
 CURVED = special.BoundaryDefiningFunction(lambda x: -0.1 * x[..., 0] ** 2,
                                           lambda x: -0.2 * x[..., 0])
 
 
-@pytest.mark.parametrize("mode, p, s, n, curved, M", [
-    ("complex", 1.1, 1.25, 2, False, 16.0),
-    ("complex", 3.0, 2.0, 2, False, 16.0),
-    ("complex", 8.0, 1.25, 3, False, 8.0),
-    ("real", 1.1, 2.0, 2, False, 16.0),
-    ("real", 3.0, 1.25, 2, True, 32.0),
-    ("real", 8.0, 2.0, 2, True, 16.0),
-    ("real", 3.0, 2.0, 3, False, 8.0)])
-def test_quadrature_limit_matches_the_frozen_layer_rule(monkeypatch, mode, p, s,
-                                                        n, curved, M, wolff3):
+def _tilt_spec(mode, p, M, s, curved, wolff3):
     profile = None
     if mode == "real":
         profile = wolff3 if p == 3.0 else special.solve_wolff_profile(p)
-    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, s=s, n=n, profile=profile,
+    return recovery.ProbeSpec(mode=mode, p=p, M=M, s=s, profile=profile,
                               rho=CURVED if curved else special.BoundaryDefiningFunction())
-    tol = 1e-4 if n == 3 else 1e-7
-    new = recovery.quadrature_limit(GAMMA_TILT, spec, tol=tol)
-    monkeypatch.setattr(recovery, "_layer_rule", oracles.parent_layer_rule)
-    old = recovery.quadrature_limit(GAMMA_TILT, spec, tol=tol)
+
+
+# n, the dimension, is 2 in every case, as in the block tests above.
+@pytest.mark.parametrize("mode, p, s, n, curved, M", [
+    ("complex", 1.1, 1.25, 2, False, 16.0),
+    ("complex", 3.0, 2.0, 2, False, 16.0),
+    ("real", 1.1, 2.0, 2, False, 16.0),
+    ("real", 3.0, 1.25, 2, True, 32.0),
+    ("real", 8.0, 2.0, 2, True, 16.0)])
+def test_quadrature_limit_matches_the_frozen_layer_rule(monkeypatch, mode, p, s,
+                                                        n, curved, M, wolff3):
+    # freezing the tail moves nothing: the parent rule, at the level whose
+    # head the rule uses (level 0 where the head lies within the plateau)
+    spec = _tilt_spec(mode, p, M, s, curved, wolff3)
+    new = recovery.quadrature_limit(GAMMA_TILT, spec)
+
+    def parent_rule(spec, level):
+        return oracles.parent_layer_rule(
+            spec.p, 0 if _head_within_plateau(spec) else level)
+
+    monkeypatch.setattr(recovery, "_layer_rule", parent_rule)
+    old = recovery.quadrature_limit(GAMMA_TILT, spec)
     assert abs(new - old) <= 1e-14 * abs(old)
+
+
+# (M/N)(20/p) <= 1/2 in every case
+@pytest.mark.parametrize("mode, p, s, curved, M", [
+    ("complex", 1.1, 2.0, False, 64.0),
+    ("real", 1.1, 2.0, False, 64.0),
+    ("complex", 1.5, 2.0, False, 32.0),
+    ("real", 1.5, 2.0, True, 32.0),
+    ("complex", 2.0, 2.0, False, 32.0),
+    ("complex", 3.0, 1.5, False, 256.0),
+    ("real", 3.0, 2.0, True, 16.0),
+    ("real", 3.0, 1.25, False, 32768.0),
+    ("complex", 5.0, 2.0, False, 8.0),
+    ("complex", 8.0, 1.25, False, 1024.0),
+    ("real", 8.0, 1.25, True, 1024.0),
+    ("real", 8.0, 2.0, True, 16.0)])
+def test_quadrature_within_the_plateau_matches_the_head_refining_rule(
+        monkeypatch, mode, p, s, curved, M, wolff3):
+    spec = _tilt_spec(mode, p, M, s, curved, wolff3)
+    assert _head_within_plateau(spec)
+    new = recovery.quadrature_limit(GAMMA_TILT, spec)
+    monkeypatch.setattr(recovery, "_layer_rule", oracles.head_refining_layer_rule)
+    old = recovery.quadrature_limit(GAMMA_TILT, spec)
+    assert abs(new - old) <= 1e-12 * abs(old)
+
+
+def test_quadrature_sums_run_on_one_numpy_openblas_thread(monkeypatch):
+    lib = pde._bundled_openblas("numpy")
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get = lib.scipy_openblas_get_num_threads64_
+    put = lib.scipy_openblas_set_num_threads64_
+    before = get()
+    put(2)
+    seen = []
+    scaled_points = recovery._scaled_points
+
+    def recording(*args):
+        seen.append(get())
+        return scaled_points(*args)
+
+    monkeypatch.setattr(recovery, "_scaled_points", recording)
+    try:
+        spec = recovery.ProbeSpec(mode="complex", p=3.0, M=8.0)
+        recovery.quadrature_limit(GAMMA_SLOPE, spec)
+        # pinned inside every level, and the caller's count given back
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_refined_quad_needs_a_level_to_compare():

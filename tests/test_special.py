@@ -116,26 +116,25 @@ def test_cutoff_slice_integral_frozen():
     # Golden values from adaptive quadrature of the c3 smoothstep profile,
     # converged to 1e-12 (plateau part is exact).
     cp = special.CutoffProfile("c3")
-    assert cp.slice_integral(2.0, 2) == pytest.approx(1.404817404817405, abs=1e-10)
-    assert cp.slice_integral(4.0, 2) == pytest.approx(1.32699247524188, abs=1e-10)
-    assert cp.slice_integral(2.0, 3) == pytest.approx(1.5646937769627485, abs=1e-10)
+    assert cp.slice_integral(2.0) == pytest.approx(1.404817404817405, abs=1e-10)
+    assert cp.slice_integral(4.0) == pytest.approx(1.32699247524188, abs=1e-10)
 
 
 def test_cutoff_slice_integral_once_per_profile(monkeypatch):
-    # a profile integrates each (p, n) once; the kept results are not
-    # part of its value
+    # a profile integrates each p once; the kept results are not part of
+    # its value
     cp = special.CutoffProfile("c3")
-    first = cp.slice_integral(3.0, 2)
+    first = cp.slice_integral(3.0)
 
     def no_rule(p):
         raise AssertionError("slice integral recomputed")
 
     monkeypatch.setattr(special, "_shoulder_rule", no_rule)
-    assert cp.slice_integral(3.0, 2) == first
+    assert cp.slice_integral(3.0) == first
     fresh = special.CutoffProfile("c3")
     assert fresh == cp and hash(fresh) == hash(cp)
     with pytest.raises(AssertionError):
-        fresh.slice_integral(3.0, 2)
+        fresh.slice_integral(3.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -146,19 +145,16 @@ def test_cutoff_slice_rule_matches_adaptive_quadrature(smoothness, p):
     # is a power of (1 - r); the plateau is exact in both
     cp = special.CutoffProfile(smoothness)
     points = 1.0 - 0.5 ** np.arange(2, 30)
-    for n, weight, plateau, scale in ((2, lambda r: 1.0, 0.5, 2.0),
-                                      (3, lambda r: r, 0.125, 2.0 * math.pi)):
-        shoulder = quad(lambda r: max(cp.radial(r)[0], 0.0) ** p * weight(r),
-                        0.5, 1.0, points=points, limit=500,
-                        epsabs=1e-16, epsrel=1e-14)[0]
-        ref = scale * (plateau + shoulder)
-        assert abs(cp.slice_integral(p, n) - ref) <= 1e-15 * ref, n
+    shoulder = quad(lambda r: max(cp.radial(r)[0], 0.0) ** p, 0.5, 1.0,
+                    points=points, limit=500, epsabs=1e-16, epsrel=1e-14)[0]
+    ref = 2.0 * (0.5 + shoulder)
+    assert abs(cp.slice_integral(p) - ref) <= 1e-15 * ref
 
 
 def test_cutoff_dilation_scaling():
     # Replacing eta by eta(./2) doubles the 1D slice integral.
     cp = special.CutoffProfile("c3")
-    base = cp.slice_integral(3.0, 2)
+    base = cp.slice_integral(3.0)
     dilated = 2.0 * quad(lambda t: cp.radial(t / 2.0)[0] ** 3, 0.0, 2.0,
                          epsabs=1e-13, epsrel=1e-12)[0]
     assert dilated == pytest.approx(2.0 * base, rel=1e-10)
@@ -177,14 +173,14 @@ def test_cutoff_rejects_bad_smoothness_and_scale():
 
 
 def test_exponential_classical_p2():
-    f = special.make_complex_exponential(2.0, n=2, N=1.0)
+    f = special.make_complex_exponential(2.0, N=1.0)
     x = np.array([[0.3, 0.7]])
     expected = np.exp((1j * x[0, 0] - x[0, 1]))
     assert f.value(x)[0] == pytest.approx(expected)
 
 
 def test_exponential_beta_constraints():
-    f = special.make_complex_exponential(5.0, n=2)
+    f = special.make_complex_exponential(5.0)
     assert f.beta @ f.beta == pytest.approx(4.0, abs=1e-14)
     assert abs(f.beta[-1]) == 0.0
     # |grad h(0)| = |i beta - e_n| = sqrt(p)
@@ -193,7 +189,7 @@ def test_exponential_beta_constraints():
 
 
 def test_exponential_modulus_law():
-    f = special.make_complex_exponential(3.0, n=2, N=7.0)
+    f = special.make_complex_exponential(3.0, N=7.0)
     pts = np.array([[0.2, 0.1], [-0.5, 0.4], [1.0, 0.03]])
     assert np.allclose(np.abs(f.value(pts)), np.exp(-7.0 * pts[:, 1]))
 
@@ -201,7 +197,7 @@ def test_exponential_modulus_law():
 def test_exponential_algebraic_identity():
     # rho . ((p-1) alpha + i beta) = (p-1)|alpha|^2 - |beta|^2 + i p alpha.beta
     for p in (1.5, 2.0, 3.0, 7.0):
-        f = make = special.make_complex_exponential(p, n=2)
+        f = make = special.make_complex_exponential(p)
         re, im = f.identity_residual()
         assert abs(re) <= 1e-13
         assert abs(im) == 0.0
@@ -211,16 +207,9 @@ def test_exponential_algebraic_identity():
         assert abs(combo) <= 1e-13
 
 
-def test_exponential_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        special.make_complex_exponential(2.0, n=2, direction=np.array([0.6, 0.8]))
-    with pytest.raises(ValueError):
-        special.make_complex_exponential(2.0, n=2, direction=np.array([2.0, 0.0]))
-
-
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
 def test_exponential_fd_divergence_residual(p):
-    f = special.make_complex_exponential(p, n=2, N=3.0)
+    f = special.make_complex_exponential(p, N=3.0)
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(-1, 1, 10), rng.uniform(0.05, 1.0, 10)])
     for x in pts:
@@ -228,7 +217,7 @@ def test_exponential_fd_divergence_residual(p):
 
 
 def test_exponential_residual_second_order():
-    f = special.make_complex_exponential(3.0, n=2, N=2.0)
+    f = special.make_complex_exponential(3.0, N=2.0)
     x = np.array([0.2, 0.4])
     r1 = special.p_laplace_residual(f.gradient, x, 3.0, 1e-2 / f.N, f.N)
     r2 = special.p_laplace_residual(f.gradient, x, 3.0, 5e-3 / f.N, f.N)
@@ -246,7 +235,7 @@ def test_residual_affine_field_exact_zero():
 
 
 def test_residual_rejects_bad_step():
-    f = special.make_complex_exponential(2.0, n=2)
+    f = special.make_complex_exponential(2.0)
     with pytest.raises(ValueError):
         special.p_laplace_residual(f.gradient, [0.0, 0.5], 2.0, 0.0, f.N)
 
@@ -455,20 +444,20 @@ def test_graph_boundary_normalization():
 
 def test_c_p_complex_values():
     eta = special.CutoffProfile()
-    slice2 = special.CutoffProfile("c3").slice_integral(2.0, 2)
-    assert special.c_p_complex(2.0, eta, 2) == pytest.approx(slice2, rel=1e-12)
-    slice4 = special.CutoffProfile("c3").slice_integral(4.0, 2)
-    assert special.c_p_complex(4.0, eta, 2) == pytest.approx(4.0 * slice4, rel=1e-12)
+    slice2 = special.CutoffProfile("c3").slice_integral(2.0)
+    assert special.c_p_complex(2.0, eta) == pytest.approx(slice2, rel=1e-12)
+    slice4 = special.CutoffProfile("c3").slice_integral(4.0)
+    assert special.c_p_complex(4.0, eta) == pytest.approx(4.0 * slice4, rel=1e-12)
 
 
 def test_c_p_real_values():
     eta = special.CutoffProfile()
     prof2 = special.solve_wolff_profile(2.0)
-    slice2 = special.CutoffProfile("c3").slice_integral(2.0, 2)
-    assert special.c_p_real(2.0, eta, prof2, 2) == pytest.approx(0.5 * slice2, rel=1e-9)
+    slice2 = special.CutoffProfile("c3").slice_integral(2.0)
+    assert special.c_p_real(2.0, eta, prof2) == pytest.approx(0.5 * slice2, rel=1e-9)
     prof = special.solve_wolff_profile(1.5)
-    val = special.c_p_real(1.5, eta, prof, 2)
+    val = special.c_p_real(1.5, eta, prof)
     assert val > 0.0
     assert val == pytest.approx((prof.K / 1.5)
-                                * special.CutoffProfile("c3").slice_integral(1.5, 2),
+                                * special.CutoffProfile("c3").slice_integral(1.5),
                                 rel=1e-12)
