@@ -13,7 +13,6 @@ contracts met, 1 execution/config error, 2 a run contract was violated.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -83,20 +82,20 @@ def cmd_wolff(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _probe_family(cfg: ExperimentConfig, get_profile, mode, p) -> recovery.ProbeSpec:
+def _probe_family(cfg: ExperimentConfig, mode, p) -> recovery.ProbeSpec:
     """The config's probe family (mode, p) at M = m_list[0]; the Wolff
-    profile is built, through get_profile, in real mode only."""
+    profile is built in real mode only."""
     return recovery.ProbeSpec(
         mode=mode, p=p, M=float(cfg.probe.m_list[0]), s=cfg.probe.s,
         cutoff=special.CutoffProfile(cfg.probe.cutoff),
-        profile=get_profile(p) if mode == "real" else None,
+        profile=special.solve_wolff_profile(p) if mode == "real" else None,
         rho=bottom_curve(cfg.domain))
 
 
 def cmd_probe_check(cfg: ExperimentConfig, out: Path) -> int:
     mode, p = cfg.probe.mode, cfg.physics.p
     gamma = _gamma_field(cfg.physics.gamma)
-    family = _probe_family(cfg, special.solve_wolff_profile, mode, p)
+    family = _probe_family(cfg, mode, p)
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
     rows = []
     errs = []
@@ -131,7 +130,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     d = cfg.domain
 
     if cfg.physics.boundary_data == "probe":
-        spec = _probe_family(cfg, special.solve_wolff_profile, mode, p)
+        spec = _probe_family(cfg, mode, p)
         grid = recovery.probe_window_grid(
             spec, nodes_per_wavelength=d.nodes_per_wavelength,
             max_nodes=int(d.max_nodes))
@@ -160,10 +159,10 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text, get_profile):
+def _recover_one(cfg: ExperimentConfig, mode, p, gamma_text):
     d = cfg.domain
     return recovery.recover_boundary_value(
-        _gamma_field(gamma_text), _probe_family(cfg, get_profile, mode, p),
+        _gamma_field(gamma_text), _probe_family(cfg, mode, p),
         cfg.probe.m_list, settings=cfg.solver,
         nodes_per_wavelength=d.nodes_per_wavelength, max_nodes=int(d.max_nodes))
 
@@ -184,9 +183,7 @@ _REPORT_HEADER = ("M", "N", "ok", "estimate", "quad_estimate", "abs_error",
 
 
 def cmd_recover(cfg: ExperimentConfig, out: Path) -> int:
-    get_profile = functools.cache(special.solve_wolff_profile)
-    report = _recover_one(cfg, cfg.probe.mode, cfg.physics.p,
-                          cfg.physics.gamma, get_profile)
+    report = _recover_one(cfg, cfg.probe.mode, cfg.physics.p, cfg.physics.gamma)
     ok = report.monotone_contract()
     meta = {"mode": report.mode, "p": report.p, "s": report.s,
             "gamma0-target": report.gamma0, "extrapolated": report.extrapolated,
@@ -215,13 +212,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     gamma_list = cfg.sweep.gamma_list or (cfg.physics.gamma,)
     combos = [(p, mode, gtxt) for p in p_list for mode in mode_list
               for gtxt in gamma_list]
-    get_profile = functools.cache(special.solve_wolff_profile)
     rows = []
     any_contract_fail = False
     for p, mode, gtxt in combos:
         # per-M failures are recorded in the report rows; anything else
         # raised here is an execution error and ends the sweep
-        rep = _recover_one(cfg, mode, p, gtxt, get_profile)
+        rep = _recover_one(cfg, mode, p, gtxt)
         ok = rep.monotone_contract()
         any_contract_fail = any_contract_fail or not ok
         est = rep.rows[-1].estimate if rep.rows else math.nan

@@ -18,7 +18,7 @@ boundary, is solved as the minimization of the regularized convex energy
 
 by damped Newton with a backtracking (Armijo, sufficient-decrease constant
 1/4) line search, run from the initial iterate at the single eps =
-eps_final times the RMS gradient of the datum.  A full step whose energy
+EPS_FINAL times the RMS gradient of the datum.  A full step whose energy
 falls faster than its quadratic model predicts, as far from the solution
 for p > 2, is doubled while that lowers the energy, up to 64 times the
 Newton step (the expansion phase of Nocedal & Wright, Numerical
@@ -364,45 +364,22 @@ def weak_residual(grid: DomainGrid, gamma: ConductivityField, p: float,
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Newton controls.
-
-    The solve runs damped Newton at eps = eps_final times the RMS gradient
-    of the datum, which makes it exactly equivariant under scaling of the
-    datum.  A factored Newton step accepted at full length is followed by
-    one chord step on its factor.  Once a step's relative energy decrease
-    is at most outer_tol and the regularized dual residual is at most
-    residual_tol, it takes one more chord step on the current factor, the
-    polish, and stops; the polish takes the iterate about one contraction
-    of the chord iteration further, not to round-off.  max_iter, an
-    integer >= 1, bounds the steps taken before the test passes, chord
-    steps included.  Step lengths halve until the energy falls by at least
-    1/4 of the step's decrement; a full factored step that beats its
-    quadratic model by the margin EXPANSION_MARGIN is doubled while the
-    energy falls, up to length 64.  init is datum, zero or random; seed,
-    an integer >= 0, seeds the random start.  Bad values raise ValueError
-    at construction, with a message that begins with the field's name.
+    """The start of a solve: init is datum, zero or random; seed, an
+    integer >= 0, seeds the random start.  Bad values raise ValueError at
+    construction, with a message that begins with the field's name.  The
+    stopping rule and the regularization are the module constants
+    EPS_FINAL, OUTER_TOL, RESIDUAL_TOL and MAX_ITER (see `_damped_newton`).
     """
 
-    eps_final: float = 1e-6
-    outer_tol: float = 1e-11
-    residual_tol: float = 1e-7
-    max_iter: int = 60
     init: str = "datum"   # datum | zero | random
     seed: int = 12345
 
     def __post_init__(self):
-        for key in ("eps_final", "outer_tol", "residual_tol"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"{key}: must be positive")
-        if not (self.max_iter >= 1 and float(self.max_iter).is_integer()):
-            raise ValueError("max_iter: must be at least 1 and an integer, "
-                             f"got {self.max_iter:g}")
         if self.init not in ("datum", "zero", "random"):
             raise ValueError(f"init: unknown initialization {self.init!r}")
         if not (self.seed >= 0 and float(self.seed).is_integer()):
             raise ValueError(f"seed: must be a non-negative integer, got {self.seed:g}")
-        # integral floats, as a config file gives them, are stored as ints
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        # an integral float, as a config file gives it, is stored as an int
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -422,6 +399,17 @@ class SolveResult:
     regularized_residual: float   # dual residual at eps_final_abs
     eps_final_abs: float
 
+
+# Newton runs at eps = EPS_FINAL times the RMS gradient of the datum, which
+# makes the solve exactly equivariant under scaling of the datum.  Once a
+# step's relative energy decrease is at most OUTER_TOL and the regularized
+# dual residual at most RESIDUAL_TOL, one more chord step, the polish, ends
+# the solve; MAX_ITER bounds the steps taken before that, chord steps
+# included.
+EPS_FINAL = 1e-6
+OUTER_TOL = 1e-11
+RESIDUAL_TOL = 1e-7
+MAX_ITER = 60
 
 # Armijo sufficient-decrease constant.  Below 1/2, so unit steps are accepted
 # near the solution; large enough to reject the sign-flipping full steps that
@@ -653,7 +641,7 @@ class _FreeDofNewton:
         return E, g, ab.reshape(self.nfree, self.kd + 1).T
 
 
-def _damped_newton(newton, U, eps, settings):
+def _damped_newton(newton, U, eps):
     """Damped Newton at fixed eps from U; returns (last iterate, history,
     factorizations).
 
@@ -666,10 +654,12 @@ def _damped_newton(newton, U, eps, settings):
     no longer models the energy there.  A chord step whose line search
     fails is dropped too.  Either way a factored step is taken from the
     same iterate.  Once a step's relative energy decrease is at most
-    outer_tol and the residual meets residual_tol (or the decrement reaches
+    OUTER_TOL and the residual meets RESIDUAL_TOL (or the decrement reaches
     float resolution), one more "polish" step is taken, also a chord step
-    on the current factor.  Every accepted step, chord steps included,
-    appends (eps, E, decrement) to the history and counts toward max_iter.
+    on the current factor; the polish takes the iterate about one
+    contraction of the chord iteration further, not to round-off.  Every
+    accepted step, chord steps included, appends (eps, E, decrement) to the
+    history and counts toward MAX_ITER.
 
     The line search halves t from 1 until the Armijo test passes.  When it
     accepts t = 1 on a factored step and the energy fell by more than
@@ -726,17 +716,17 @@ def _damped_newton(newton, U, eps, settings):
         history.append((eps, E_try, decrement))
         if polish:
             return U, history, factorizations
-        if (E - E_try) / max(abs(E_try), 1e-300) <= settings.outer_tol:
-            polish = (newton.residual(U, eps) <= settings.residual_tol
+        if (E - E_try) / max(abs(E_try), 1e-300) <= OUTER_TOL:
+            polish = (newton.residual(U, eps) <= RESIDUAL_TOL
                       or decrement <= 1e-28 * max(abs(E_try), 1e-300))
         chord = not (chord or polish) and t == 1.0
         if not polish:
             if not chord:
                 # the next step's band is assembled without this factor alive
                 del factor
-            if len(history) >= settings.max_iter:
+            if len(history) >= MAX_ITER:
                 raise SolverConvergenceError(
-                    f"no convergence within {settings.max_iter} iterations "
+                    f"no convergence within {MAX_ITER} iterations "
                     f"at eps = {eps:.3e}", residual=newton.residual(U, eps))
 
 
@@ -788,16 +778,16 @@ def solve_dirichlet(grid: DomainGrid, gamma: ConductivityField, p: float,
     grad_rms = math.sqrt(float((_norm_sq(q0.reshape(-1, q0.shape[-1]), axis=0)
                                  * grid.area).sum())
                          / float(grid.area.sum()))
-    eps = settings.eps_final * (grad_rms if grad_rms > 0.0 else 1.0)
+    eps = EPS_FINAL * (grad_rms if grad_rms > 0.0 else 1.0)
 
     newton = _FreeDofNewton(grid, gamma_c, p, ncomp)
-    U, history, factorizations = _damped_newton(newton, U0, eps, settings)
+    U, history, factorizations = _damped_newton(newton, U0, eps)
 
     res_reg = newton.residual(U, eps)
-    if res_reg > settings.residual_tol:
+    if res_reg > RESIDUAL_TOL:
         raise SolverConvergenceError(
             f"final regularized residual {res_reg:.3e} exceeds "
-            f"residual_tol {settings.residual_tol:.3e}", residual=res_reg)
+            f"RESIDUAL_TOL {RESIDUAL_TOL:.3e}", residual=res_reg)
 
     field = PField(values=_values_from_components(U), mode=mode)
     return SolveResult(field=field, energy=history[-1][1],

@@ -327,19 +327,20 @@ def _refined_quad(spec: ProbeSpec, integrand, tol: float, max_level: int) -> flo
         f"(last change {change:.3e})")
 
 
-# Refinement levels `quadrature_limit` tries after level 0.
+# Refinement levels `quadrature_limit` tries after level 0, and the relative
+# change between successive levels at which it stops.
 _MAX_LEVEL = 4
+_QUAD_TOL = 1e-7
 
 
-def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec,
-                     tol: float = 1e-7) -> float:
+def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec) -> float:
     """Grid-free estimate of gamma(0): M N^(1-p) int gamma |grad u_0|^p / c_p.
 
     Adaptive panel refinement; raises QuadratureError if successive levels
-    fail to agree to `tol` relative within `_MAX_LEVEL` refinements.
+    fail to agree to `_QUAD_TOL` relative within `_MAX_LEVEL` refinements.
     """
     return _refined_quad(spec, lambda x: _energy_density(spec, gamma, x),
-                         tol, _MAX_LEVEL) / spec.c_p()
+                         _QUAD_TOL, _MAX_LEVEL) / spec.c_p()
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +531,9 @@ def recover_boundary_value(gamma: ConductivityField, spec: ProbeSpec, M_list, *,
     start.  `newton_iterations` counts the steps of the full resolution
     solve only, chord steps included.  A per-M solver, resolution,
     quadrature or grid-budget failure is recorded in its row, which is not
-    ok, and the run continues; any other exception propagates.  The extrapolated value adds the last step
-    between the two final estimates once more.
+    ok, and the run continues; any other exception propagates.  The
+    extrapolated value adds the last step between the two final estimates
+    once more.
     """
     gamma0 = float(gamma(np.zeros((1, 2)))[0])
     M_list = list(M_list)

@@ -31,6 +31,7 @@ from .vecp import _norm_sq, _pow_or_zero
 
 __all__ = [
     "CutoffProfile",
+    "slice_integral",
     "CutoffField",
     "ComplexExponentialField",
     "make_complex_exponential",
@@ -67,10 +68,6 @@ class CutoffProfile:
     """Radial bump: 1 on [0, 1/2], polynomial smoothstep down to 0 at 1."""
 
     smoothness: str = "c3"
-    # slice integrals by p, each computed once per profile: a command
-    # builds one profile and needs the same c_p at every M
-    _slices: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         if self.smoothness not in _SMOOTHSTEP_COEFFS:
@@ -97,22 +94,21 @@ class CutoffProfile:
         deriv[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
         return value[()], deriv[()]
 
-    def slice_integral(self, p: float) -> float:
-        """Integral of eta(|t|)^p over the boundary line.
 
-        The plateau contributes exactly; the shoulder takes the fixed
-        Gauss rule `_shoulder_rule(p)`, once per p for this profile.
-        """
-        if p <= 0:
-            raise ValueError("p must be positive")
-        if p not in self._slices:
-            self._slices[p] = self._slice_integral(p)
-        return self._slices[p]
+@functools.cache
+def slice_integral(smoothness: str, p: float) -> float:
+    """Integral of eta(|t|)^p over the boundary line for the cutoff
+    `CutoffProfile(smoothness)`.
 
-    def _slice_integral(self, p: float) -> float:
-        r, w = _shoulder_rule(p)
-        eta_p = self.radial(r, slope=False) ** p
-        return 2.0 * (PLATEAU_RADIUS + float(w @ eta_p))
+    The plateau contributes exactly; the shoulder takes the fixed Gauss
+    rule `_shoulder_rule(p)`.  Each (smoothness, p) is integrated once per
+    process: a command needs the same c_p at every M, several times a row.
+    """
+    if p <= 0:
+        raise ValueError("p must be positive")
+    r, w = _shoulder_rule(p)
+    eta_p = CutoffProfile(smoothness).radial(r, slope=False) ** p
+    return 2.0 * (PLATEAU_RADIUS + float(w @ eta_p))
 
 
 def _shoulder_rule(p: float):
@@ -327,24 +323,23 @@ def _phase(M, e):
 
 @dataclass
 class WolffProfile:
-    """The periodic profile a with (a, a')(0) = (0, slope), in closed form.
+    """The periodic profile a with (a, a')(0) = (0, 1), in closed form.
 
     V is 0-homogeneous, so in the phase plane (a, a') = r (sin psi, cos psi)
     the ODE separates (T. Wolff, "Gap series constructions for the
     p-Laplacian", J. Anal. Math. 102, 2007):
 
         t = (p psi / 2 + (p - 2) sin(2 psi) / 4) / (p - 1),
-        r = slope exp(-(p - 2) sin^2 psi / (2 (p - 1))),
+        r = exp(-(p - 2) sin^2 psi / (2 (p - 1))),
 
     and psi = 2 pi closes the period lam = pi p / (p - 1).  With u = 2 psi
     the first is the Kepler-type equation u + e sin u = 4 (p - 1) t / p,
-    e = (p - 2) / p.  The slope scales a and leaves the period.  `t`, `a`,
-    `aprime` are one period's 8,192 uniform samples; K is the mean of
-    |(a, a')|^p and a_mean the mean of a over them.
+    e = (p - 2) / p.  `t`, `a`, `aprime` are one period's 8,192 uniform
+    samples; K is the mean of |(a, a')|^p and a_mean the mean of a over
+    them.
     """
 
     p: float
-    slope: float = 1.0
     lam: float = field(init=False)
     t: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
@@ -355,12 +350,10 @@ class WolffProfile:
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError("p must be > 1")
-        if not self.slope > 0:
-            raise ValueError("initial slope must be positive")
         self.lam = math.pi * self.p / (self.p - 1.0)
         self.t = np.linspace(0.0, self.lam, 8192, endpoint=False)
         # the amplitude grows like exp(1 / (2 (p - 1))) as p -> 1: the
-        # samples or K overflow for p <= 1.0014 at slope 1
+        # samples or K overflow for p <= 1.0014
         with np.errstate(over="ignore"):
             self.a, self.aprime = self.values_at(self.t)
             # the plain mean of uniform periodic samples is the spectrally
@@ -368,7 +361,7 @@ class WolffProfile:
             self.K = float(np.mean((self.a**2 + self.aprime**2) ** (self.p / 2.0)))
         if not math.isfinite(self.K):  # also where a sample overflowed
             raise ValueError(f"the Wolff profile overflows at p = {self.p} "
-                             f"(slope {self.slope:g}): K is not finite")
+                             "(K is not finite)")
         self.a_mean = float(np.mean(self.a))
 
     def values_at(self, tau):
@@ -377,14 +370,14 @@ class WolffProfile:
         M = np.mod(np.ravel(tau), self.lam) * (4.0 * (p - 1.0) / p)
         psi = _phase(M, (p - 2.0) / p) / 2.0
         s = np.sin(psi)
-        r = self.slope * np.exp((2.0 - p) / (2.0 * (p - 1.0)) * s * s)
+        r = np.exp((2.0 - p) / (2.0 * (p - 1.0)) * s * s)
         shape = np.shape(tau)
         return (r * s).reshape(shape), (r * np.cos(psi)).reshape(shape)
 
 
-def solve_wolff_profile(p: float, initial_slope: float = 1.0) -> WolffProfile:
-    """The Wolff profile of exponent p with a'(0) = initial_slope."""
-    return WolffProfile(float(p), float(initial_slope))
+def solve_wolff_profile(p: float) -> WolffProfile:
+    """The Wolff profile of exponent p, with a'(0) = 1."""
+    return WolffProfile(float(p))
 
 
 @dataclass(frozen=True)
@@ -422,14 +415,14 @@ def c_p_complex(p: float, eta: CutoffProfile) -> float:
     """p^((p-2)/2) * integral of eta(x_1, 0)^p over the boundary line."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    return p ** ((p - 2.0) / 2.0) * eta.slice_integral(p)
+    return p ** ((p - 2.0) / 2.0) * slice_integral(eta.smoothness, p)
 
 
 def c_p_real(p: float, eta: CutoffProfile, profile: WolffProfile) -> float:
     """(K / p) * integral of eta(x_1, 0)^p over the boundary line."""
     if not p > 1:
         raise ValueError("p must be > 1")
-    return (profile.K / p) * eta.slice_integral(p)
+    return (profile.K / p) * slice_integral(eta.smoothness, p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Output bytes are deterministic within one machine and library stack, but
 the last bits of a float move with the BLAS kernel (which also runs the
 banded Cholesky of the Newton steps) and numpy's SIMD loops, so golden floats are compared with `math.isclose`.  The tolerance
 sits about 15x above the drift measured across OpenBLAS core types and numpy
-CPU-feature settings (CHANGES.md), and 7 orders below the default `tol`
-of `recovery.quadrature_limit`.
+CPU-feature settings (CHANGES.md), and 7 orders below `recovery._QUAD_TOL`,
+the tolerance of `recovery.quadrature_limit`.
 """
 
 import math

@@ -206,7 +206,7 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
 
     lhs = recovery._refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
-    rhs = (c / spec.p) * spec.cutoff.slice_integral(2.0)
+    rhs = (c / spec.p) * special.slice_integral(spec.cutoff.smoothness, 2.0)
     return {"lhs": lhs, "rhs": rhs, "rel_diff": abs(lhs - rhs) / abs(rhs)}
 
 

@@ -87,13 +87,6 @@ def test_recovery_takes_the_probe_family_as_one_spec():
     assert params & fields == set()
 
 
-# Defaulted parameters that only tests set, as "function.parameter".
-SET_BY_TESTS_ONLY = {
-    "quadrature_limit.tol",
-    "solve_wolff_profile.initial_slope",
-}
-
-
 def _function_defs(tree):
     """(FunctionDef, is_method) of every function in the tree; a method's
     first parameter is bound, unless it is a staticmethod."""
@@ -153,8 +146,6 @@ def test_every_defaulted_parameter_is_set_by_the_program():
             defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
             for param in defaulted:
-                if f"{fn.name}.{param}" in SET_BY_TESTS_ONLY:
-                    continue
                 if not any(_sets(c, positional, param) for c in calls.get(fn.name, [])):
                     unset.append(f"{fn.name}.{param}")
     assert unset == []

@@ -79,11 +79,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["nosuch"]) == 1
     assert run(["recover", "--config"]) == 1
     assert run(["--version"]) == 0
-    for key in ("rule = fixed", "window_margin = 2"):
+    removed = [("domain", "rule"), ("domain", "window_margin"),
+               *(("solver", key) for key in ("eps_final", "outer_tol",
+                                              "residual_tol", "max_iter"))]
+    for section, key in removed:
         cfg = tmp_path / "removed.cfg"
-        cfg.write_text(f"[domain]\n{key}\n")
+        cfg.write_text(f"[{section}]\n{key} = 2\n")
         assert run(["recover", "--config", cfg, "--out", tmp_path]) == 1
-        assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
+        assert f"unknown key '{key}' in [{section}]" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path):

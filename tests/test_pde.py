@@ -257,12 +257,12 @@ def test_solve_homogeneity(nonlinear_setup):
     assert dev <= 1e-9 * np.max(np.abs(t * base.field.values))
 
 
-def test_p2_matches_direct_linear_solve(nonlinear_setup):
+def test_p2_matches_direct_linear_solve(nonlinear_setup, monkeypatch):
     g, gam, f = nonlinear_setup
     # p = 2 energy is quadratic: any two solver paths agree to round-off
     s1 = pde.solve_dirichlet(g, gam, 2.0, f, pde.SolverSettings(init="zero"))
-    s2 = pde.solve_dirichlet(g, gam, 2.0, f,
-                             pde.SolverSettings(init="zero", eps_final=1e-9))
+    monkeypatch.setattr(pde, "EPS_FINAL", 1e-9)
+    s2 = pde.solve_dirichlet(g, gam, 2.0, f, pde.SolverSettings(init="zero"))
     assert np.max(np.abs(s1.field.values - s2.field.values)) <= 1e-10
 
 
@@ -324,11 +324,11 @@ def test_weak_residual_stable_under_refinement():
     assert vals[1] <= 10.0 * max(vals[0], 1e-12)
 
 
-def test_solver_error_carries_residual(nonlinear_setup):
+def test_solver_error_carries_residual(nonlinear_setup, monkeypatch):
     g, gam, f = nonlinear_setup
+    monkeypatch.setattr(pde, "MAX_ITER", 1)
     with pytest.raises(pde.SolverConvergenceError) as err:
-        pde.solve_dirichlet(g, gam, 3.0, f,
-                            pde.SolverSettings(init="zero", max_iter=1))
+        pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(init="zero"))
     assert err.value.residual is None or err.value.residual >= 0.0
 
 
@@ -698,7 +698,7 @@ def test_failed_chord_line_search_falls_back_to_a_factored_step(
     assert len(sol.energy_history) == len(steps) - 2
     assert sol.factorizations == factored.count(True)
     assert sol.energy == pytest.approx(reference.energy, rel=1e-12)
-    assert sol.regularized_residual <= settings.residual_tol
+    assert sol.regularized_residual <= pde.RESIDUAL_TOL
 
 
 def test_final_energy_is_last_history_entry(nonlinear_setup):
@@ -745,12 +745,6 @@ def test_half_disc_p8_random_start_converges():
 
 
 @pytest.mark.parametrize("key,value,message", (
-    ("eps_final", 0.0, "eps_final: must be positive"),
-    ("outer_tol", float("nan"), "outer_tol: must be positive"),
-    ("residual_tol", -1.0, "residual_tol: must be positive"),
-    ("max_iter", 0, "max_iter: must be at least 1 and an integer, got 0"),
-    ("max_iter", -3, "max_iter: must be at least 1 and an integer, got -3"),
-    ("max_iter", 1.5, "max_iter: must be at least 1 and an integer, got 1.5"),
     ("init", "bogus", "init: unknown initialization 'bogus'"),
     ("seed", -1, "seed: must be a non-negative integer, got -1")))
 def test_solver_settings_reject_bad_values_at_construction(key, value, message):
@@ -760,9 +754,8 @@ def test_solver_settings_reject_bad_values_at_construction(key, value, message):
 
 
 def test_solver_settings_store_integral_counts_as_ints():
-    settings = pde.SolverSettings(max_iter=7.0, seed=3.0)
-    assert (settings.max_iter, settings.seed) == (7, 3)
-    assert type(settings.max_iter) is int and type(settings.seed) is int
+    settings = pde.SolverSettings(seed=3.0)
+    assert settings.seed == 3 and type(settings.seed) is int
 
 
 def test_newton_setup_memory_is_bounded():
@@ -818,13 +811,36 @@ def test_warm_started_solve_runs_single_final_stage():
     assert sol.regularized_residual <= 1e-7
 
 
-def test_too_few_iterations_raise_with_residual(nonlinear_setup):
+def test_too_few_iterations_raise_with_residual(nonlinear_setup, monkeypatch):
     g, gam, f = nonlinear_setup
     assert len(pde.solve_dirichlet(g, gam, 3.0, f).energy_history) > 6
+    monkeypatch.setattr(pde, "MAX_ITER", 6)
     with pytest.raises(pde.SolverConvergenceError) as err:
-        pde.solve_dirichlet(g, gam, 3.0, f, pde.SolverSettings(max_iter=6))
+        pde.solve_dirichlet(g, gam, 3.0, f)
     assert "no convergence within 6 iterations" in str(err.value)
     assert np.isfinite(err.value.residual) and err.value.residual >= 0.0
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_residual_above_its_tolerance_raises_with_residual(p, monkeypatch):
+    # no iterate meets a tolerance below round-off: the decrement test
+    # stops Newton, and the final residual check rejects the solve
+    g = pde.build_grid(pde.Rectangle(half_width=0.5, height=0.5), 16)
+    beta = np.sqrt(p - 1.0)
+    f = pde.PField.from_function(
+        g, lambda x: np.exp(2.0 * (1j * beta * x[:, 0] - x[:, 1])))
+    monkeypatch.setattr(pde, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(pde.SolverConvergenceError,
+                       match="final regularized residual .* exceeds RESIDUAL_TOL") as err:
+        pde.solve_dirichlet(g, pde.ConductivityField.constant(1.0), p, f)
+    assert 1e-30 < err.value.residual <= 1e-15
+
+
+def test_initial_field_of_another_mode_is_rejected(nonlinear_setup):
+    g, gam, f = nonlinear_setup
+    initial = pde.PField(f.values, "complex")
+    with pytest.raises(ValueError, match="initial field mode must match the datum mode"):
+        pde.solve_dirichlet(g, gam, 3.0, f, initial=initial)
 
 
 @pytest.mark.parametrize("which", ["datum", "initial"])

@@ -138,6 +138,39 @@ def test_complex_probe_rejects_curved_boundary(wolff3):
         recovery.build_probe(spec, grid)
 
 
+CURVED = special.BoundaryDefiningFunction(lambda x: -0.1 * x[..., 0] ** 2,
+                                          lambda x: -0.2 * x[..., 0])
+
+
+@pytest.mark.parametrize("call,error,message", (
+    (lambda w: recovery.recover_boundary_value(GAMMA_ONE, _family("complex", 3.0),
+                                               [8, 4]),
+     ValueError, "M list must be strictly increasing"),
+    (lambda w: recovery.recover_boundary_value(GAMMA_ONE, _family("complex", 3.0),
+                                               [4, 4]),
+     ValueError, "M list must be strictly increasing"),
+    (lambda w: recovery.ProbeSpec(mode="real", p=3.0, M=4.0),
+     ValueError, "real mode requires a Wolff profile"),
+    (lambda w: recovery.ProbeSpec(mode="real", p=2.5, M=4.0, profile=w),
+     ValueError, "profile exponent does not match the probe exponent"),
+    (lambda w: recovery.build_probe(
+        _family("complex", 3.0),
+        pde.build_grid(pde.Rectangle(0.5, 0.5, bottom=CURVED), 16)),
+     ValueError, "complex-mode probes require a flat bottom boundary"),
+    (lambda w: pde.build_grid(pde.Rectangle(half_width=1.0, height=0.0), 16),
+     ValueError, "degenerate rectangle"),
+    (lambda w: pde.build_grid(pde.HalfDisc(radius=-1.0), 16),
+     ValueError, "degenerate half disc"),
+    (lambda w: pde.build_grid("square", 16), TypeError, "unknown shape 'square'"),
+), ids=("decreasing-M", "repeated-M", "real-without-profile",
+        "profile-of-another-p", "complex-above-curved-bottom",
+        "degenerate-rectangle", "degenerate-half-disc", "unknown-shape"))
+def test_recovery_inputs_are_rejected_with_their_message(call, error, message,
+                                                         wolff3):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(wolff3)
+
+
 def test_probe_window_grid_validation(wolff3):
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
     with pytest.raises(ValueError):
