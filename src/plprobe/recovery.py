@@ -229,39 +229,81 @@ def _scaled_points(spec: ProbeSpec, y_perp: np.ndarray,
     return x
 
 
-def _energy_density(spec: ProbeSpec, gamma: ConductivityField,
-                    x: np.ndarray) -> np.ndarray:
-    """gamma(x) |G(x)/N|^p on a component-major (2, n_perp, n_layer) block of
-    scaled points, without the e^(-p y_2) layer factor, where G/N =
-    (M/N) grad eta (Mx) * osc + eta (Mx) * (unit-scale field gradient);
-    returns (n_perp, n_layer).
+def _energy_density(spec: ProbeSpec, gamma: ConductivityField, x1: np.ndarray):
+    """The probe energy's integrand gamma(x) |G(x)/N|^p without the
+    e^(-p y_2) layer factor, G/N = (M/N) grad eta (Mx) * osc + eta (Mx) *
+    (unit-scale field gradient), on one quadrature level whose
+    perpendicular nodes sit at x_1 = `x1`; `_tensor_quad` describes the
+    returned block(x, rows).
 
-    Each vector component is one contiguous (n_perp, n_layer) array.
-    Factors of x_1 alone are evaluated once per perpendicular node, on the
-    block's first layer: a(N x_1), a'(N x_1) and grad rho, which depends on
-    x_1 only for the graph boundaries `_scaled_points` substitutes.
+    Factors of x_1 alone are evaluated once per level, on all of `x1`:
+    a(N x_1), a'(N x_1), grad rho (a function of x_1 for the graph
+    boundaries `_scaled_points` substitutes), on a flat bottom the x_1^2
+    term of the squared radius, and |G/N|^p on the cutoff's plateau,
+    where eta = 1 and grad eta = 0.  A block's rows that lie on the
+    plateau throughout take that value; the others are evaluated point by
+    point.  Each point's arithmetic keeps the order of the pointwise
+    formula, so no bit depends on the blocking: grad eta's zeros and the
+    products with grad rho = e_2 left out on a flat bottom, which only
+    multiply by 0 and by 1, change |G/N|^2 at most in the sign of a zero
+    that it squares.
     """
     M, N, p = spec.M, spec.N, spec.p
-    eta, geta = special.CutoffField(M=M, profile=spec.cutoff).value_and_gradient(x)
-    geta /= M  # grad eta evaluated at Mx
+    cutoff = special.CutoffField(M=M, profile=spec.cutoff)
+    flat = spec.rho.flat
+    x1_sq = (x1**2)[:, None]
+    if spec.mode == "real":
+        a, ap = (f[:, None] for f in spec.profile.values_at(N * x1))
+    if spec.mode == "real" and not flat:
+        # rho.gradient takes and returns point lists (m, 2) and reads x_1
+        # alone; this is (2, n_perp, 1), one value per perpendicular node
+        grad_rho = spec.rho.gradient(
+            np.column_stack([x1, np.zeros_like(x1)])).T[..., None]
 
-    if spec.mode == "complex":
-        # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_2|^2 + eta^2 |beta|^2
-        vec = (M / N) * geta
-        vec[1] -= eta
-        mag2 = _norm_sq(vec, axis=0) + eta**2 * (p - 1.0)
-    else:
-        tau = N * x[0, :, :1]
-        a, ap = spec.profile.values_at(tau)
-        # rho.gradient takes and returns point lists (m, 2); this is
-        # (2, n_perp, 1), one value per perpendicular node
-        grad_rho = spec.rho.gradient(x[:, :, 0].T).T[..., None]
-        vec = (M / N) * geta * a - eta * a * grad_rho
-        vec[0] += eta * ap
-        mag2 = _norm_sq(vec, axis=0)
+    def field_sq(eta, vec, rows):
+        """|G/N|^2 from eta(Mx) and vec = (M/N) grad eta(Mx), which it
+        overwrites, at the perpendicular nodes x1[rows]."""
+        if spec.mode == "complex":
+            # |G/N|^2 = |(M/N) grad eta(Mx) - eta e_2|^2 + eta^2 |beta|^2
+            vec[1] -= eta
+            mag2 = _norm_sq(vec, axis=0)
+            mag2 += eta**2 * (p - 1.0)
+            return mag2
+        # G/N = a (M/N) grad eta(Mx) - eta a grad rho + eta a' e_1
+        vec *= a[rows]
+        if flat:
+            vec[1] -= eta * a[rows]
+        else:
+            vec -= eta * a[rows] * grad_rho[:, rows]
+        vec[0] += eta * ap[rows]
+        return _norm_sq(vec, axis=0)
 
-    # gamma of the (m, 2) point list, a view of the block
-    return gamma(x.reshape(2, -1).T).reshape(x.shape[1:]) * mag2 ** (p / 2.0)
+    # On the cutoff's plateau eta = 1 and grad eta = +-0, which |G/N|^2
+    # only squares, so there |G/N|^p is a function of x_1 alone.
+    plateau_power = field_sq(np.ones((x1.size, 1)), np.zeros((2, x1.size, 1)),
+                             slice(None)) ** (p / 2.0)
+
+    def block(x, rows):
+        r2 = x1_sq[rows] + x[1, :1]**2 if flat else _norm_sq(x, axis=0)
+        # gamma of the (m, 2) point list, a view of the block
+        density = gamma(x.reshape(2, -1).T).reshape(r2.shape)
+        # runs of rows on the plateau throughout, by their largest radius,
+        # and of rows that reach past it
+        inner = cutoff.on_plateau(r2.max(axis=1))
+        cuts = np.flatnonzero(np.diff(inner)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, inner.size]):
+            run = slice(rows.start + lo, rows.start + hi)
+            if inner[lo]:
+                power = plateau_power[run]
+            else:
+                eta, vec = cutoff.value_and_gradient(x[:, lo:hi], r2[lo:hi])
+                vec /= M  # grad eta evaluated at Mx
+                vec *= M / N
+                power = field_sq(eta, vec, run) ** (p / 2.0)
+            density[lo:hi] *= power
+        return density
+
+    return block
 
 
 # Perpendicular rows per summation chunk, which fixes the order of the
@@ -277,14 +319,18 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     to y_2 = 20/p where the head reaches deeper than the cutoff's plateau
     (`_layer_rule`); the layer's tail keeps its base panels.
 
-    `integrand` maps a component-major (2, n_perp, n_layer) block of points,
-    one row of layer nodes per perpendicular node, to values (n_perp,
-    n_layer); component k of every point is the contiguous array x[k].  It
-    may evaluate factors of x_1 alone on x[:, :, :1] and broadcast them, and
-    must otherwise work point by point.  The perpendicular nodes are summed in
-    chunks of `_CHUNK` rows, which fixes the order of the sums.  Inside a
-    chunk the integrand is evaluated in blocks of about `_EVAL_POINTS`
-    points, which bounds the working set and changes no bit.
+    `integrand(x1)` is called once per level with the x_1 values of its
+    perpendicular nodes, those `_scaled_points` writes, and returns
+    block(x, rows), which maps the component-major (2, n_rows, n_layer)
+    block x of the points of the perpendicular nodes x1[rows], a slice, one
+    row of layer nodes per perpendicular node, to values (n_rows, n_layer);
+    component k of every point is the contiguous array x[k].  So factors of
+    x_1 alone can be evaluated once per level; everything else must work
+    point by point.  The perpendicular nodes are summed in chunks of
+    `_CHUNK` rows, which fixes the order of the sums.  Inside a chunk the
+    integrand is evaluated in blocks of about `_EVAL_POINTS` points, which
+    bounds the working set and changes no bit, and the layer decay is
+    multiplied into the chunk in place.
 
     The weighted sums run on one thread of numpy's OpenBLAS: each output
     of the vector-matrix product is one dot product either way, so the
@@ -294,17 +340,19 @@ def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     """
     layer_nodes, layer_w = _layer_rule(spec, level)
     y_perp, w_perp = special._gauss_panels(_perp_breaks(spec, level))
+    block = integrand(y_perp / spec.M)  # the x_1 that `_scaled_points` writes
     decay = np.exp(-spec.p * layer_nodes)[None, :]
     rows = max(1, _EVAL_POINTS // layer_nodes.size)
     total = 0.0
     with _one_openblas_thread("numpy"):
         for k in range(0, y_perp.size, _CHUNK):
-            y_chunk = y_perp[k:k + _CHUNK]
-            vals = np.empty((y_chunk.size, layer_nodes.size))
-            for b in range(0, y_chunk.size, rows):
-                x = _scaled_points(spec, y_chunk[b:b + rows], layer_nodes)
-                vals[b:b + rows] = integrand(x) * decay
-            total += float(w_perp[k:k + _CHUNK] @ vals @ layer_w)
+            end = min(k + _CHUNK, y_perp.size)
+            vals = np.empty((end - k, layer_nodes.size))
+            for b in range(k, end, rows):
+                e = min(b + rows, end)
+                x = _scaled_points(spec, y_perp[b:e], layer_nodes)
+                np.multiply(block(x, slice(b, e)), decay, out=vals[b - k:e - k])
+            total += float(w_perp[k:end] @ vals @ layer_w)
     return total
 
 
@@ -339,7 +387,7 @@ def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec) -> float:
     Adaptive panel refinement; raises QuadratureError if successive levels
     fail to agree to `_QUAD_TOL` relative within `_MAX_LEVEL` refinements.
     """
-    return _refined_quad(spec, lambda x: _energy_density(spec, gamma, x),
+    return _refined_quad(spec, lambda x1: _energy_density(spec, gamma, x1),
                          _QUAD_TOL, _MAX_LEVEL) / spec.c_p()
 
 

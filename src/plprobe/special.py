@@ -76,23 +76,38 @@ class CutoffProfile:
     def radial(self, r, slope: bool = True):
         """(eta(r), eta'(r)), or eta(r) alone when `slope` is false.  The
         smoothstep and its derivative are evaluated on the shoulder
-        1/2 < r < 1 only; elsewhere the values are exactly 1 or 0 and the
-        slope 0.  1 - smoothstep, which rounds below 0 next to r = 1, is
-        clamped at 0, so eta^p is defined for every p.  A scalar r gives
-        scalars."""
+        1/2 < r < 1 only, each by `_horner` in place; elsewhere the values
+        are exactly 1 or 0 and the slope 0.  1 - smoothstep, which rounds
+        below 0 next to r = 1, is clamped at 0, so eta^p is defined for
+        every p.  A scalar r gives scalars."""
         r = np.asarray(r, dtype=float)
         plateau = r <= PLATEAU_RADIUS
-        value = np.where(plateau, 1.0, 0.0)
+        value = np.array(plateau, dtype=float)
         shoulder = ~(plateau | (r >= 1.0))  # a NaN r stays NaN
         s = 2.0 * r[shoulder] - 1.0
         c = _SMOOTHSTEP_COEFFS[self.smoothness]
-        polyval = np.polynomial.polynomial.polyval
-        value[shoulder] = np.maximum(1.0 - polyval(s, c), 0.0)
+        step = _horner(s, c)
+        np.subtract(1.0, step, out=step)
+        value[shoulder] = np.maximum(step, 0.0, out=step)
         if not slope:
             return value[()]
         deriv = np.zeros_like(r)
-        deriv[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
+        step_slope = _horner(s, c[1:] * np.arange(1, len(c)))
+        step_slope *= -2.0
+        deriv[shoulder] = step_slope
         return value[()], deriv[()]
+
+
+def _horner(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients c (at least two, the last
+    nonzero) at s, by Horner's rule in place: numpy's `polyval` operation
+    for operation, so its bits, without its temporary per coefficient."""
+    out = s * c[-1]
+    out += c[-2]
+    for ck in c[-3::-1]:
+        out *= s
+        out += ck
+    return out
 
 
 @functools.cache
@@ -153,12 +168,15 @@ def _gauss_panels(breaks: np.ndarray):
 
 
 def _subdivide(breaks: np.ndarray, max_width: float) -> np.ndarray:
-    """The breaks with every panel cut into equal parts of at most max_width."""
-    out = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        k = max(1, int(math.ceil((b - a) / max_width)))
-        out.extend(a + (b - a) * np.arange(1, k + 1) / k)
-    return np.asarray(out)
+    """The breaks with every panel cut into equal parts of at most max_width.
+
+    Part j of k of the panel (a, b) ends at a + (b - a) j / k.
+    """
+    a, b = breaks[:-1], breaks[1:]
+    k = np.maximum(np.ceil((b - a) / max_width), 1.0).astype(np.intp)
+    j = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)  # 1 ... k
+    ends = np.repeat(a, k) + np.repeat(b - a, k) * j / np.repeat(k, k)
+    return np.concatenate([breaks[:1], ends])
 
 
 @dataclass(frozen=True)
@@ -182,15 +200,24 @@ class CutoffField:
         r = np.sqrt(_norm_sq(pts, axis=0))
         return self.profile.radial(self.M * r, slope=False)
 
-    def value_and_gradient(self, pts) -> tuple[np.ndarray, np.ndarray]:
+    def on_plateau(self, r2) -> np.ndarray:
+        """Whether points of squared norm `r2` lie on the plateau, where
+        `value_and_gradient` gives exactly 1 and a gradient of zeros: the
+        test of `CutoffProfile.radial` on the same radius M |x|."""
+        return self.M * np.sqrt(r2) <= PLATEAU_RADIUS
+
+    def value_and_gradient(self, pts, r2=None) -> tuple[np.ndarray, np.ndarray]:
         """(value(pts), gradient(pts)) from one radius per point; the
-        gradient is component-major like `pts`."""
+        gradient is component-major like `pts`.  `r2`, when given, is the
+        points' squared norm |x|^2, which a caller that builds it more
+        cheaply passes in (bit for bit `_norm_sq(pts, axis=0)`)."""
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(_norm_sq(pts, axis=0))
+        r = np.sqrt(_norm_sq(pts, axis=0) if r2 is None else r2)
         value, slope = self.profile.radial(self.M * r)
         slope *= self.M
-        safe_r = np.where(r > 0, r, 1.0)
-        return value, slope * pts / safe_r
+        grad = slope * pts
+        grad /= np.where(r > 0, r, 1.0)
+        return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@
 * the 41 x 41 lattice on which the config check sampled a rectangle's
   conductivity before it read `pde.lattice_points`;
 * the probe quadrature's boundary-layer rule from before it stopped
-  refining the layer's tail.
+  refining the layer's tail;
+* the cutoff's radial profile by numpy's `polyval`, the panel subdivision
+  by a loop over the panels, and the probe energy's integrand with every
+  factor evaluated on every point of a block, as they were before the
+  integrand took its factors of x_1 alone once per quadrature level.
 
 They evaluate what `plprobe` computes with formulas of their own; the
 package itself runs none of them.
@@ -200,9 +204,10 @@ def oscillatory_average_check(spec: recovery.ProbeSpec, tol: float = 1e-7,
         raise ValueError("oscillatory average check applies to real-mode probes")
     eta_field = special.CutoffField(M=spec.M, profile=spec.cutoff)
 
-    def integrand(x):
-        a = spec.profile.values_at(spec.N * x[0, :, :1])[0]
-        return eta_field.value(x) ** 2 * a**2
+    def integrand(x1):
+        # a(N x_1) once per level, on every perpendicular node
+        a = spec.profile.values_at(spec.N * x1)[0][:, None]
+        return lambda x, rows: eta_field.value(x) ** 2 * a[rows] ** 2
 
     lhs = recovery._refined_quad(spec, integrand, tol, max_level)
     c = float(np.mean(spec.profile.a ** 2))
@@ -539,3 +544,62 @@ def head_refining_layer_rule(spec, level: int):
     tail = np.array([26.0, 33.0, 44.0]) / p
     head = special._subdivide(head, (4.0 / p) / 2**level)
     return special._gauss_panels(np.concatenate([head, tail]))
+
+
+# ---------------------------------------------------------------------------
+# The cutoff, the panel subdivision and the probe energy's integrand before
+# the integrand took its factors of x_1 alone once per quadrature level,
+# kept unchanged as the bit-for-bit reference of `special.CutoffProfile.radial`,
+# `special._subdivide` and `recovery._energy_density`.
+# ---------------------------------------------------------------------------
+
+
+def polyval_radial(profile: special.CutoffProfile, r, slope: bool = True):
+    """`CutoffProfile.radial` with the smoothstep and its slope by `polyval`."""
+    r = np.asarray(r, dtype=float)
+    plateau = r <= special.PLATEAU_RADIUS
+    value = np.where(plateau, 1.0, 0.0)
+    shoulder = ~(plateau | (r >= 1.0))
+    s = 2.0 * r[shoulder] - 1.0
+    c = special._SMOOTHSTEP_COEFFS[profile.smoothness]
+    polyval = np.polynomial.polynomial.polyval
+    value[shoulder] = np.maximum(1.0 - polyval(s, c), 0.0)
+    if not slope:
+        return value[()]
+    deriv = np.zeros_like(r)
+    deriv[shoulder] = -2.0 * polyval(s, c[1:] * np.arange(1, len(c)))
+    return value[()], deriv[()]
+
+
+def loop_subdivide(breaks: np.ndarray, max_width: float) -> np.ndarray:
+    """`special._subdivide` by a loop over the panels."""
+    out = [breaks[0]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        k = max(1, int(math.ceil((b - a) / max_width)))
+        out.extend(a + (b - a) * np.arange(1, k + 1) / k)
+    return np.asarray(out)
+
+
+def pointwise_energy_density(spec: recovery.ProbeSpec, gamma: pde.ConductivityField,
+                             x: np.ndarray) -> np.ndarray:
+    """The integrand of `recovery._energy_density` on a component-major
+    (2, n_perp, n_layer) block x, every factor but those of x_1 alone
+    (taken on the block's first layer) evaluated on every point."""
+    M, N, p = spec.M, spec.N, spec.p
+    r = np.sqrt(_norm_sq(x, axis=0))
+    eta, slope = polyval_radial(spec.cutoff, M * r)
+    slope *= M
+    geta = slope * x / np.where(r > 0, r, 1.0)
+    geta /= M  # grad eta evaluated at Mx
+
+    if spec.mode == "complex":
+        vec = (M / N) * geta
+        vec[1] -= eta
+        mag2 = _norm_sq(vec, axis=0) + eta**2 * (p - 1.0)
+    else:
+        a, ap = spec.profile.values_at(N * x[0, :, :1])
+        grad_rho = spec.rho.gradient(x[:, :, 0].T).T[..., None]
+        vec = (M / N) * geta * a - eta * a * grad_rho
+        vec[0] += eta * ap
+        mag2 = _norm_sq(vec, axis=0)
+    return gamma(x.reshape(2, -1).T).reshape(x.shape[1:]) * mag2 ** (p / 2.0)

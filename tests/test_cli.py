@@ -339,9 +339,14 @@ def test_probe_check_demo_integrand_points(tmp_path, monkeypatch):
     points = []
     density = recovery._energy_density
 
-    def counting_density(spec, gamma, x):
-        points.append(x[0].size)
-        return density(spec, gamma, x)
+    def counting_density(spec, gamma, x1):
+        block = density(spec, gamma, x1)
+
+        def counting_block(x, rows):
+            points.append(x[0].size)
+            return block(x, rows)
+
+        return counting_block
 
     monkeypatch.setattr(recovery, "_energy_density", counting_density)
     assert run(["probe-check", "--config", PROBE_CHECK_DEMO,

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from plprobe import cli, dnmap, pde, recovery, special
+from plprobe.vecp import _norm_sq
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +255,7 @@ def _flat_energy_density(spec, gamma_fn, x):
     ("complex", 3.0, 2, False), ("real", 1.5, 2, False),
     ("real", 3.0, 2, True)])
 def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
-    # x'-only factors evaluated once per perpendicular node change no bit
+    # x'-only factors evaluated once per level and sliced per block change no bit
     rho = special.BoundaryDefiningFunction()
     if curved:
         rho = special.BoundaryDefiningFunction(lambda x: -x[..., 0] ** 2 / 10.0,
@@ -262,16 +263,19 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
     spec = recovery.ProbeSpec(mode=mode, p=p, M=16.0, rho=rho, profile=profile)
     rng = np.random.default_rng(5)
-    y_perp = rng.uniform(-1.1, 1.1, 40)
+    y_perp = rng.uniform(-1.1, 1.1, 60)
     y_layer = np.sort(rng.uniform(0.0, 44.0 / spec.p, 30))
-    x = recovery._scaled_points(spec, y_perp, y_layer)
+    # a block of rows 10 to 49 of a level of 60 perpendicular nodes
+    x = recovery._scaled_points(spec, y_perp[10:50], y_layer)
     assert x.shape == (n, 40, 30)
     rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
 
     def gamma_fn(pts):
         return 1.0 + pts[:, -1] / 2.0 + pts[:, 0] ** 2
 
-    block = recovery._energy_density(spec, pde.ConductivityField(gamma_fn), x)
+    level = recovery._energy_density(spec, pde.ConductivityField(gamma_fn),
+                                     y_perp / spec.M)
+    block = level(x, slice(10, 50))
     flat = _flat_energy_density(spec, gamma_fn, rows).reshape(40, 30)
     assert block.tobytes() == flat.tobytes()
 
@@ -279,8 +283,10 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
 @pytest.mark.parametrize("mode, p, n, curved, M, levels", [
     ("complex", 3.0, 2, False, 256.0, (0, 1, 2)),
     ("real", 1.5, 2, False, 256.0, (0, 1)),
-    # level 1: 4,360 perpendicular nodes, two chunks, 109-row blocks
-    ("real", 3.0, 2, True, 256.0, (1,))])  # n as in the test above
+    # level 1: 4,360 perpendicular nodes, two chunks, 204-row blocks, so
+    # blocks end inside a chunk
+    ("real", 3.0, 2, True, 256.0, (1,)),  # n as in the test above
+    ("real", 3.0, 2, False, 256.0, (1,))])
 def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
                                                monkeypatch, wolff15, wolff3):
     rho = special.BoundaryDefiningFunction()
@@ -290,23 +296,88 @@ def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
     profile = {1.5: wolff15, 3.0: wolff3}[p] if mode == "real" else None
     spec = recovery.ProbeSpec(mode=mode, p=p, M=M, rho=rho, profile=profile)
 
-    def integrand(x):
-        return recovery._energy_density(spec, GAMMA_SLOPE, x)
+    def integrand(x1):
+        return recovery._energy_density(spec, GAMMA_SLOPE, x1)
 
     def sums():
         return [recovery._tensor_quad(spec, integrand, level) for level in levels]
 
-    def row_major(x):
-        rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
-        return _flat_energy_density(spec, GAMMA_SLOPE, rows).reshape(x.shape[1:])
+    def row_major(x, rows):
+        points = np.ascontiguousarray(np.moveaxis(x, 0, -1)).reshape(-1, n)
+        return _flat_energy_density(spec, GAMMA_SLOPE, points).reshape(x.shape[1:])
 
     blocked = sums()
-    # the component-major blocks sum to the bits of the row-major oracle
-    assert [recovery._tensor_quad(spec, row_major, level)
+    # the component-major blocks, with the factors of x_1 alone taken per
+    # level and sliced per block, sum to the bits of the row-major oracle
+    assert [recovery._tensor_quad(spec, lambda x1: row_major, level)
             for level in levels] == blocked
     # one block per summation chunk: the whole chunk evaluated at once
     monkeypatch.setattr(recovery, "_EVAL_POINTS", recovery._CHUNK * 10**6)
     assert sums() == blocked
+    # blocks of a few rows, which end off the chunk boundaries
+    monkeypatch.setattr(recovery, "_EVAL_POINTS", 4999)
+    assert sums() == blocked
+
+
+@pytest.mark.parametrize("M", (4.0, 16.0, 256.0))
+@pytest.mark.parametrize("p", (1.1, 1.5, 3.0, 8.0))
+@pytest.mark.parametrize("mode, curved", [("complex", False), ("real", False),
+                                          ("real", True)])
+def test_energy_density_keeps_the_bits_of_the_pointwise_integrand(mode, curved, p, M):
+    # factors of x_1 alone taken once per level, |G/N|^p of the rows on the
+    # cutoff's plateau among them, the flat squared radius as a row plus a
+    # column term and the Horner cutoff move no bit of any block of a level
+    # against the frozen integrand
+    rho = special.BoundaryDefiningFunction()
+    if curved:
+        rho = special.BoundaryDefiningFunction(lambda x: -x[..., 0] ** 2 / 10.0,
+                                               lambda x: -x[..., 0] / 5.0)
+    profile = special.solve_wolff_profile(p) if mode == "real" else None
+    spec = recovery.ProbeSpec(mode=mode, p=p, M=M, rho=rho, profile=profile)
+    gamma = pde.ConductivityField(lambda x: 1.0 + x[:, 0] ** 2 + x[:, -1] / 2.0)
+    layer_nodes = recovery._layer_rule(spec, 1)[0]
+    y_perp = special._gauss_panels(recovery._perp_breaks(spec, 1))[0]
+    level = recovery._energy_density(spec, gamma, y_perp / spec.M)
+
+    def plateau_rows(y):
+        # a row's largest radius is at its first or its last layer node
+        ends = recovery._scaled_points(spec, y, layer_nodes[[0, -1]])
+        return special.CutoffField(M=M).on_plateau(_norm_sq(ends, axis=0).max(axis=1))
+
+    # blocks of 17 rows at y_1 = -1, across the first row on the plateau
+    # throughout, and at y_1 = 0
+    kinds = set()
+    for row in (0, int(np.argmax(plateau_rows(y_perp))), y_perp.size // 2):
+        b = max(0, row - 8)
+        e = min(y_perp.size, b + 17)
+        x = recovery._scaled_points(spec, y_perp[b:e], layer_nodes)
+        want = oracles.pointwise_energy_density(spec, gamma, x)
+        assert level(x, slice(b, e)).tobytes() == want.tobytes()
+        inner = plateau_rows(y_perp[b:e])
+        kinds.add((bool(inner.any()), bool(inner.all())))
+    if M == 256.0:
+        # a block off the plateau, one across its edge, one on it throughout
+        assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_wolff_profile_is_evaluated_once_per_level(monkeypatch, wolff3):
+    spec = recovery.ProbeSpec(mode="real", p=3.0, M=256.0, profile=wolff3)
+    calls = {"values_at": 0, "levels": 0}
+    values_at, tensor_quad = special.WolffProfile.values_at, recovery._tensor_quad
+
+    def counting_values_at(self, tau):
+        calls["values_at"] += 1
+        return values_at(self, tau)
+
+    def counting_tensor_quad(*args):
+        calls["levels"] += 1
+        return tensor_quad(*args)
+
+    monkeypatch.setattr(special.WolffProfile, "values_at", counting_values_at)
+    monkeypatch.setattr(recovery, "_tensor_quad", counting_tensor_quad)
+    recovery.quadrature_limit(GAMMA_SLOPE, spec)
+    assert calls["levels"] >= 2
+    assert calls["values_at"] == calls["levels"]
 
 
 def test_quadrature_limit_working_set_is_bounded(wolff3):
@@ -461,7 +532,8 @@ def test_quadrature_sums_run_on_one_numpy_openblas_thread(monkeypatch):
 def test_refined_quad_needs_a_level_to_compare():
     spec = recovery.ProbeSpec(mode="complex", p=3.0, M=4.0)
     with pytest.raises(recovery.QuadratureError, match="at least 1 level"):
-        recovery._refined_quad(spec, lambda x: np.ones(x.shape[1:]), 1e-7, 0)
+        recovery._refined_quad(spec, lambda x1: lambda x, rows: np.ones(x.shape[1:]),
+                               1e-7, 0)
 
 
 # ---------------------------------------------------------------------------

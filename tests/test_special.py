@@ -63,6 +63,37 @@ def test_cutoff_radial_is_clamped_at_zero(smoothness):
 
 
 @pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
+def test_cutoff_radial_keeps_the_bits_of_polyval(smoothness):
+    # the in-place Horner rule runs numpy's polyval operation for operation
+    prof = special.CutoffProfile(smoothness)
+    edges = [0.0, 0.5, 1.0, np.nan] + [np.nextafter(v, t) for v in (0.5, 1.0)
+                                       for t in (0.0, 2.0)]
+    r = np.concatenate([np.random.default_rng(29).uniform(0.0, 1.2, 10_000), edges])
+    for arg in (r, r.reshape(-1, 8), 0.75, np.nextafter(1.0, 0.0), np.empty(0)):
+        got = prof.radial(arg)
+        want = oracles.polyval_radial(prof, arg)
+        for g, w in zip(got + (prof.radial(arg, slope=False),),
+                        want + (oracles.polyval_radial(prof, arg, slope=False),)):
+            assert type(g) is type(w)
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_subdivide_keeps_the_bits_of_the_panel_loop():
+    rng = np.random.default_rng(2907)
+    cases = [(special.PLATEAU_RADIUS * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), 0.25 / 2**3),
+             (np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 20.0]) / 1.1, (4.0 / 1.1) / 4)]
+    for _ in range(300):
+        gaps = rng.exponential(1.0, rng.integers(1, 25))
+        gaps[rng.random(gaps.size) < 0.1] = 0.0  # repeated breaks
+        breaks = rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+        cases.append((breaks, rng.uniform(0.003, 3.0)))
+    for breaks, width in cases:
+        got = special._subdivide(breaks, width)
+        assert got.tobytes() == oracles.loop_subdivide(breaks, width).tobytes()
+
+
+@pytest.mark.parametrize("smoothness", ("c1", "c2", "c3"))
 def test_cutoff_value_and_gradient_equal_separate_calls(smoothness):
     # one radius per point gives the bits of value() and of the gradient
     # formula d(M r) * x / r, at r = 0, on the plateau, on the shoulder
