@@ -11,9 +11,9 @@ its DN self-pairing converges to gamma(0):
 with c_p the mode's normalization constant.  Two independent routes
 estimate gamma(0):
 
-* quadrature_limit: grid-free adaptive panel quadrature of the closed-form
-  probe energy M N^(1-p) int gamma |grad u_0|^p / c_p (no PDE);
-  isolates the pure-in-M convergence at machine quadrature accuracy.
+* quadrature_limit: grid-free adaptive tensor Gauss quadrature of the
+  closed-form probe energy M N^(1-p) int gamma |grad u_0|^p / c_p (no
+  PDE); isolates the pure-in-M convergence at machine quadrature accuracy.
 
 * recover_boundary_value: per-M PDE solves with datum v_M and self-pairing
   <L(f_M), f_M>; the correction-decay indicator M N^(1-p)
@@ -21,13 +21,16 @@ estimate gamma(0):
   identity isolate how far the probe is from an exact solution.
 
 The scaled integrands live on y = (M x_1, N rho): boundary layer
-e^(-p y_2) times a bounded profile, oscillatory in y_1 only in real mode;
-panels are aligned to the cutoff kinks and to half-periods of the
-oscillation.
+e^(-p y_2) times a bounded profile, oscillatory in y_1 only in real mode.
+In y_1, Gauss panels are aligned to the cutoff kinks and to half-periods
+of the oscillation.  In y_2 the layer takes Gauss panels graded toward the
+boundary, or, where it lies deep inside the cutoff's plateau, one
+Gauss-Laguerre rule for the weight e^(-p y_2) (`_layer_rule`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -178,20 +181,54 @@ _LAYER_HEAD = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
 _LAYER_TAIL = np.array([26.0, 33.0, 44.0])
 
 
-def _layer_rule(spec: ProbeSpec, level: int):
-    """Gauss nodes and weights of the boundary layer at refinement `level`:
-    head panels cut to width (4/p)/2^level, tail panels as they are.
+# Order of the Gauss-Laguerre layer rule.
+_LAGUERRE_ORDER = 20
 
-    The head ends at y_2 = 20/p, a depth (20/p)/N in x_2.  Where that depth
-    is within the cutoff's plateau radius 1/(2M), that is where
-    (M/N)(20/p) <= `special.PLATEAU_RADIUS`, the head keeps its level-0
-    panels at every level: refining it there moved the probe energy by at
-    most 2.1e-13 relative over 462 cases (p from 1.1 to 8, s from 1.25 to
-    2, flat and curved bottoms), so the change from level to level is the
-    perpendicular panels'.  Elsewhere the head refines with the level.
+
+@functools.cache
+def _laguerre_rule():
+    """Gauss-Laguerre nodes x_k and weights w_k e^(x_k) of order
+    `_LAGUERRE_ORDER` for int_0^oo f(t) dt, built once, on first use."""
+    x, w = np.polynomial.laguerre.laggauss(_LAGUERRE_ORDER)
+    return x, w * np.exp(x)
+
+
+def _layer_rule(spec: ProbeSpec, level: int):
+    """Nodes and weights in y_2 of the boundary layer at refinement `level`.
+
+    The layer's head, the panels up to y_2 = 20/p, lies at a depth
+    (20/p)/N in x_2; against the cutoff's plateau radius 1/(2M) that is the
+    ratio (M/N)(20/p), and it sets one of three rules:
+
+    * ratio <= `special.PLATEAU_RADIUS`/4: the 20-node Gauss-Laguerre rule
+      in y_2, nodes x_k/p and weights w_k e^(x_k)/p, the same at every
+      level; with `_tensor_quad`'s e^(-p y_2) it is the classical rule for
+      int_0^oo e^(-p y_2) f dy_2.  There every row's layer factor is smooth
+      except where the row crosses the plateau's edge, at a depth the decay
+      makes negligible: over 360 cases below the threshold (p from 1.1 to
+      8; s = 2 with M up to 256 and s = 1.5 with M from 512 to 4096;
+      complex, real, and real above the bottom -x_1^2/10; five
+      conductivities) the probe energy stayed within 5.3e-15 relative of
+      the panel rule refined to width (4/p)/8 in the head and 2/p in the
+      tail, where the panel rule below stayed within 4.4e-16.  Between
+      this threshold and the plateau radius some rows cross the edge
+      inside the layer, and 16 to 32 Laguerre nodes missed by up to 4e-13
+      at ratio 1/4 and 3e-10 at 1/2.
+    * ratio <= `special.PLATEAU_RADIUS`: Gauss panels, the head's at
+      level 0 at every level: refining it there moved the probe energy by
+      at most 2.1e-13 relative over 462 cases, so the change from level to
+      level is the perpendicular panels'.
+    * elsewhere: Gauss panels, the head's cut to width (4/p)/2^level.
+
+    In both panel rules the tail, the panels from 20/p to 44/p, keeps its
+    base panels.
     """
     p = spec.p
-    if (spec.M / spec.N) * (_LAYER_HEAD[-1] / p) <= special.PLATEAU_RADIUS:
+    ratio = (spec.M / spec.N) * (_LAYER_HEAD[-1] / p)
+    if ratio <= special.PLATEAU_RADIUS / 4.0:
+        x, w = _laguerre_rule()
+        return x / p, w / p
+    if ratio <= special.PLATEAU_RADIUS:
         level = 0
     head = special._subdivide(_LAYER_HEAD / p, (4.0 / p) / 2**level)
     return special._gauss_panels(np.concatenate([head, _LAYER_TAIL / p]))
@@ -314,10 +351,13 @@ _EVAL_POINTS = 1 << 15
 
 def _tensor_quad(spec: ProbeSpec, integrand, level: int) -> float:
     """int int integrand(x) e^(-p y_2) dy_1 dy_2 over the scaled cutoff
-    support and boundary layer, by Gauss panels refined `level` times: each
-    level halves the perpendicular panels, and the layer's head panels up
-    to y_2 = 20/p where the head reaches deeper than the cutoff's plateau
-    (`_layer_rule`); the layer's tail keeps its base panels.
+    support and boundary layer, by the tensor product of Gauss panels in
+    y_1 and `_layer_rule` in y_2, refined `level` times: each level halves
+    the perpendicular panels, and the layer's head panels up to y_2 = 20/p
+    where the head reaches deeper than the cutoff's plateau; the layer's
+    tail, and the Gauss-Laguerre layer where the layer lies deep inside the
+    plateau, stay as they are.  The layer's weights are those of the
+    integral without e^(-p y_2), which is multiplied in at the nodes.
 
     `integrand(x1)` is called once per level with the x_1 values of its
     perpendicular nodes, those `_scaled_points` writes, and returns
@@ -384,8 +424,11 @@ _QUAD_TOL = 1e-7
 def quadrature_limit(gamma: ConductivityField, spec: ProbeSpec) -> float:
     """Grid-free estimate of gamma(0): M N^(1-p) int gamma |grad u_0|^p / c_p.
 
-    Adaptive panel refinement; raises QuadratureError if successive levels
-    fail to agree to `_QUAD_TOL` relative within `_MAX_LEVEL` refinements.
+    `_tensor_quad` at levels 0, 1, ...: the perpendicular panels halve at
+    every level, and the layer rule (`_layer_rule`) is Gauss-Laguerre,
+    fixed panels or refining panels by how deep the layer reaches into the
+    cutoff's plateau.  Raises QuadratureError if successive levels fail to
+    agree to `_QUAD_TOL` relative within `_MAX_LEVEL` refinements.
     """
     return _refined_quad(spec, lambda x1: _energy_density(spec, gamma, x1),
                          _QUAD_TOL, _MAX_LEVEL) / spec.c_p()

@@ -13,7 +13,9 @@
 * the 41 x 41 lattice on which the config check sampled a rectangle's
   conductivity before it read `pde.lattice_points`;
 * the probe quadrature's boundary-layer rule from before it stopped
-  refining the layer's tail;
+  refining the layer's tail, and from before its head kept its level-0
+  panels within the cutoff's plateau; and the panel rule refined past any
+  level, the reference of the Gauss-Laguerre layer;
 * the cutoff's radial profile by numpy's `polyval`, the panel subdivision
   by a loop over the panels, and the probe energy's integrand with every
   factor evaluated on every point of a block, as they were before the
@@ -544,6 +546,24 @@ def head_refining_layer_rule(spec, level: int):
     tail = np.array([26.0, 33.0, 44.0]) / p
     head = special._subdivide(head, (4.0 / p) / 2**level)
     return special._gauss_panels(np.concatenate([head, tail]))
+
+
+# ---------------------------------------------------------------------------
+# The boundary-layer rule refined past any level the quadrature tries where
+# the layer lies deep inside the cutoff's plateau: the head cut to width
+# (4/p)/8 and the tail to 2/p, the same at every level.  The reference of
+# the Gauss-Laguerre layer rule.  A drop-in for `recovery._layer_rule`.
+# ---------------------------------------------------------------------------
+
+
+def refined_layer_rule(spec, level: int):
+    p = spec.p
+    head = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0,
+                     11.0, 15.0, 20.0]) / p
+    tail = np.array([20.0, 26.0, 33.0, 44.0]) / p
+    return special._gauss_panels(np.concatenate([
+        special._subdivide(head, (4.0 / p) / 8.0),
+        special._subdivide(tail, 2.0 / p)[1:]]))
 
 
 # ---------------------------------------------------------------------------

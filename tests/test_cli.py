@@ -273,14 +273,28 @@ def test_solve_expression_datum_loads_no_deferred_scipy(tmp_path):
     assert not loaded & DEFERRED_SCIPY
 
 
+# probe-check where every row's layer head lies within a quarter of the
+# cutoff's plateau, (M/N)(20/p) <= 1/8, so every quadrature takes the
+# Gauss-Laguerre layer rule (`recovery._layer_rule`)
+PROBE_CHECK_LAGUERRE = ("[physics]\np = 3\ngamma = 1 + x2\n"
+                        "[probe]\nmode = real\nm_list = 64, 128, 256\n")
+
+
 @pytest.mark.parametrize("command", (
     ["probe-check", "--config", PROBE_CHECK_DEMO],  # real mode
+    ["probe-check", "--config", "laguerre.cfg"],  # real mode, Gauss-Laguerre
     ["recover", "--config", RECOVER_DEMO],  # complex mode
-    ["wolff", "--p", "3"]), ids=("probe-check", "recover", "wolff"))
+    ["wolff", "--p", "3"]), ids=("probe-check", "probe-check-laguerre",
+                                 "recover", "wolff"))
 def test_probe_commands_load_no_deferred_scipy(tmp_path, command):
+    # the relative config path is read in tmp_path, the command's directory
+    (tmp_path / "laguerre.cfg").write_text(PROBE_CHECK_LAGUERRE)
     loaded = _fresh_imports(["-m", "plprobe", *command, "--out", tmp_path], tmp_path)
     assert "plprobe.special" in loaded and any(tmp_path.glob("*.csv"))
     assert not loaded & DEFERRED_SCIPY
+    if "laguerre.cfg" in command:
+        # numpy builds the Gauss-Laguerre rule; nothing loads scipy
+        assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_recover_nonpositive_gamma_in_window_exits_1(tmp_path, capsys):
@@ -335,7 +349,9 @@ def test_probe_check_matches_golden(tmp_path, golden_mismatches):
 PROBE_CHECK_DEMO_INTEGRAND_POINTS = 342_400
 
 
-def test_probe_check_demo_integrand_points(tmp_path, monkeypatch):
+def _probe_check_integrand_points(config, out, monkeypatch):
+    """Points at which `probe-check` on `config` evaluates the probe energy
+    density, over every level its quadratures try."""
     points = []
     density = recovery._energy_density
 
@@ -349,9 +365,27 @@ def test_probe_check_demo_integrand_points(tmp_path, monkeypatch):
         return counting_block
 
     monkeypatch.setattr(recovery, "_energy_density", counting_density)
-    assert run(["probe-check", "--config", PROBE_CHECK_DEMO,
-                "--out", tmp_path]) == 0
-    assert sum(points) == PROBE_CHECK_DEMO_INTEGRAND_POINTS
+    assert run(["probe-check", "--config", config, "--out", out]) == 0
+    return sum(points)
+
+
+def test_probe_check_demo_integrand_points(tmp_path, monkeypatch):
+    assert (_probe_check_integrand_points(PROBE_CHECK_DEMO, tmp_path, monkeypatch)
+            == PROBE_CHECK_DEMO_INTEGRAND_POINTS)
+
+
+# The same count on PROBE_CHECK_LAGUERRE (real, p = 3, M = 64, 128, 256):
+# levels 0 and 1 of every row, 11,560 perpendicular nodes in all, times
+# the 20 nodes of the Gauss-Laguerre layer.  The panel rule's 160 layer
+# nodes made 1,849,600 points.
+PROBE_CHECK_LAGUERRE_INTEGRAND_POINTS = 231_200
+
+
+def test_probe_check_laguerre_integrand_points(tmp_path, monkeypatch):
+    cfg = tmp_path / "laguerre.cfg"
+    cfg.write_text(PROBE_CHECK_LAGUERRE)
+    assert (_probe_check_integrand_points(cfg, tmp_path, monkeypatch)
+            == PROBE_CHECK_LAGUERRE_INTEGRAND_POINTS)
 
 
 def _edit_first_row(text, column, edit):

@@ -280,13 +280,17 @@ def test_energy_density_block_equals_flat(mode, p, n, curved, wolff15, wolff3):
     assert block.tobytes() == flat.tobytes()
 
 
+# At M = 256 the layer is the 20-node Gauss-Laguerre rule; at M = 32 the
+# panel rule, 160 layer nodes.
 @pytest.mark.parametrize("mode, p, n, curved, M, levels", [
     ("complex", 3.0, 2, False, 256.0, (0, 1, 2)),
     ("real", 1.5, 2, False, 256.0, (0, 1)),
-    # level 1: 4,360 perpendicular nodes, two chunks, 204-row blocks, so
+    # level 1: 4,360 perpendicular nodes, two chunks, 1,638-row blocks, so
     # blocks end inside a chunk
     ("real", 3.0, 2, True, 256.0, (1,)),  # n as in the test above
-    ("real", 3.0, 2, False, 256.0, (1,))])
+    ("real", 3.0, 2, False, 256.0, (1,)),
+    # level 4: 4,360 perpendicular nodes, two chunks, 204-row blocks
+    ("real", 3.0, 2, False, 32.0, (4,))])
 def test_tensor_quad_block_size_changes_no_bit(mode, p, n, curved, M, levels,
                                                monkeypatch, wolff15, wolff3):
     rho = special.BoundaryDefiningFunction()
@@ -380,17 +384,30 @@ def test_wolff_profile_is_evaluated_once_per_level(monkeypatch, wolff3):
     assert calls["values_at"] == calls["levels"]
 
 
-def test_quadrature_limit_working_set_is_bounded(wolff3):
-    # about 10 MiB; evaluating a whole 4,096-row chunk at once peaks at
-    # about 69 MiB
-    spec = recovery.ProbeSpec(mode="real", p=3.0, M=256.0, profile=wolff3)
+def _quadrature_peak(spec):
+    """Peak traced allocation of `quadrature_limit` on `spec`."""
     tracemalloc.start()
     try:
         recovery.quadrature_limit(GAMMA_SLOPE, spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+
+
+def test_quadrature_limit_working_set_is_bounded(wolff3):
+    # the 20-node Gauss-Laguerre layer: about 4 MiB, and about 5 MiB
+    # evaluating a whole 4,096-row chunk at once
+    spec = recovery.ProbeSpec(mode="real", p=3.0, M=256.0, profile=wolff3)
+    assert _quadrature_peak(spec) <= 16 * 2**20
+
+
+def test_quadrature_limit_working_set_is_bounded_on_panels():
+    # the head-refining panels, 1,280 perpendicular nodes and 870 layer
+    # nodes at level 4: about 12 MiB, 8.9 MiB of it the level's values;
+    # evaluating a whole chunk at once peaks at about 95 MiB
+    spec = recovery.ProbeSpec(mode="real", p=1.1, M=32.0,
+                              profile=special.solve_wolff_profile(1.1))
+    assert _quadrature_peak(spec) <= 16 * 2**20
 
 
 @pytest.mark.parametrize("p", (1.1, 3.0, 8.0))
@@ -414,10 +431,16 @@ def test_layer_rule_refines_only_the_head(p):
         assert [nodes.size for nodes, _ in rules[:3]] == [160, 200, 290]
 
 
+def _layer_ratio(spec):
+    """(M/N)(20/p): the depth of the layer's head, 20/p in y_2, in units of
+    1/M, against the cutoff's plateau radius 1/2."""
+    return (spec.M / spec.N) * (20.0 / spec.p)
+
+
 def _head_within_plateau(spec):
     """Whether the layer's head, 20/p deep in y_2, lies within the cutoff's
     plateau radius 1/(2M) in x_2 = y_2/N."""
-    return (spec.M / spec.N) * (20.0 / spec.p) <= 0.5
+    return _layer_ratio(spec) <= 0.5
 
 
 @pytest.mark.parametrize("p, M, s, within", [
@@ -501,6 +524,82 @@ def test_quadrature_within_the_plateau_matches_the_head_refining_rule(
     monkeypatch.setattr(recovery, "_layer_rule", oracles.head_refining_layer_rule)
     old = recovery.quadrature_limit(GAMMA_TILT, spec)
     assert abs(new - old) <= 1e-12 * abs(old)
+
+
+# (M/N)(20/p) <= 1/8 in every case
+@pytest.mark.parametrize("mode, p, s, curved, M", [
+    ("complex", 1.1, 2.0, False, 256.0),     # 0.071
+    ("real", 1.1, 2.0, False, 256.0),        # 0.071
+    ("complex", 1.5, 2.0, False, 128.0),     # 0.10
+    ("real", 1.5, 2.0, True, 128.0),         # 0.10
+    ("complex", 3.0, 2.0, False, 64.0),      # 0.10
+    ("real", 3.0, 2.0, True, 64.0),          # 0.10
+    ("complex", 3.0, 1.5, False, 4096.0),    # 0.10
+    ("real", 3.0, 1.5, False, 4096.0),       # 0.10
+    ("complex", 5.0, 2.0, False, 64.0),      # 0.063
+    ("real", 5.0, 2.0, False, 32.0),         # 0.125, on the threshold
+    ("real", 5.0, 1.5, True, 1024.0),        # 0.125, on the threshold
+    ("complex", 8.0, 1.5, False, 1024.0),    # 0.078
+    ("real", 8.0, 2.0, True, 32.0),          # 0.078
+    ("real", 8.0, 1.5, False, 1024.0)])      # 0.078
+def test_quadrature_below_a_quarter_plateau_matches_the_refined_layer(
+        monkeypatch, mode, p, s, curved, M, wolff3):
+    # the 20-node Gauss-Laguerre layer against the panel rule refined to
+    # width (4/p)/8 in the head and 2/p in the tail at every level
+    spec = _tilt_spec(mode, p, M, s, curved, wolff3)
+    assert _layer_ratio(spec) <= 0.125
+    new = recovery.quadrature_limit(GAMMA_TILT, spec)
+    monkeypatch.setattr(recovery, "_layer_rule", oracles.refined_layer_rule)
+    ref = recovery.quadrature_limit(GAMMA_TILT, spec)
+    assert abs(new - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("p, M, s", [
+    (1.1, 256.0, 2.0),    # (M/N)(20/p) = 0.071
+    (3.0, 64.0, 2.0),     # 0.10
+    (5.0, 32.0, 2.0),     # 0.125, on the threshold
+    (3.0, 4096.0, 1.5),   # 0.10
+    (1.1, 128.0, 2.0),    # 0.14
+    (3.0, 32.0, 2.0),     # 0.21
+    (5.0, 16.0, 2.0),     # 0.25
+    (3.0, 8.0, 2.0),      # 0.83
+    (1.1, 32.0, 2.0)])    # 0.57
+def test_layer_rule_regimes(p, M, s):
+    # at or below 1/8 the Gauss-Laguerre rule at every level; above it the
+    # panel rule's bits, its head at level 0 up to 1/2 and refined beyond
+    spec = recovery.ProbeSpec(mode="complex", p=p, M=M, s=s)
+    ratio = _layer_ratio(spec)
+    rules = [recovery._layer_rule(spec, level) for level in range(4)]
+    if ratio <= 0.125:
+        x, w = np.polynomial.laguerre.laggauss(20)
+        want = (x / p, (w * np.exp(x)) / p)
+    for level, (nodes, weights) in enumerate(rules):
+        if ratio > 0.125:
+            want = oracles.head_refining_layer_rule(spec, 0 if ratio <= 0.5 else level)
+        assert nodes.tobytes() == want[0].tobytes()
+        assert weights.tobytes() == want[1].tobytes()
+
+
+def test_laguerre_rule_is_built_once_per_process(monkeypatch):
+    calls = []
+    laggauss = np.polynomial.laguerre.laggauss
+
+    def counting_laggauss(n):
+        calls.append(n)
+        return laggauss(n)
+
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", counting_laggauss)
+    recovery._laguerre_rule.cache_clear()
+    try:
+        for M in (64.0, 128.0):
+            spec = recovery.ProbeSpec(mode="complex", p=3.0, M=M)
+            assert _layer_ratio(spec) <= 0.125
+            recovery.quadrature_limit(GAMMA_SLOPE, spec)
+        # two quadratures of at least two levels each, one build
+        assert calls == [recovery._LAGUERRE_ORDER]
+        assert recovery._laguerre_rule.cache_info().hits >= 3
+    finally:
+        recovery._laguerre_rule.cache_clear()
 
 
 def test_quadrature_sums_run_on_one_numpy_openblas_thread(monkeypatch):
